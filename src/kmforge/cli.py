@@ -16,7 +16,8 @@ import sys
 from dataclasses import dataclass
 
 from . import jsonio
-from .errors import CatalogMissError, ClassifierUnavailableError, KmforgeError
+from .errors import CatalogMissError, ClassifierUnavailableError, InvalidLevelError, KmforgeError
+from .field import check_level
 from .invariants import (
     extract_invariant_first,
     extract_invariant_second,
@@ -56,10 +57,18 @@ class SessionConfig:
         if self.bound < 1:
             raise _CliError(2, "bound must be >= 1")
         if self.level is not None:
-            if self.level < 1 or self.level % 4:
-                raise _CliError(2, "field level must be a positive multiple of 4")
-            if self.D is not None and self.level % self.D:
-                raise _CliError(2, f"field level {self.level} must be a multiple of D={self.D}")
+            _check_session_level(self.level, self.D, "field level")
+
+
+def _check_session_level(level, D, name):
+    """A session's field level must be a valid cyclotomic level (see
+    ``field.check_level``) and a multiple of the lattice denominator D."""
+    try:
+        check_level(level)
+    except InvalidLevelError as exc:
+        raise _CliError(2, f"{name}: {exc}")
+    if D is not None and level % D:
+        raise _CliError(2, f"{name}={level} must be a multiple of D={D}")
 
 
 def _session_level(D=None):
@@ -70,10 +79,7 @@ def _session_level(D=None):
         level = int(raw)
     except ValueError:
         raise _CliError(2, f"{LEVEL_ENV} must be an integer, got {raw!r}")
-    if level < 1 or level % 4:
-        raise _CliError(2, f"{LEVEL_ENV} must be a positive multiple of 4")
-    if D is not None and level % D:
-        raise _CliError(2, f"{LEVEL_ENV}={level} must be a multiple of D={D}")
+    _check_session_level(level, D, LEVEL_ENV)
     return level
 
 
@@ -174,11 +180,15 @@ def _cmd_verify(args):
         raise _CliError(2, f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     cfg = SessionConfig(args.algebra, args.D, args.N, args.bound, args.seed,
                         _session_level(args.D))
+    if args.trials < 0:
+        raise _CliError(2, "trials must be >= 0")
+    if args.q is not None and args.q < 1:
+        raise _CliError(2, "q must be >= 1")
     kwargs = {"algebra": cfg.algebra}
     if args.suite in ("jacobi", "cocycle"):
         kwargs.update(N=cfg.N, trials=args.trials, seed=cfg.seed)
     elif args.suite == "roundtrip":
-        kwargs.update(qs=(args.q,) if args.q else (2, 3, 4, 6), bound=cfg.bound)
+        kwargs.update(qs=(args.q,) if args.q is not None else (2, 3, 4, 6), bound=cfg.bound)
     elif args.suite in ("realforms", "cartan"):
         kwargs.update(N=cfg.N)
     elif args.suite == "hat":

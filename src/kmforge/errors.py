@@ -37,6 +37,10 @@ class InvalidInputError(KmforgeError):
     """Input fails validation (twist condition, schema, ...)."""
 
 
+class InvalidLevelError(InvalidInputError, ValueError):
+    """Cyclotomic level is not a multiple of 4 within the supported range."""
+
+
 class NotFirstKindError(KmforgeError):
     """Operation requires an orientation-preserving (epsilon=+1) map."""
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .catalog import catalog_for
 from .errors import InvalidInputError
-from .field import CyclotomicNumber, field_degree
+from .field import CyclotomicNumber, check_level
 from .invariants import FirstKindInvariant, SecondKindInvariant
 from .liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra, exp_curve
 from .loop import LoopElement, TwistContext
@@ -47,10 +47,11 @@ def enc_cyclo(x, min_level=None):
 def dec_cyclo(obj):
     try:
         level = int(obj["level"])
+        degree = check_level(level)  # before anything is built at that level
         coords = [dec_rational(c) for c in obj["coords"]]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"bad cyclotomic encoding: {obj!r}") from exc
-    if len(coords) != field_degree(level):
+    if len(coords) != degree:
         raise InvalidInputError("coordinate count does not match the level")
     return CyclotomicNumber(level, coords)
 

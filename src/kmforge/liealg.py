@@ -208,7 +208,7 @@ def bracket(x, y):
             prod = xi * yj
             for k in range(d):
                 if row[k]:
-                    out[k] = out[k] + row[k] * prod
+                    out[k] = out[k] + prod * row[k]
     return AlgebraElement(alg, tuple(out))
 
 

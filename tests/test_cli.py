@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from kmforge import jsonio
 from kmforge.cli import main
@@ -182,3 +183,29 @@ def test_verify_realforms_via_cli(capsys):
     assert doc["ok"] is True
     names = [c["name"] for c in doc["checks"] if c["name"].startswith("realform:")]
     assert len(names) == 7
+
+
+def test_verify_rejects_out_of_range_q_and_trials(capsys):
+    for argv in (["roundtrip", "--q", "0"], ["roundtrip", "--q", "-3"],
+                 ["jacobi", "--trials", "-1"]):
+        code, doc = run_cli(capsys, "verify", *argv)
+        assert code == 2 and doc["error"]["code"] == 2
+
+
+def test_huge_level_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KMFORGE_LEVEL", "40000")
+    t0 = time.perf_counter()
+    code, doc = run_cli(capsys, "verify", "jacobi", "--trials", "1")
+    assert time.perf_counter() - t0 < 0.05
+    assert code == 2 and "40000" in doc["error"]["message"]
+    monkeypatch.delenv("KMFORGE_LEVEL")
+
+    phi_path = tmp_path / "phi.json"
+    code, _ = run_cli(capsys, "auto", "realize", "--kind", "first", "--q", "1", "--p", "0",
+                      "--rho", "id", "--beta", "id", "--out", str(phi_path))
+    assert code == 0
+    doc = json.loads(phi_path.read_text())
+    doc["curve"]["base"]["matrix"][0][0] = {"level": 40000, "coords": [["1", "1"]]}
+    phi_path.write_text(json.dumps(doc))
+    code, doc = run_cli(capsys, "auto", "order", "--in", str(phi_path))
+    assert code == 2 and doc["error"]["type"] == "InvalidLevelError"

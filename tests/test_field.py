@@ -2,12 +2,18 @@ import math
 import random
 from fractions import Fraction
 
+import time
+
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from kmforge.errors import LevelMismatchError
+from kmforge import jsonio
+from kmforge.errors import InvalidInputError, LevelMismatchError
 from kmforge.field import (
+    MAX_LEVEL,
     CyclotomicNumber,
+    check_level,
     cyclotomic_polynomial,
     field_degree,
     imaginary_unit,
@@ -162,3 +168,122 @@ def test_debug_embedding_close():
 def test_constructor_rejects_bad_levels():
     with pytest.raises(ValueError):
         CyclotomicNumber(6, [Fraction(0)] * 2)
+
+
+@pytest.mark.parametrize("level", [0, -4, 2, 6, 77, MAX_LEVEL + 4, 40000])
+def test_check_level_rejects_before_building(level):
+    with pytest.raises(InvalidInputError):
+        check_level(level)
+    with pytest.raises(InvalidInputError):
+        CyclotomicNumber(level, [0, 0])
+
+
+def test_check_level_is_euler_phi():
+    assert check_level(4) == 2
+    assert check_level(60) == 16
+    assert check_level(MAX_LEVEL) == MAX_LEVEL // 2
+    assert [field_degree(L) for L in range(1, 41)] == [len(cyclotomic_polynomial(L)) - 1
+                                                       for L in range(1, 41)]
+
+
+def test_huge_level_document_is_rejected_quickly():
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidInputError):
+        jsonio.dec_cyclo({"level": 40000, "coords": [["1", "1"]]})
+    assert time.perf_counter() - t0 < 0.05
+
+
+def test_internal_lift_respects_the_level_cap():
+    with pytest.raises(InvalidInputError):
+        rat(1, 1020) * rat(1, 1024)
+
+
+def test_coords_view_matches_numerators():
+    x = CyclotomicNumber(12, [Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 6)])
+    assert x.nums == (3, -4, 0, 5) and x.den == 6
+    assert x.coords == (Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 6))
+    assert rat(0).nums == (0, 0) and rat(0).den == 1
+    with pytest.raises(AttributeError):
+        x.den = 1
+
+
+# -- differential tests against sympy -----------------------------------------
+
+LEVELS = (4, 8, 12, 24)
+X = sympy.Symbol("x")
+QQ = sympy.QQ
+_coord = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+_scalar = st.one_of(st.integers(-9, 9), _coord)
+
+
+def _values_at(level):
+    n = field_degree(level)
+    return st.lists(_coord, min_size=n, max_size=n).map(lambda cs: CyclotomicNumber(level, cs))
+
+
+values = st.sampled_from(LEVELS).flatmap(_values_at)
+differential = settings(max_examples=60, deadline=None)
+
+
+def _poly_at(x, level):
+    """x as a polynomial in zeta_level (zeta_{x.level} = zeta_level^step)."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(x.coords)]
+    return sympy.Poly(coeffs, X, domain=QQ).compose(
+        sympy.Poly(X ** (level // x.level), X, domain=QQ))
+
+
+def _expected(poly, level):
+    """Reduced coordinates of poly mod Phi_level, via sympy."""
+    rem = poly.rem(sympy.Poly(sympy.cyclotomic_poly(level, X), X, domain=QQ))
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return tuple(cs + [Fraction(0)] * (field_degree(level) - len(cs)))
+
+
+def _check(result, level, poly):
+    assert result.level == level
+    assert result.coords == _expected(poly, level)
+    assert result.den > 0 and math.gcd(result.den, *result.nums) == 1
+
+
+@differential
+@given(values, values, _scalar)
+def test_mul_matches_sympy(a, b, q):
+    L = math.lcm(a.level, b.level)
+    _check(a * b, L, _poly_at(a, L) * _poly_at(b, L))
+    _check(a * q, a.level, _poly_at(a, a.level) * sympy.Rational(q.numerator, q.denominator))
+
+
+@differential
+@given(values, values, _scalar)
+def test_add_matches_sympy(a, b, q):
+    L = math.lcm(a.level, b.level)
+    _check(a + b, L, _poly_at(a, L) + _poly_at(b, L))
+    _check(a - b, L, _poly_at(a, L) - _poly_at(b, L))
+    r = sympy.Rational(q.numerator, q.denominator)
+    _check(a + q, a.level, _poly_at(a, a.level) + r)
+    _check(a - q, a.level, _poly_at(a, a.level) - r)
+    _check(q - a, a.level, r - _poly_at(a, a.level))
+    _check(a - a, a.level, sympy.Poly(0, X, domain=QQ))
+
+
+@differential
+@given(values)
+def test_inverse_matches_sympy(a):
+    assume(a)
+    L = a.level
+    _check(a.inverse(), L,
+           _poly_at(a, L).invert(sympy.Poly(sympy.cyclotomic_poly(L, X), X, domain=QQ)))
+
+
+@differential
+@given(values)
+def test_conj_matches_sympy(a):
+    L = a.level
+    _check(a.conj(), L, _poly_at(a, L).compose(sympy.Poly(X ** (L - 1), X, domain=QQ)))
+
+
+@differential
+@given(values, st.sampled_from((1, 2, 3, 6)))
+def test_lift_matches_sympy(a, step):
+    M = a.level * step
+    _check(a.lift(M), M, _poly_at(a, M))
