@@ -71,7 +71,6 @@ from .realforms import (
     enumerate_real_forms,
     finite_order_product_check,
     fixed_point_basis,
-    hat_real_form,
     verify_real_form,
 )
 

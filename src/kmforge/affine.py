@@ -24,9 +24,10 @@ from .loop import (
     loop_bracket,
     loop_derivative,
     loop_inner,
+    slice_terms,
     zero_loop,
 )
-from .standard import ConstantCurve, apply, standard_order
+from .standard import ConstantCurve, apply, loop_map_order, standard_order
 
 
 class AffineElement:
@@ -154,7 +155,7 @@ def extend_to_hat(phi, nu=0):
     return HatExtensionData(phi, shadow, _scal(nu))
 
 
-def finite_order_extension(phi, bound=48, probe_depth=None):
+def finite_order_extension(phi, bound=48):
     """The unique finite-order hat extension: nu = -eps*|shadow|^2/2.
 
     The order of the extension is verified by iterating the hat action on c,
@@ -166,28 +167,24 @@ def finite_order_extension(phi, bound=48, probe_depth=None):
     data = extend_to_hat(phi, 0)
     nu = loop_inner(data.shadow, data.shadow) * Fraction(-phi.epsilon, 2)
     data = HatExtensionData(phi, data.shadow, nu)
-    order = hat_order(data, bound=q, probe_depth=probe_depth)
+    order = hat_order(data, bound=q)
     if order != q:
         raise OrderMismatchError(f"hat extension has order {order}, expected {q}")
     return data
 
 
-def hat_order(data, bound=48, probe_depth=None):
-    """Order of the hat action on {c, d} + a spanning slice, or None."""
+def _hat_slice(context, N):
+    """c, d, then the degree <= N loop slice as hat elements."""
+    return [c_element(context), d_element(context)] + [
+        AffineElement(LoopElement(context, {k: b})) for k, b in slice_terms(context, N)]
+
+
+def hat_order(data, bound=48):
+    """Order of the hat action on {c, d} + the degree <= 2D slice, or None."""
     ctx = data.phi.source
-    if data.phi.source != data.phi.target:
+    if ctx != data.phi.target:
         raise ContextMismatchError("order needs matching source and target")
-    depth = probe_depth if probe_depth is not None else 2 * ctx.D
-    tests = [c_element(ctx), d_element(ctx)]
-    for k in range(-depth, depth + 1):
-        for b in ctx.eigenbasis_for_exponent(k):
-            tests.append(AffineElement(LoopElement(ctx, {k: b})))
-    current = [data.apply(t) for t in tests]
-    for n in range(1, bound + 1):
-        if all(c == t for c, t in zip(current, tests)):
-            return n
-        current = [data.apply(c) for c in current]
-    return None
+    return loop_map_order(data.apply, ctx, bound, test_elements=_hat_slice(ctx, 2 * ctx.D))
 
 
 def hat_preserves_bracket(data, pairs):
@@ -203,12 +200,7 @@ def hat_preserves_bracket(data, pairs):
 def center_and_derived_check(context, N):
     """Desk-scale check that brackets avoid d, c is central, and d is not
     spanned by brackets of the degree <= N slice."""
-    slice_elems = [c_element(context), d_element(context)]
-    loops = []
-    for k in range(-N, N + 1):
-        for b in context.eigenbasis_for_exponent(k):
-            loops.append(AffineElement(LoopElement(context, {k: b})))
-    slice_elems.extend(loops)
+    slice_elems = _hat_slice(context, N)
     results = []
     c_ok = True
     d_free = True

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import jsonio
 from .errors import CatalogMissError, ClassifierUnavailableError, InvalidLevelError, KmforgeError
@@ -40,38 +39,10 @@ class _CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    """Resolved run configuration: 4 | level and D | level always hold."""
-
-    algebra: str
-    D: int | None
-    N: int
-    bound: int
-    seed: int
-    level: int | None  # None: choose per value, lifting lazily
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise _CliError(2, "N must be >= 0")
-        if self.bound < 1:
-            raise _CliError(2, "bound must be >= 1")
-        if self.level is not None:
-            _check_session_level(self.level, self.D, "field level")
-
-
-def _check_session_level(level, D, name):
-    """A session's field level must be a valid cyclotomic level (see
-    ``field.check_level``) and a multiple of the lattice denominator D."""
-    try:
-        check_level(level)
-    except InvalidLevelError as exc:
-        raise _CliError(2, f"{name}: {exc}")
-    if D is not None and level % D:
-        raise _CliError(2, f"{name}={level} must be a multiple of D={D}")
-
-
 def _session_level(D=None):
+    """The forced field level from KMFORGE_LEVEL, or None.  It must be a valid
+    cyclotomic level (see ``field.check_level``) and a multiple of the lattice
+    denominator D."""
     raw = os.environ.get(LEVEL_ENV)
     if raw is None:
         return None
@@ -79,7 +50,12 @@ def _session_level(D=None):
         level = int(raw)
     except ValueError:
         raise _CliError(2, f"{LEVEL_ENV} must be an integer, got {raw!r}")
-    _check_session_level(level, D, LEVEL_ENV)
+    try:
+        check_level(level)
+    except InvalidLevelError as exc:
+        raise _CliError(2, f"{LEVEL_ENV}: {exc}")
+    if D is not None and level % D:
+        raise _CliError(2, f"{LEVEL_ENV}={level} must be a multiple of D={D}")
     return level
 
 
@@ -178,21 +154,24 @@ def _cmd_verify(args):
     fn = SUITES.get(args.suite)
     if fn is None:
         raise _CliError(2, f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    cfg = SessionConfig(args.algebra, args.D, args.N, args.bound, args.seed,
-                        _session_level(args.D))
+    _session_level(args.D)
+    if args.N < 0:
+        raise _CliError(2, "N must be >= 0")
+    if args.bound < 1:
+        raise _CliError(2, "bound must be >= 1")
     if args.trials < 0:
         raise _CliError(2, "trials must be >= 0")
     if args.q is not None and args.q < 1:
         raise _CliError(2, "q must be >= 1")
-    kwargs = {"algebra": cfg.algebra}
+    kwargs = {"algebra": args.algebra}
     if args.suite in ("jacobi", "cocycle"):
-        kwargs.update(N=cfg.N, trials=args.trials, seed=cfg.seed)
+        kwargs.update(N=args.N, trials=args.trials, seed=args.seed)
     elif args.suite == "roundtrip":
-        kwargs.update(qs=(args.q,) if args.q is not None else (2, 3, 4, 6), bound=cfg.bound)
+        kwargs.update(qs=(args.q,) if args.q is not None else (2, 3, 4, 6), bound=args.bound)
     elif args.suite in ("realforms", "cartan"):
-        kwargs.update(N=cfg.N)
+        kwargs.update(N=args.N)
     elif args.suite == "hat":
-        kwargs.update(seed=cfg.seed)
+        kwargs.update(seed=args.seed)
     return fn(**kwargs)
 
 
@@ -267,6 +246,8 @@ def main(argv=None):
         if args.command == "algebra":
             payload = _cmd_algebra(args)
         elif args.command == "auto":
+            if args.auto_command != "realize" and args.bound < 1:
+                raise _CliError(2, "bound must be >= 1")
             handler = {
                 "realize": _cmd_auto_realize,
                 "invariant": _cmd_auto_invariant,

@@ -404,7 +404,7 @@ def fixed_subalgebra(auto, bound=48):
             for i in range(d)
         ]
         basis = [AlgebraElement(alg, tuple(v)) for v in linalg.kernel_basis(shifted, zero, one)]
-        _check_bracket_closed_field(basis)
+        _check_bracket_closed(basis, lambda x: list(x.coords))
         return basis
     lev = math.lcm(4, *[x.level for row in auto.matrix for x in row])
     n = field_degree(lev)
@@ -414,11 +414,7 @@ def fixed_subalgebra(auto, bound=48):
             z = zeta_power(lev, j)
             e = [CyclotomicNumber.zero(lev)] * d
             e[i] = z
-            image = auto.apply(AlgebraElement(alg, tuple(e)))
-            col = []
-            for ip in range(d):
-                col.extend(image.coords[ip].lift(lev).coords)
-            big.append(col)
+            big.append(_flatten_rational(auto.apply(AlgebraElement(alg, tuple(e))), lev))
     size = d * n
     mat = [[big[c][r] - (1 if r == c else 0) for c in range(size)] for r in range(size)]
     kern = linalg.kernel_basis(mat, Fraction(0), Fraction(1))
@@ -428,40 +424,26 @@ def fixed_subalgebra(auto, bound=48):
         for i in range(d):
             coords.append(CyclotomicNumber(lev, v[i * n:(i + 1) * n]))
         basis.append(AlgebraElement(alg, tuple(coords)))
-    _check_bracket_closed_rational(basis, lev)
+    _check_bracket_closed(basis, lambda x: _flatten_rational(x, lev))
     return basis
 
 
-def _check_bracket_closed_field(basis):
-    if not basis:
-        return
-    alg = basis[0].algebra
-    rows = [list(b.coords) for b in basis]
-    rr, piv = linalg.rref(rows)
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            w = bracket(basis[i], basis[j])
-            if w and not linalg.in_span(rr, piv, list(w.coords)):
-                raise ArithmeticError("fixed set is not bracket closed")
-
-
 def _flatten_rational(elem, lev):
-    out = []
-    for c in elem.coords:
-        out.extend(c.lift(lev).coords)
-    return out
+    return [q for c in elem.coords for q in c.lift(lev).coords]
 
 
-def _check_bracket_closed_rational(basis, lev):
+def _check_bracket_closed(basis, flatten):
+    """Raise unless every bracket of two basis elements lies in their span;
+    ``flatten`` maps an element to the coordinate vector the span is taken in
+    (field coordinates for a linear map, rationals for an antilinear one)."""
     if not basis:
         return
-    rows = [_flatten_rational(b, lev) for b in basis]
-    rr, piv = linalg.rref(rows)
+    rr, piv = linalg.rref([flatten(b) for b in basis])
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             w = bracket(basis[i], basis[j])
-            if w and not linalg.in_span(rr, piv, _flatten_rational(w, lev)):
-                raise ArithmeticError("fixed set is not bracket closed over Q")
+            if w and not linalg.in_span(rr, piv, flatten(w)):
+                raise ArithmeticError("fixed set is not bracket closed")
 
 
 class ExpCurveData:

@@ -24,12 +24,12 @@ from .liealg import (
 class TwistContext:
     """Algebra + linear finite-order twist + exponent denominator D."""
 
-    def __init__(self, algebra, sigma, D=None, order_bound=48):
+    def __init__(self, algebra, sigma, D=None):
         if sigma.antilinear:
             raise InvalidInputError("twist automorphism must be linear")
         if sigma.algebra is not algebra:
             raise InvalidInputError("twist lives over a different algebra")
-        order = automorphism_order(sigma, order_bound)
+        order = automorphism_order(sigma)
         if order is None:
             raise NotFiniteOrderError("twist automorphism has no finite order within bound")
         self.algebra = algebra
@@ -73,6 +73,12 @@ class TwistContext:
                         table[r] = basis
             self._eigenbases = table
         return self._eigenbases[k % self.D]
+
+
+def slice_terms(context, N):
+    """(k, b) pairs spanning the degree <= N slice: k ascends over -N..N and
+    b runs over the eigenbasis attached to k."""
+    return [(k, b) for k in range(-N, N + 1) for b in context.eigenbasis_for_exponent(k)]
 
 
 class LoopElement:

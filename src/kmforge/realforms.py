@@ -25,7 +25,7 @@ from .invariants import (
     realize_second,
 )
 from .liealg import automorphism_order
-from .loop import LoopElement, TwistContext, loop_bracket, loop_derivative, cocycle
+from .loop import LoopElement, TwistContext, cocycle, loop_bracket, loop_derivative, slice_terms
 from .standard import apply, compose, identity_automorphism, pointwise, standard_order
 
 
@@ -165,15 +165,6 @@ def real_forms_equivalent(a, b):
 # -- truncated fixed-point machinery -----------------------------------------
 
 
-def _slice_positions(context, N):
-    """(exponent, eigenbasis vector) pairs spanning the degree <= N slice."""
-    out = []
-    for k in range(-N, N + 1):
-        for b in context.eigenbasis_for_exponent(k):
-            out.append((k, b))
-    return out
-
-
 def _slice_level(context):
     return math.lcm(4, 2 * context.D)
 
@@ -218,7 +209,7 @@ def fixed_point_basis(desc, N):
     """Rational-span basis of the degree <= N slice of the real form."""
     theta = desc.conjugation
     ctx = theta.source
-    positions = _slice_positions(ctx, N)
+    positions = slice_terms(ctx, N)
     lev = _slice_level(ctx)
     n = field_degree(lev)
     size = len(positions) * n
@@ -249,7 +240,7 @@ def verify_real_form(desc, N):
     lev = _slice_level(ctx)
     basis = fixed_point_basis(desc, N)
     big_basis = fixed_point_basis(desc, 2 * N)
-    big_positions = _slice_positions(ctx, 2 * N)
+    big_positions = slice_terms(ctx, 2 * N)
     big_flat = [_coordinates_in_slice(b, big_positions, ctx, lev) for b in big_basis]
     rr, piv = linalg.rref(big_flat)
     closure_ok = True
@@ -264,7 +255,7 @@ def verify_real_form(desc, N):
             if not (fixed and spanned):
                 closure_ok = False
                 closure_witness = (i, j)
-    positions = _slice_positions(ctx, N)
+    positions = slice_terms(ctx, N)
     i_unit = imaginary_unit(lev)
     flat = [_coordinates_in_slice(b, positions, ctx, lev) for b in basis]
     flat_i = [_coordinates_in_slice(b * i_unit, positions, ctx, lev) for b in basis]
@@ -292,7 +283,7 @@ def _solve_in_basis(basis, x):
     ctx = basis[0].context
     lev = _slice_level(ctx)
     N = max(max((abs(k) for k in b.support()), default=0) for b in basis + [x])
-    positions = _slice_positions(ctx, N)
+    positions = slice_terms(ctx, N)
     mat_rows = [_coordinates_in_slice(b, positions, ctx, lev) for b in basis]
     mat = [[mat_rows[j][r] for j in range(len(basis))] for r in range(len(mat_rows[0]))]
     return linalg.solve(mat, _coordinates_in_slice(x, positions, ctx, lev))
@@ -325,24 +316,20 @@ def _subspace_with_sign(theta_c, basis, sign, positions, ctx, lev):
 
 def cartan_decomposition(desc, N):
     """k = truncation intersected with the compact condition, m with its
-    i-shifted complement; verifies the bracket gradings exactly."""
+    i-shifted complement.  ``verify_cartan`` checks the bracket gradings."""
     if desc.kind == "compact":
         raise NotApplicableError("the compact form has no Cartan decomposition here")
     theta = desc.conjugation
     ctx = theta.source
     theta_c = compact_conjugation(ctx)
     lev = _slice_level(ctx)
-    positions = _slice_positions(ctx, N)
+    positions = slice_terms(ctx, N)
     basis = fixed_point_basis(desc, N)
     k_basis = _subspace_with_sign(theta_c, basis, 1, positions, ctx, lev)
     m_basis = _subspace_with_sign(theta_c, basis, -1, positions, ctx, lev)
     if len(k_basis) + len(m_basis) != len(basis):
         raise ArithmeticError("compact conjugation does not split the truncation")
-    dec = CartanDecomposition(desc, N, tuple(k_basis), tuple(m_basis))
-    report = verify_cartan(dec)
-    if not report["passed"]:
-        raise ArithmeticError(f"Cartan inclusions fail: {report}")
-    return dec
+    return CartanDecomposition(desc, N, tuple(k_basis), tuple(m_basis))
 
 
 def verify_cartan(dec):
@@ -376,11 +363,6 @@ def verify_cartan(dec):
         "k_plus_im_compact": compact_cond,
         "passed": kk and km and mm and compact_cond,
     }
-
-
-def hat_real_form(desc, N=2):
-    """The descriptor with its c/d adjunction tag plus the closure report."""
-    return desc.hat_adjoin, hat_adjunction_check(desc, N)
 
 
 def hat_adjunction_check(desc, N):

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .field import zeta_of
 from .liealg import FiniteAutomorphism, bracket, exp_ad, exp_curve
-from .loop import LoopElement, TwistContext, validate
+from .loop import LoopElement, TwistContext, slice_terms, validate
 
 
 @dataclass(frozen=True)
@@ -222,6 +222,8 @@ def standard_order(phi, bound=48):
     exponential curves leaves the supported family the order is decided on a
     spanning slice of the loop algebra instead.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     if phi.source != phi.target:
         raise TwistMismatchError("order is defined for endomorphisms of one context")
     try:
@@ -235,18 +237,15 @@ def standard_order(phi, bound=48):
         return loop_map_order(phi.apply, phi.source, bound)
 
 
-def _spanning_slice(context, depth=None):
-    depth = depth if depth is not None else 2 * context.D
-    out = []
-    for k in range(-depth, depth + 1):
-        for b in context.eigenbasis_for_exponent(k):
-            out.append(LoopElement(context, {k: b}))
-    return out
-
-
 def loop_map_order(apply_fn, context, bound=48, test_elements=None):
-    """Order of an arbitrary loop self-map on a spanning slice."""
-    tests = test_elements if test_elements is not None else _spanning_slice(context)
+    """Least n <= bound with apply_fn^n fixing every test element, else None.
+
+    The default test elements span the degree <= 2D slice of the loop algebra.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    tests = test_elements if test_elements is not None else [
+        LoopElement(context, {k: b}) for k, b in slice_terms(context, 2 * context.D)]
     current = [apply_fn(u) for u in tests]
     for n in range(1, bound + 1):
         if all(c == u for c, u in zip(current, tests)):

@@ -3,9 +3,9 @@ import subprocess
 import sys
 import time
 
-from kmforge import jsonio
+from kmforge import jsonio, realforms
 from kmforge.cli import main
-from kmforge.field import zeta_power
+from kmforge.field import imaginary_unit, zeta_power
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra
 from kmforge.loop import TwistContext
 from kmforge.standard import pointwise
@@ -209,3 +209,25 @@ def test_huge_level_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
     phi_path.write_text(json.dumps(doc))
     code, doc = run_cli(capsys, "auto", "order", "--in", str(phi_path))
     assert code == 2 and doc["error"]["type"] == "InvalidLevelError"
+
+
+def test_auto_bounds_below_one_exit_2(tmp_path, capsys):
+    phi_path = tmp_path / "phi.json"
+    inv_path = tmp_path / "inv.json"
+    run_cli(capsys, "auto", "realize", "--kind", "first", "--q", "2", "--p", "0",
+            "--rho", "mu", "--beta", "id", "--out", str(phi_path))
+    run_cli(capsys, "auto", "invariant", "--in", str(phi_path), "--out", str(inv_path))
+    for bound in ("0", "-3"):
+        for argv in (["order", "--in", str(phi_path)], ["invariant", "--in", str(phi_path)],
+                     ["equivalent", "--a", str(inv_path), "--b", str(inv_path)]):
+            code, doc = run_cli(capsys, "auto", *argv, "--bound", bound)
+            assert code == 2 and doc["error"]["code"] == 2, (argv, bound, doc)
+
+
+def test_verify_cartan_reports_a_failing_inclusion(capsys, monkeypatch):
+    bracket = realforms.loop_bracket
+    monkeypatch.setattr(realforms, "loop_bracket",
+                        lambda a, b: bracket(a, b) * imaginary_unit())
+    code, doc = run_cli(capsys, "verify", "cartan", "--N", "1")
+    assert code == 1
+    assert doc["ok"] is False and doc["failed"] > 0

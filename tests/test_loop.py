@@ -16,6 +16,7 @@ from kmforge.loop import (
     loop_derivative,
     loop_inner,
     single_term,
+    slice_terms,
     tau_r_apply,
     validate,
     zero_loop,
@@ -50,6 +51,19 @@ def random_loop(rng, ctx, max_degree=4, terms=3):
         else:
             acc[k] = x
     return LoopElement(ctx, acc)
+
+
+def test_slice_terms_counts_and_order():
+    ctx = tau_context()
+    twisted = slice_terms(ctx, 4)
+    # even exponents -4..4 carry the 1-dim tau-fixed space, odd ones the 2-dim rest
+    assert len(twisted) == 5 * 1 + 4 * 2
+    assert all(validate(single_term(ctx, k, b)) for k, b in twisted)
+    plain = slice_terms(untwisted(), 2)
+    assert len(plain) == 5 * 3
+    for terms in (twisted, plain):
+        ks = [k for k, _ in terms]
+        assert ks == sorted(ks) and ks[0] == -ks[-1]
 
 
 def test_validate_examples():

@@ -178,6 +178,16 @@ def test_tau_r_composed_map_is_unbounded():
     assert loop_map_order(composed.apply, ctx, 48) is None
 
 
+def test_order_bounds_below_one_are_rejected():
+    ctx = untwisted()
+    phi = rotation(ctx, Fraction(1, 3))
+    for bound in (0, -3):
+        with pytest.raises(ValueError):
+            standard_order(phi, bound)
+        with pytest.raises(ValueError):
+            loop_map_order(phi.apply, ctx, bound)
+
+
 def test_apply_preserves_bracket_constant_and_exp():
     rng = random.Random(5)
     ctx = tau_context()
