@@ -272,6 +272,9 @@ def main(argv=None):
     except (KmforgeError, KeyError, ValueError, ZeroDivisionError) as exc:
         _emit({"error": {"code": 2, "type": type(exc).__name__, "message": str(exc)}}, args.out)
         return 2
+    except ArithmeticError as exc:  # an internal consistency check failed
+        _emit({"error": {"code": 1, "type": type(exc).__name__, "message": str(exc)}}, args.out)
+        return 1
     _emit(payload, args.out)
     if args.command == "verify" and not payload.get("ok", False):
         return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -76,7 +77,7 @@ class LieAlgebraTable:
             for j in range(d):
                 if self.killing[i][j] != self.killing[j][i]:
                     raise ValueError(f"{self.name}: Killing form not symmetric")
-        if _determinant([list(r) for r in self.killing]) == 0:
+        if linalg.rank(self.killing) < d:
             raise ValueError(f"{self.name}: Killing form degenerate")
         if self.compact_flag and not _negative_definite(self.killing):
             raise ValueError(f"{self.name}: compact table must have negative definite Killing form")
@@ -105,36 +106,17 @@ def _as_scalar(c):
     return CyclotomicNumber.from_rational(Fraction(c))
 
 
-def _determinant(m):
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if m[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
 def _negative_definite(matrix):
-    n = len(matrix)
-    for k in range(1, n + 1):
-        minor = [[matrix[i][j] for j in range(k)] for i in range(k)]
-        if (-1) ** k * _determinant(minor) <= 0:
+    """Symmetric elimination without row swaps: pivot k is D_k / D_(k-1), so
+    every pivot is negative exactly when Sylvester's criterion holds."""
+    m = [list(r) for r in matrix]
+    for c in range(len(m)):
+        pivot = m[c][c]
+        if pivot >= 0:
             return False
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / pivot
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return True
 
 
@@ -395,8 +377,8 @@ def fixed_subalgebra(auto, bound=48):
         raise NotFiniteOrderError(f"no order within bound {bound}")
     alg = auto.algebra
     d = alg.dim
+    lev = math.lcm(4, *[x.level for row in auto.matrix for x in row])
     if not auto.antilinear:
-        lev = math.lcm(4, *[x.level for row in auto.matrix for x in row])
         zero = CyclotomicNumber.zero(lev)
         one = CyclotomicNumber.one(lev)
         shifted = [
@@ -406,26 +388,26 @@ def fixed_subalgebra(auto, bound=48):
         basis = [AlgebraElement(alg, tuple(v)) for v in linalg.kernel_basis(shifted, zero, one)]
         _check_bracket_closed(basis, lambda x: list(x.coords))
         return basis
-    lev = math.lcm(4, *[x.level for row in auto.matrix for x in row])
-    n = field_degree(lev)
-    big = []
-    for i in range(d):
-        for j in range(n):
-            z = zeta_power(lev, j)
-            e = [CyclotomicNumber.zero(lev)] * d
-            e[i] = z
-            big.append(_flatten_rational(auto.apply(AlgebraElement(alg, tuple(e))), lev))
-    size = d * n
-    mat = [[big[c][r] - (1 if r == c else 0) for c in range(size)] for r in range(size)]
-    kern = linalg.kernel_basis(mat, Fraction(0), Fraction(1))
-    basis = []
-    for v in kern:
-        coords = []
-        for i in range(d):
-            coords.append(CyclotomicNumber(lev, v[i * n:(i + 1) * n]))
-        basis.append(AlgebraElement(alg, tuple(coords)))
-    _check_bracket_closed(basis, lambda x: _flatten_rational(x, lev))
+    gens = [alg.basis_element(i, lev) * zeta_power(lev, j)
+            for i in range(d) for j in range(field_degree(lev))]
+    flatten = functools.partial(_flatten_rational, lev=lev)
+    basis = rational_fixed_span(gens, auto.apply, flatten)
+    _check_bracket_closed(basis, flatten)
     return basis
+
+
+def rational_fixed_span(gens, image, flatten, sign=1):
+    """Basis of the rational combinations x of ``gens`` with image(x) = sign*x.
+
+    ``image`` is additive and commutes with rational scalars; ``flatten`` is an
+    injective rational-linear coordinate map.  The result is the rational
+    kernel of the columns flatten(image(g) - sign*g), as combinations of gens.
+    """
+    if not gens:
+        return []
+    mat = list(zip(*[flatten(image(g) - g * sign) for g in gens]))
+    return [functools.reduce(operator.add, (g * c for g, c in zip(gens, v) if c))
+            for v in linalg.kernel_basis(mat, Fraction(0), Fraction(1))]
 
 
 def _flatten_rational(elem, lev):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .catalog import catalog_for
 from .errors import InvalidInputError, NotApplicableError, UnknownAlgebraError
-from .field import CyclotomicNumber, field_degree, imaginary_unit, zeta_power
+from .field import field_degree, imaginary_unit, zeta_power
 from .invariants import (
     extract_invariant_first,
     extract_invariant_second,
@@ -24,7 +24,7 @@ from .invariants import (
     realize_first,
     realize_second,
 )
-from .liealg import automorphism_order
+from .liealg import _flatten_rational, automorphism_order, rational_fixed_span
 from .loop import LoopElement, TwistContext, cocycle, loop_bracket, loop_derivative, slice_terms
 from .standard import apply, compose, identity_automorphism, pointwise, standard_order
 
@@ -169,59 +169,27 @@ def _slice_level(context):
     return math.lcm(4, 2 * context.D)
 
 
-def _coordinates_in_slice(u, positions, context, lev):
-    """Rational coordinates of a loop in the zeta-power times slice basis."""
-    n = field_degree(lev)
-    by_exponent = {}
-    for idx, (k, _b) in enumerate(positions):
-        by_exponent.setdefault(k, []).append(idx)
-    coords = [Fraction(0)] * (len(positions) * n)
-    for k, x in u.terms:
-        if k not in by_exponent:
-            raise InvalidInputError("loop leaves the truncation slice")
-        idxs = by_exponent[k]
-        basis = [positions[i][1] for i in idxs]
-        mat = [[basis[j].coords[row].lift(lev) for j in range(len(basis))]
-               for row in range(context.algebra.dim)]
-        sol = linalg.solve(mat, [c.lift(lev) for c in x.coords])
-        if sol is None:
-            raise InvalidInputError("coefficient leaves its twist eigenspace")
-        for j, c in zip(idxs, sol):
-            for p, val in enumerate(c.lift(lev).coords):
-                coords[j * n + p] += val
-    return coords
-
-
-def _element_from_coords(vec, positions, context, lev):
-    n = field_degree(lev)
-    acc = {}
-    for idx, (k, b) in enumerate(positions):
-        chunk = vec[idx * n:(idx + 1) * n]
-        if not any(chunk):
-            continue
-        scalar = CyclotomicNumber(lev, chunk)
-        x = scalar * b
-        acc[k] = acc[k] + x if k in acc else x
-    return LoopElement(context, acc)
+def _coordinates_in_slice(u, N, lev):
+    """Rational coordinates of a loop of degree <= N: for k = -N..N, the
+    power-basis coordinates at level ``lev`` of every algebra coordinate of the
+    k-th term, with a zero block where the term is missing."""
+    if u.degree() > N:
+        raise InvalidInputError("loop leaves the truncation slice")
+    terms = u.terms_dict()
+    zero = [Fraction(0)] * (u.context.algebra.dim * field_degree(lev))
+    return [q for k in range(-N, N + 1)
+            for q in (_flatten_rational(terms[k], lev) if k in terms else zero)]
 
 
 def fixed_point_basis(desc, N):
     """Rational-span basis of the degree <= N slice of the real form."""
     theta = desc.conjugation
     ctx = theta.source
-    positions = slice_terms(ctx, N)
     lev = _slice_level(ctx)
-    n = field_degree(lev)
-    size = len(positions) * n
-    cols = []
-    for k, b in positions:
-        for j in range(n):
-            u = LoopElement(ctx, {k: zeta_power(lev, j) * b})
-            img = apply(theta, u)
-            cols.append(_coordinates_in_slice(img, positions, ctx, lev))
-    mat = [[cols[c][r] - (1 if r == c else 0) for c in range(size)] for r in range(size)]
-    kern = linalg.kernel_basis(mat, Fraction(0), Fraction(1))
-    return [_element_from_coords(v, positions, ctx, lev) for v in kern]
+    gens = [LoopElement(ctx, {k: zeta_power(lev, j) * b})
+            for k, b in slice_terms(ctx, N) for j in range(field_degree(lev))]
+    return rational_fixed_span(gens, lambda u: apply(theta, u),
+                               lambda u: _coordinates_in_slice(u, N, lev))
 
 
 def real_dimension(desc, N):
@@ -240,9 +208,7 @@ def verify_real_form(desc, N):
     lev = _slice_level(ctx)
     basis = fixed_point_basis(desc, N)
     big_basis = fixed_point_basis(desc, 2 * N)
-    big_positions = slice_terms(ctx, 2 * N)
-    big_flat = [_coordinates_in_slice(b, big_positions, ctx, lev) for b in big_basis]
-    rr, piv = linalg.rref(big_flat)
+    rr, piv = linalg.rref([_coordinates_in_slice(b, 2 * N, lev) for b in big_basis])
     closure_ok = True
     closure_witness = None
     for i in range(len(basis)):
@@ -251,15 +217,14 @@ def verify_real_form(desc, N):
             if not w:
                 continue
             fixed = apply(theta, w) == w
-            spanned = linalg.in_span(rr, piv, _coordinates_in_slice(w, big_positions, ctx, lev))
+            spanned = linalg.in_span(rr, piv, _coordinates_in_slice(w, 2 * N, lev))
             if not (fixed and spanned):
                 closure_ok = False
                 closure_witness = (i, j)
-    positions = slice_terms(ctx, N)
     i_unit = imaginary_unit(lev)
-    flat = [_coordinates_in_slice(b, positions, ctx, lev) for b in basis]
-    flat_i = [_coordinates_in_slice(b * i_unit, positions, ctx, lev) for b in basis]
-    slice_dim = len(positions) * field_degree(lev)
+    flat = [_coordinates_in_slice(b, N, lev) for b in basis]
+    flat_i = [_coordinates_in_slice(b * i_unit, N, lev) for b in basis]
+    slice_dim = len(slice_terms(ctx, N)) * field_degree(lev)
     stacked = flat + flat_i
     rank = linalg.rank(stacked)
     disjoint = rank == 2 * len(basis)
@@ -282,36 +247,13 @@ def _solve_in_basis(basis, x):
         return None
     ctx = basis[0].context
     lev = _slice_level(ctx)
-    N = max(max((abs(k) for k in b.support()), default=0) for b in basis + [x])
-    positions = slice_terms(ctx, N)
-    mat_rows = [_coordinates_in_slice(b, positions, ctx, lev) for b in basis]
-    mat = [[mat_rows[j][r] for j in range(len(basis))] for r in range(len(mat_rows[0]))]
-    return linalg.solve(mat, _coordinates_in_slice(x, positions, ctx, lev))
+    N = max(b.degree() for b in basis + [x])
+    cols = [_coordinates_in_slice(b, N, lev) for b in basis]
+    return linalg.solve(list(zip(*cols)), _coordinates_in_slice(x, N, lev))
 
 
 def _zero_like(x):
     return LoopElement(x.context, {})
-
-
-def _subspace_with_sign(theta_c, basis, sign, positions, ctx, lev):
-    """Basis of {x in span(basis) : theta_c(x) = sign * x}."""
-    if not basis:
-        return []
-    cols = []
-    for b in basis:
-        img = apply(theta_c, b)
-        target = img - b * sign
-        cols.append(_coordinates_in_slice(target, positions, ctx, lev))
-    mat = [[cols[j][r] for j in range(len(basis))] for r in range(len(cols[0]))]
-    kern = linalg.kernel_basis(mat, Fraction(0), Fraction(1))
-    out = []
-    for v in kern:
-        acc = _zero_like(basis[0])
-        for c, b in zip(v, basis):
-            if c:
-                acc = acc + b * c
-        out.append(acc)
-    return out
 
 
 def cartan_decomposition(desc, N):
@@ -323,10 +265,16 @@ def cartan_decomposition(desc, N):
     ctx = theta.source
     theta_c = compact_conjugation(ctx)
     lev = _slice_level(ctx)
-    positions = slice_terms(ctx, N)
     basis = fixed_point_basis(desc, N)
-    k_basis = _subspace_with_sign(theta_c, basis, 1, positions, ctx, lev)
-    m_basis = _subspace_with_sign(theta_c, basis, -1, positions, ctx, lev)
+
+    def image(u):
+        return apply(theta_c, u)
+
+    def flatten(u):
+        return _coordinates_in_slice(u, N, lev)
+
+    k_basis = rational_fixed_span(basis, image, flatten, sign=1)
+    m_basis = rational_fixed_span(basis, image, flatten, sign=-1)
     if len(k_basis) + len(m_basis) != len(basis):
         raise ArithmeticError("compact conjugation does not split the truncation")
     return CartanDecomposition(desc, N, tuple(k_basis), tuple(m_basis))

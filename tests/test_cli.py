@@ -231,3 +231,16 @@ def test_verify_cartan_reports_a_failing_inclusion(capsys, monkeypatch):
     code, doc = run_cli(capsys, "verify", "cartan", "--N", "1")
     assert code == 1
     assert doc["ok"] is False and doc["failed"] > 0
+
+
+def test_internal_arithmetic_error_exits_1_without_traceback(capsys, monkeypatch):
+    span = realforms.rational_fixed_span
+
+    def no_minus_one_part(gens, image, flatten, sign=1):
+        return [] if sign == -1 else span(gens, image, flatten, sign)
+
+    monkeypatch.setattr(realforms, "rational_fixed_span", no_minus_one_part)
+    code, doc = run_cli(capsys, "verify", "cartan", "--N", "1")
+    assert code == 1
+    assert doc["error"] == {"code": 1, "type": "ArithmeticError",
+                            "message": "compact conjugation does not split the truncation"}

@@ -8,6 +8,7 @@ from kmforge.errors import AlgebraMismatchError, NotFiniteOrderError, UnknownAlg
 from kmforge.field import CyclotomicNumber, imaginary_unit, zeta_power
 from kmforge.liealg import (
     FiniteAutomorphism,
+    LieAlgebraTable,
     ad_matrix,
     automorphism_order,
     bracket,
@@ -233,3 +234,14 @@ def test_ad_matrix_consistency():
 
         img = linalg.mat_vec(ad_matrix(x), list(y.coords))
         assert SL2.element(img) == bracket(x, y)
+
+
+def test_degenerate_killing_form_is_rejected():
+    abelian = (((Fraction(0),),),)
+    with pytest.raises(ValueError, match="degenerate"):
+        LieAlgebraTable("abelian1", abelian, ("x",), "complex", False)
+
+
+def test_indefinite_killing_form_cannot_be_flagged_compact():
+    with pytest.raises(ValueError, match="negative definite"):
+        LieAlgebraTable("sl2C", SL2.structure, SL2.basis_names, "complex", True)
