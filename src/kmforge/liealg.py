@@ -391,21 +391,22 @@ def fixed_subalgebra(auto, bound=48):
     gens = [alg.basis_element(i, lev) * zeta_power(lev, j)
             for i in range(d) for j in range(field_degree(lev))]
     flatten = functools.partial(_flatten_rational, lev=lev)
-    basis = rational_fixed_span(gens, auto.apply, flatten)
+    basis = rational_fixed_span(gens, [auto.apply(g) for g in gens], flatten)
     _check_bracket_closed(basis, flatten)
     return basis
 
 
-def rational_fixed_span(gens, image, flatten, sign=1):
+def rational_fixed_span(gens, images, flatten, sign=1):
     """Basis of the rational combinations x of ``gens`` with image(x) = sign*x.
 
-    ``image`` is additive and commutes with rational scalars; ``flatten`` is an
-    injective rational-linear coordinate map.  The result is the rational
-    kernel of the columns flatten(image(g) - sign*g), as combinations of gens.
+    ``images`` lists image(g) for each generator, for a map that is additive
+    and commutes with rational scalars; ``flatten`` is an injective
+    rational-linear coordinate map.  The result is the rational kernel of the
+    columns flatten(image(g) - sign*g), as combinations of gens.
     """
     if not gens:
         return []
-    mat = list(zip(*[flatten(image(g) - g * sign) for g in gens]))
+    mat = list(zip(*[flatten(img - g * sign) for g, img in zip(gens, images)]))
     return [functools.reduce(operator.add, (g * c for g, c in zip(gens, v) if c))
             for v in linalg.kernel_basis(mat, Fraction(0), Fraction(1))]
 

@@ -3,9 +3,21 @@
 Works uniformly for Fraction and CyclotomicNumber entries: scalars must
 support +, -, *, /, bool (nonzero test) and ==.  Matrices are lists of rows;
 nothing here mutates its arguments.
+
+Elimination skips structural zeros: a pivot row is normalised as
+``x / inv if x else x`` and a row update (in ``rref`` and ``in_span``) is
+``x - f * y if y else x``.  A skipped CyclotomicNumber operation does not lift
+``x`` to the lcm of the operands' levels, so ``rref`` first lifts a matrix
+whose CyclotomicNumber entries have mixed levels to their lcm level, once;
+every returned entry of such a matrix is at that level.  A single-level
+matrix is not touched.
 """
 
 from __future__ import annotations
+
+import math
+
+from .field import CyclotomicNumber
 
 
 def mat_vec(matrix, vec):
@@ -45,9 +57,18 @@ def identity_like(n, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _one_level(rows):
+    """Lift every CyclotomicNumber entry to the lcm of the entries' levels."""
+    levels = {x.level for row in rows for x in row if type(x) is CyclotomicNumber}
+    if len(levels) < 2:
+        return rows
+    lev = math.lcm(*levels)
+    return [[x.lift(lev) if type(x) is CyclotomicNumber else x for x in row] for row in rows]
+
+
 def rref(matrix):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in matrix]
+    rows = _one_level([list(r) for r in matrix])
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -63,11 +84,11 @@ def rref(matrix):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        prow = rows[r] = [x / inv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -142,5 +163,5 @@ def in_span(rref_rows, pivots, vec):
     for row, p in zip(rref_rows, pivots):
         if v[p]:
             f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
+            v = [x - f * y if y else x for x, y in zip(v, row)]
     return not any(v)

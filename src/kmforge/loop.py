@@ -43,6 +43,8 @@ class TwistContext:
     def __eq__(self, other):
         if not isinstance(other, TwistContext):
             return NotImplemented
+        if self is other:
+            return True
         return (
             self.algebra is other.algebra
             and self.D == other.D
@@ -135,7 +137,9 @@ class LoopElement:
     def __eq__(self, other):
         if not isinstance(other, LoopElement):
             return NotImplemented
-        return self.context == other.context and not (self - other)
+        # terms are zero-free and sorted by exponent, and AlgebraElement
+        # equality compares values across levels
+        return self.context == other.context and self.terms == other.terms
 
     __hash__ = None
 

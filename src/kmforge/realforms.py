@@ -65,6 +65,7 @@ class CartanDecomposition:
     N: int
     k_basis: tuple
     m_basis: tuple
+    theta_c: object      # the compact conjugation both bases were split by
 
     def cartan_involution(self, x):
         """+1 on k, -1 on m; defined on the spanned truncation."""
@@ -188,7 +189,7 @@ def fixed_point_basis(desc, N):
     lev = _slice_level(ctx)
     gens = [LoopElement(ctx, {k: zeta_power(lev, j) * b})
             for k, b in slice_terms(ctx, N) for j in range(field_degree(lev))]
-    return rational_fixed_span(gens, lambda u: apply(theta, u),
+    return rational_fixed_span(gens, [apply(theta, g) for g in gens],
                                lambda u: _coordinates_in_slice(u, N, lev))
 
 
@@ -266,27 +267,24 @@ def cartan_decomposition(desc, N):
     theta_c = compact_conjugation(ctx)
     lev = _slice_level(ctx)
     basis = fixed_point_basis(desc, N)
-
-    def image(u):
-        return apply(theta_c, u)
+    images = [apply(theta_c, b) for b in basis]
 
     def flatten(u):
         return _coordinates_in_slice(u, N, lev)
 
-    k_basis = rational_fixed_span(basis, image, flatten, sign=1)
-    m_basis = rational_fixed_span(basis, image, flatten, sign=-1)
+    k_basis = rational_fixed_span(basis, images, flatten, sign=1)
+    m_basis = rational_fixed_span(basis, images, flatten, sign=-1)
     if len(k_basis) + len(m_basis) != len(basis):
         raise ArithmeticError("compact conjugation does not split the truncation")
-    return CartanDecomposition(desc, N, tuple(k_basis), tuple(m_basis))
+    return CartanDecomposition(desc, N, tuple(k_basis), tuple(m_basis), theta_c)
 
 
 def verify_cartan(dec):
     """The three bracket inclusions plus compactness of k + i*m, exact."""
     desc = dec.form
     theta = desc.conjugation
-    ctx = theta.source
-    theta_c = compact_conjugation(ctx)
-    i_unit = imaginary_unit(_slice_level(ctx))
+    theta_c = dec.theta_c
+    i_unit = imaginary_unit(_slice_level(theta.source))
 
     def in_k(w):
         return apply(theta, w) == w and apply(theta_c, w) == w

@@ -296,7 +296,9 @@ def verify_hat(algebra="sl2C", seed=13, trials=10):
         data = finite_order_extension(phi)
         # finite_order_extension raised unless the hat order equals phi's
         order_ok = standard_order(phi) == 2
-        pairs = [(random_affine(rng, ctx, 3), random_affine(rng, ctx, 3)) for _ in range(trials)]
+        # the exp conjugator may move phi onto a twisted context (sl3C)
+        src = phi.source
+        pairs = [(random_affine(rng, src, 3), random_affine(rng, src, 3)) for _ in range(trials)]
         bracket_ok = hat_preserves_bracket(data, pairs)
         entry = {
             "name": f"hat-extension:{algebra}:{name}",

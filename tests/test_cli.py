@@ -236,11 +236,19 @@ def test_verify_cartan_reports_a_failing_inclusion(capsys, monkeypatch):
 def test_internal_arithmetic_error_exits_1_without_traceback(capsys, monkeypatch):
     span = realforms.rational_fixed_span
 
-    def no_minus_one_part(gens, image, flatten, sign=1):
-        return [] if sign == -1 else span(gens, image, flatten, sign)
+    def no_minus_one_part(gens, images, flatten, sign=1):
+        return [] if sign == -1 else span(gens, images, flatten, sign)
 
     monkeypatch.setattr(realforms, "rational_fixed_span", no_minus_one_part)
     code, doc = run_cli(capsys, "verify", "cartan", "--N", "1")
     assert code == 1
     assert doc["error"] == {"code": 1, "type": "ArithmeticError",
                             "message": "compact conjugation does not split the truncation"}
+
+
+def test_verify_hat_sl3C_succeeds(capsys):
+    # the exp conjugator moves phi onto an order-2 twisted context for sl3C,
+    # so the random affine pairs must come from phi's source context
+    code, doc = run_cli(capsys, "verify", "hat", "--algebra", "sl3C")
+    assert code == 0
+    assert doc["ok"] is True and doc["passed"] == 4 and doc["failed"] == 0

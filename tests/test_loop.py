@@ -6,7 +6,7 @@ import pytest
 from kmforge.catalog import catalog_for
 from kmforge.errors import ContextMismatchError, InvalidInputError
 from kmforge.field import imaginary_unit
-from kmforge.liealg import FiniteAutomorphism, builtin_algebra
+from kmforge.liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra
 from kmforge.loop import (
     LoopElement,
     TwistContext,
@@ -193,3 +193,45 @@ def test_context_requires_multiple_of_order():
 def test_zero_loop():
     assert not zero_loop(untwisted())
     assert zero_loop(untwisted()).degree() == 0
+
+
+def _lifted(u, level):
+    return LoopElement(u.context, {k: AlgebraElement(x.algebra, tuple(c.lift(level) for c in x.coords))
+                                   for k, x in u.terms})
+
+
+def test_equality_compares_values_across_levels():
+    ctx = untwisted()
+    u = single_term(ctx, 1, imaginary_unit() * E) + constant_loop(ctx, H)
+    e8 = imaginary_unit(8) * SL2.basis_element(0, 8)
+    v = single_term(ctx, 1, e8) + constant_loop(ctx, SL2.basis_element(1, 12))
+    assert {c.level for _, x in v.terms for c in x.coords} == {8, 12}
+    assert u == v and v == u
+    assert u != single_term(ctx, 1, e8)
+
+
+def test_equal_contexts_that_are_distinct_objects():
+    a, b = tau_context(), tau_context()
+    assert a is not b
+    assert a == b and a == a
+    assert single_term(a, 1, E) == single_term(b, 1, E)
+    assert untwisted() != untwisted(D=2)
+
+
+def test_loops_from_different_contexts_are_unequal_without_raising():
+    pairs = [(untwisted(), tau_context()), (untwisted(), untwisted(D=2))]
+    for ctx_a, ctx_b in pairs:
+        u, v = constant_loop(ctx_a, H), constant_loop(ctx_b, H)
+        assert (u == v) is False and (u != v) is True
+        assert zero_loop(ctx_a) != zero_loop(ctx_b)
+
+
+def test_equality_agrees_with_a_zero_difference():
+    rng = random.Random(12)
+    for ctx in (untwisted(), tau_context()):
+        for _ in range(20):
+            u, w = random_loop(rng, ctx), random_loop(rng, ctx)
+            candidates = [w, (u + w) - w, _lifted(u, 8), u + single_term(ctx, 0, 0 * H), u * 2]
+            for v in candidates:
+                assert (u == v) == (not (u - v))
+            assert u == (u + w) - w == _lifted(u, 24)
