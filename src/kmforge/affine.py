@@ -15,13 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContextMismatchError, NotFiniteOrderError, OrderMismatchError
-from .field import CyclotomicNumber, field_degree
+from .field import CyclotomicNumber
+from .liealg import _as_scalar, rational_coords
 from .linalg import in_span, rref
 from .loop import (
     LoopElement,
     cocycle,
     constant_loop,
     loop_bracket,
+    loop_coords,
     loop_derivative,
     loop_inner,
     slice_terms,
@@ -37,8 +39,8 @@ class AffineElement:
 
     def __init__(self, loop, c_coef=0, d_coef=0):
         object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "c_coef", _scal(c_coef))
-        object.__setattr__(self, "d_coef", _scal(d_coef))
+        object.__setattr__(self, "c_coef", _as_scalar(c_coef))
+        object.__setattr__(self, "d_coef", _as_scalar(d_coef))
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineElement is immutable")
@@ -73,22 +75,15 @@ class AffineElement:
     def __eq__(self, other):
         if not isinstance(other, AffineElement):
             return NotImplemented
-        return self.context == other.context and not (self - other)
+        # loop equality compares the contexts first; scalar equality compares
+        # values across levels
+        return (self.loop == other.loop and self.c_coef == other.c_coef
+                and self.d_coef == other.d_coef)
 
     __hash__ = None
 
     def __repr__(self):
         return f"AffineElement(loop={self.loop!r}, c={self.c_coef!r}, d={self.d_coef!r})"
-
-
-def _scal(x):
-    if isinstance(x, CyclotomicNumber):
-        return x
-    return CyclotomicNumber.from_rational(Fraction(x))
-
-
-def from_loop(u):
-    return AffineElement(u)
 
 
 def c_element(context):
@@ -152,7 +147,7 @@ def extend_to_hat(phi, nu=0):
     else:
         x = phi.curve.data.generator
         shadow = constant_loop(phi.target, x * Fraction(-phi.epsilon))
-    return HatExtensionData(phi, shadow, _scal(nu))
+    return HatExtensionData(phi, shadow, _as_scalar(nu))
 
 
 def finite_order_extension(phi, bound=48):
@@ -215,7 +210,9 @@ def center_and_derived_check(context, N):
                 d_free = False
             if w:
                 results.append(w)
-    lev = math.lcm(4, *[cf.level for w in results for cf in _affine_scalars(w)])
+    levels = {cf.level for w in results for cf in (w.c_coef, w.d_coef)}
+    levels.update(cf.level for w in results for _, x in w.loop.terms for cf in x.coords)
+    lev = math.lcm(4, *levels)
     support = sorted({k for w in results for k in w.loop.support()} | {0})
     flat = [_flatten_affine(w, support, lev) for w in results]
     rr, piv = rref(flat)
@@ -232,26 +229,5 @@ def center_and_derived_check(context, N):
     }
 
 
-def _affine_scalars(w):
-    for _, x in w.loop.terms:
-        yield from x.coords
-    yield w.c_coef
-    yield w.d_coef
-
-
 def _flatten_affine(w, support, lev):
-    n = field_degree(lev)
-    d = w.context.algebra.dim
-    out = []
-    terms = w.loop.terms_dict()
-    zero = [Fraction(0)] * n
-    for k in support:
-        if k in terms:
-            for cf in terms[k].coords:
-                out.extend(cf.lift(lev).coords)
-        else:
-            for _ in range(d):
-                out.extend(zero)
-    out.extend(w.c_coef.lift(lev).coords)
-    out.extend(w.d_coef.lift(lev).coords)
-    return out
+    return loop_coords(w.loop, support, lev) + rational_coords((w.c_coef, w.d_coef), lev)

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import CatalogMissError, ClassifierUnavailableError, UnknownAlgebraError
 from .field import CyclotomicNumber, zeta_power
 from .liealg import (
@@ -121,15 +122,7 @@ def _perm_ad(g, perm, order=None):
 def _gl2_ad(gmat):
     """Ad of an invertible 2x2 matrix on the (e, h, f) basis of sl2C."""
     g = builtin_algebra("sl2C")
-    a, b = gmat[0]
-    c, d = gmat[1]
-    det = a * d - b * c
-    inv = [[d / det, -b / det], [-c / det, a / det]]
-
-    def mul(x, y):
-        return [[x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]],
-                [x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]]]
-
+    inv = linalg.invert(gmat)
     basis = {
         "e": [[CyclotomicNumber.zero(), CyclotomicNumber.one()],
               [CyclotomicNumber.zero(), CyclotomicNumber.zero()]],
@@ -140,7 +133,7 @@ def _gl2_ad(gmat):
     }
     cols = []
     for name in ("e", "h", "f"):
-        m = mul(mul(gmat, basis[name]), inv)
+        m = linalg.mat_mul(linalg.mat_mul(gmat, basis[name]), inv)
         # traceless [[p, q], [r, -p]] has coordinates (q, p, r) in (e, h, f)
         cols.append((m[0][1], m[0][0], m[1][0]))
     rows = [[cols[j][i] for j in range(3)] for i in range(3)]
@@ -177,6 +170,13 @@ class Catalog:
 
     def names(self):
         return list(self.entries)
+
+    def name_of(self, auto):
+        """Name of the catalog entry equal to ``auto``, or None."""
+        for entry in self.entries.values():
+            if entry.auto == auto:
+                return entry.name
+        return None
 
     def omega(self):
         """Conjugation with respect to the standard compact real form."""
@@ -352,7 +352,7 @@ class Catalog:
             entry = self.entries[name]
             if entry.order != order or self.eigen_signature(entry.auto, bound) != sig:
                 continue
-            for cand in self._conjugator_candidates():
+            for cand in self._conjugators:
                 if cand.compose(entry.auto).compose(cand.inverse()) == auto:
                     return entry, cand
         raise CatalogMissError("no catalog representative matches the map")
@@ -374,9 +374,6 @@ class Catalog:
         for a, b in itertools.product(base, base):
             out.append(a.compose(b))
         return out
-
-    def _conjugator_candidates(self):
-        return self._conjugators
 
 
 @functools.cache

@@ -154,7 +154,7 @@ def _cmd_verify(args):
     fn = SUITES.get(args.suite)
     if fn is None:
         raise _CliError(2, f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    _session_level(args.D)
+    _session_level()
     if args.N < 0:
         raise _CliError(2, "N must be >= 0")
     if args.bound < 1:
@@ -226,7 +226,6 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run a verification suite", parents=[common])
     p_ver.add_argument("suite", choices=sorted(SUITES))
     p_ver.add_argument("--algebra", default="sl2C")
-    p_ver.add_argument("--D", type=int)
     p_ver.add_argument("--N", type=int, default=None)
     p_ver.add_argument("--bound", type=int, default=48)
     p_ver.add_argument("--seed", type=int, default=7)

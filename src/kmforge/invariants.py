@@ -26,10 +26,9 @@ from .errors import (
     OrderMismatchError,
     SquareMismatchError,
 )
-from .liealg import FiniteAutomorphism, automorphism_order
+from .liealg import FiniteAutomorphism, automorphism_order, builtin_algebra
 from .loop import TwistContext
 from .standard import (
-    compose,
     conjugate,
     pointwise,
     reflection,
@@ -130,17 +129,11 @@ def realize_first(algebra_name, p, rho, beta, q, D=None):
     phi0 = rho.power(m).compose(beta.power(-p1))
     if not phi0.power(q).compose(sigma.power(p)).is_identity():
         raise IncompatibleDataError("phi_0^q sigma^p is not the identity")
-    ctx = TwistContext(algebra_name_to_table(algebra_name), sigma, D=D)
+    ctx = TwistContext(builtin_algebra(algebra_name), sigma, D=D)
     phi = pointwise(ctx, phi0, epsilon=1, shift=Fraction(p, q))
     if phi.target != ctx:
         raise IncompatibleDataError("realization does not preserve its twist")
     return sigma, phi
-
-
-def algebra_name_to_table(name):
-    from .liealg import builtin_algebra
-
-    return builtin_algebra(name)
 
 
 def extract_invariant_second(phi, q=None, bound=48):
@@ -169,14 +162,7 @@ def extract_invariant_second(phi, q=None, bound=48):
     cat = catalog_for(phi.source.algebra.name)
     return SecondKindInvariant(
         phi.source.algebra.name, q, plus, minus,
-        _catalog_name(cat, plus), _catalog_name(cat, minus))
-
-
-def _catalog_name(cat, auto):
-    for entry in cat.entries.values():
-        if entry.auto == auto:
-            return entry.name
-    return None
+        cat.name_of(plus), cat.name_of(minus))
 
 
 def realize_second(algebra_name, plus, minus, D=None, bound=48):
@@ -189,7 +175,7 @@ def realize_second(algebra_name, plus, minus, D=None, bound=48):
     sigma = minus.inverse().compose(plus)
     if automorphism_order(sigma, bound) is None:
         raise NotFiniteOrderError("twist phi_minus^{-1} phi_plus has no finite order in bound")
-    ctx = TwistContext(algebra_name_to_table(algebra_name), sigma, D=D)
+    ctx = TwistContext(builtin_algebra(algebra_name), sigma, D=D)
     if sigma.compose(plus).compose(sigma) != plus:
         raise IncompatibleDataError("pair violates the reflection periodicity")
     phi = pointwise(ctx, plus, epsilon=-1, shift=Fraction(0))
@@ -224,17 +210,3 @@ def invariants_equal_second(a, b, bound=48):
         raise ClassifierUnavailableError(
             "second-kind coupling beyond involution pairs is decided only by equality")
     return False
-
-
-def invariant_of_descriptor(kind, algebra_name, data, bound=48):
-    """Invariant of one of the three involution shapes, via realize+extract."""
-    if kind == "1a":
-        sigma, phi = realize_first(algebra_name, 0, data["rho"], data["beta"], 2)
-        return extract_invariant_first(phi, 2, bound)
-    if kind == "1b":
-        sigma, phi = realize_first(algebra_name, 1, "id", data["phi"], 2)
-        return extract_invariant_first(phi, 2, bound)
-    if kind == "2":
-        sigma, phi = realize_second(algebra_name, data["plus"], data["minus"])
-        return extract_invariant_second(phi, 2, bound)
-    raise InvalidInputError(f"unknown involution kind {kind!r}")

@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .affine import AffineElement
 from .catalog import catalog_for
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnknownAlgebraError
 from .field import CyclotomicNumber, check_level
 from .invariants import FirstKindInvariant, SecondKindInvariant
 from .liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra, exp_curve
 from .loop import LoopElement, TwistContext
 from .standard import (
+    ComposedLoopMap,
     ConstantCurve,
     ExpCurve,
     ScalingAutomorphism,
@@ -84,14 +86,12 @@ def enc_automorphism(a, min_level=None):
 def _catalog_name(a):
     try:
         cat = catalog_for(a.algebra.name)
-    except Exception:
+    except UnknownAlgebraError:
         return None
-    for entry in cat.entries.values():
-        if entry.auto == a:
-            return entry.name
-    if cat.omega() == a:
+    name = cat.name_of(a)
+    if name is None and cat.omega() == a:
         return "omega"
-    return None
+    return name
 
 
 def dec_automorphism(obj):
@@ -137,8 +137,6 @@ def enc_affine(x, min_level=None):
 
 
 def dec_affine(obj):
-    from .affine import AffineElement
-
     return AffineElement(dec_loop(obj["loop"]), dec_cyclo(obj["c"]), dec_cyclo(obj["d"]))
 
 
@@ -189,8 +187,6 @@ def dec_loop_map(obj):
     if "tau_r" in obj:
         r = dec_rational(obj["tau_r"])
         if r != 1:
-            from .standard import ComposedLoopMap
-
             return ComposedLoopMap((ScalingAutomorphism(r), phi))
     return phi
 

@@ -248,14 +248,6 @@ class FiniteAutomorphism:
         rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
         return cls(algebra, rows, antilinear=False, declared_order=1)
 
-    @classmethod
-    def from_basis_images(cls, algebra, images, antilinear=False, declared_order=None):
-        """Build from the images of the basis vectors (given as elements)."""
-        cols = [img.coords for img in images]
-        d = algebra.dim
-        rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-        return cls(algebra, rows, antilinear=antilinear, declared_order=declared_order)
-
     def apply(self, x):
         if x.algebra is not self.algebra:
             raise AlgebraMismatchError("element is over a different algebra")
@@ -341,6 +333,15 @@ def automorphism_order(auto, bound=48):
     return None
 
 
+def _eigenvectors(alg, matrix, lam):
+    """Basis of the kernel of M - lam*I as elements; every entry of
+    ``matrix`` must already be at lam's level."""
+    shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(matrix)]
+    zero, one = CyclotomicNumber.zero(lam.level), CyclotomicNumber.one(lam.level)
+    return [AlgebraElement(alg, tuple(v)) for v in linalg.kernel_basis(shifted, zero, one)]
+
+
 def eigenspace_decomposition(auto, order=None, bound=48):
     """Eigenspaces of a linear finite-order map; eigenvalues are zeta_n^k."""
     if auto.antilinear:
@@ -348,25 +349,17 @@ def eigenspace_decomposition(auto, order=None, bound=48):
     n = order or auto.declared_order or automorphism_order(auto, bound)
     if n is None:
         raise NotFiniteOrderError(f"no order within bound {bound}")
-    alg = auto.algebra
-    d = alg.dim
     lev = math.lcm(4, n, *[x.level for row in auto.matrix for x in row])
     matrix = [[x.lift(lev) for x in row] for row in auto.matrix]
-    zero = CyclotomicNumber.zero(lev)
-    one = CyclotomicNumber.one(lev)
     out = []
     total = 0
     for k in range(n):
         lam = zeta_power(n, k).lift(lev)
-        shifted = [
-            [matrix[i][j] - (lam if i == j else zero) for j in range(d)]
-            for i in range(d)
-        ]
-        basis = linalg.kernel_basis(shifted, zero, one)
+        basis = _eigenvectors(auto.algebra, matrix, lam)
         if basis:
-            out.append((lam, tuple(AlgebraElement(alg, tuple(v)) for v in basis)))
+            out.append((lam, tuple(basis)))
             total += len(basis)
-    if total != d:
+    if total != auto.algebra.dim:
         raise NotFiniteOrderError("eigenspaces do not span; map is not of the declared order")
     return out
 
@@ -376,21 +369,18 @@ def fixed_subalgebra(auto, bound=48):
     if automorphism_order(auto, bound) is None:
         raise NotFiniteOrderError(f"no order within bound {bound}")
     alg = auto.algebra
-    d = alg.dim
     lev = math.lcm(4, *[x.level for row in auto.matrix for x in row])
     if not auto.antilinear:
-        zero = CyclotomicNumber.zero(lev)
-        one = CyclotomicNumber.one(lev)
-        shifted = [
-            [auto.matrix[i][j].lift(lev) - (one if i == j else zero) for j in range(d)]
-            for i in range(d)
-        ]
-        basis = [AlgebraElement(alg, tuple(v)) for v in linalg.kernel_basis(shifted, zero, one)]
+        matrix = [[x.lift(lev) for x in row] for row in auto.matrix]
+        basis = _eigenvectors(alg, matrix, CyclotomicNumber.one(lev))
         _check_bracket_closed(basis, lambda x: list(x.coords))
         return basis
     gens = [alg.basis_element(i, lev) * zeta_power(lev, j)
-            for i in range(d) for j in range(field_degree(lev))]
-    flatten = functools.partial(_flatten_rational, lev=lev)
+            for i in range(alg.dim) for j in range(field_degree(lev))]
+
+    def flatten(x):
+        return rational_coords(x.coords, lev)
+
     basis = rational_fixed_span(gens, [auto.apply(g) for g in gens], flatten)
     _check_bracket_closed(basis, flatten)
     return basis
@@ -411,8 +401,10 @@ def rational_fixed_span(gens, images, flatten, sign=1):
             for v in linalg.kernel_basis(mat, Fraction(0), Fraction(1))]
 
 
-def _flatten_rational(elem, lev):
-    return [q for c in elem.coords for q in c.lift(lev).coords]
+def rational_coords(scalars, lev):
+    """The power-basis rationals at level ``lev`` of each scalar, concatenated:
+    an injective, rational-linear coordinate map."""
+    return [q for c in scalars for q in c.lift(lev).coords]
 
 
 def _check_bracket_closed(basis, flatten):
@@ -511,13 +503,10 @@ class ExpCurveData:
 
 def exp_curve(x, candidate_qs):
     """Eigenspace data for ad(x) computed from candidate rational eigenvalues."""
-    alg = x.algebra
     adX = ad_matrix(x)
     lev = math.lcm(4, *[c.level for row in adX for c in row])
+    adX = [[c.lift(lev) for c in row] for row in adX]
     i_unit = imaginary_unit(lev)
-    d = alg.dim
-    zero = CyclotomicNumber.zero(lev)
-    one = CyclotomicNumber.one(lev)
     pairs = []
     seen = set()
     for q in candidate_qs:
@@ -525,14 +514,9 @@ def exp_curve(x, candidate_qs):
         if q in seen:
             continue
         seen.add(q)
-        lam = i_unit * q
-        shifted = [
-            [adX[i][j].lift(lev) - (lam if i == j else zero) for j in range(d)]
-            for i in range(d)
-        ]
-        basis = linalg.kernel_basis(shifted, zero, one)
+        basis = _eigenvectors(x.algebra, adX, i_unit * q)
         if basis:
-            pairs.append((q, tuple(AlgebraElement(alg, tuple(v)) for v in basis)))
+            pairs.append((q, tuple(basis)))
     return ExpCurveData(x, pairs)
 
 
@@ -577,21 +561,12 @@ def _entry(x, level):
 
 
 def _commutator(a, b):
-    m = len(a)
-    prod1 = [[sum((a[i][k] * b[k][j] for k in range(m)), CyclotomicNumber.zero()) for j in range(m)]
-             for i in range(m)]
-    prod2 = [[sum((b[i][k] * a[k][j] for k in range(m)), CyclotomicNumber.zero()) for j in range(m)]
-             for i in range(m)]
-    return tuple(tuple(prod1[i][j] - prod2[i][j] for j in range(m)) for i in range(m))
+    return [[x - y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
 
 
 def _flatten_matrix(mat):
-    out = []
-    for row in mat:
-        for x in row:
-            x4 = x.lift(4) if x.level != 4 else x
-            out.extend(x4.coords)
-    return out
+    return rational_coords([x for row in mat for x in row], 4)
 
 
 def _structure_from_matrices(basis_mats):

@@ -8,16 +8,16 @@ sigma(u_k) = zeta_D^k * u_k.  All operations are exact and term-wise.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ContextMismatchError, InvalidInputError, NotFiniteOrderError
-from .field import CyclotomicNumber, imaginary_unit, zeta_power
+from .field import CyclotomicNumber, field_degree, imaginary_unit, zeta_power
 from .liealg import (
     automorphism_order,
     bracket,
     eigenspace_decomposition,
     killing_form,
+    rational_coords,
 )
 
 
@@ -161,6 +161,16 @@ def zero_loop(context):
     return LoopElement(context, {})
 
 
+def loop_coords(u, exponents, lev):
+    """Rational coordinates of u over ``exponents``: for each k, the
+    ``rational_coords`` at level ``lev`` of the k-th term, with a zero block
+    where the term is missing."""
+    terms = u.terms_dict()
+    zero = [Fraction(0)] * (u.context.algebra.dim * field_degree(lev))
+    return [q for k in exponents
+            for q in (rational_coords(terms[k].coords, lev) if k in terms else zero)]
+
+
 def validate(u):
     """True iff every term satisfies the twist eigenspace condition."""
     return all(u.context.term_ok(k, x) for k, x in u.terms)
@@ -212,8 +222,3 @@ def tau_r_apply(r, u):
     if r <= 0:
         raise InvalidInputError("scaling parameter must be positive")
     return LoopElement(u.context, {k: x * (r ** k) for k, x in u.terms})
-
-
-def context_level(context, *shift_denominators):
-    """A field level absorbing the context and any reparametrization shifts."""
-    return math.lcm(4, context.D, *[context.D * d for d in shift_denominators])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .catalog import catalog_for
@@ -24,8 +23,17 @@ from .invariants import (
     realize_first,
     realize_second,
 )
-from .liealg import _flatten_rational, automorphism_order, rational_fixed_span
-from .loop import LoopElement, TwistContext, cocycle, loop_bracket, loop_derivative, slice_terms
+from .liealg import automorphism_order, rational_fixed_span
+from .loop import (
+    LoopElement,
+    TwistContext,
+    cocycle,
+    loop_bracket,
+    loop_coords,
+    loop_derivative,
+    slice_terms,
+    zero_loop,
+)
 from .standard import apply, compose, identity_automorphism, pointwise, standard_order
 
 
@@ -73,7 +81,7 @@ class CartanDecomposition:
         if coords is None:
             raise InvalidInputError("element is outside the decomposed truncation")
         nk = len(self.k_basis)
-        out = _zero_like(x)
+        out = zero_loop(x.context)
         for c, b in zip(coords[:nk], self.k_basis):
             out = out + b * c
         for c, b in zip(coords[nk:], self.m_basis):
@@ -176,10 +184,7 @@ def _coordinates_in_slice(u, N, lev):
     k-th term, with a zero block where the term is missing."""
     if u.degree() > N:
         raise InvalidInputError("loop leaves the truncation slice")
-    terms = u.terms_dict()
-    zero = [Fraction(0)] * (u.context.algebra.dim * field_degree(lev))
-    return [q for k in range(-N, N + 1)
-            for q in (_flatten_rational(terms[k], lev) if k in terms else zero)]
+    return loop_coords(u, range(-N, N + 1), lev)
 
 
 def fixed_point_basis(desc, N):
@@ -251,10 +256,6 @@ def _solve_in_basis(basis, x):
     N = max(b.degree() for b in basis + [x])
     cols = [_coordinates_in_slice(b, N, lev) for b in basis]
     return linalg.solve(list(zip(*cols)), _coordinates_in_slice(x, N, lev))
-
-
-def _zero_like(x):
-    return LoopElement(x.context, {})
 
 
 def cartan_decomposition(desc, N):

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .field import zeta_of
 from .liealg import FiniteAutomorphism, bracket, exp_ad, exp_curve
-from .loop import LoopElement, TwistContext, slice_terms, validate
+from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply, validate
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,10 @@ def standard_automorphism(epsilon, shift, curve, source, target=None):
     shift = Fraction(shift)
     whole = math.floor(shift)
     shift -= whole
+    # sigma^twist_order is the identity, so the whole turns fold modulo the
+    # twist order, keeping their sign: a huge shift costs no more than a small one
+    turns = abs(whole) % source.twist_order
+    whole = turns if whole > 0 else -turns
     if isinstance(curve, ExpCurve) and not curve.data.generator:
         curve = ConstantCurve(curve.base)
     base = curve.base
@@ -261,8 +265,6 @@ class ScalingAutomorphism:
     r: Fraction
 
     def apply(self, u):
-        from .loop import tau_r_apply
-
         return tau_r_apply(self.r, u)
 
 

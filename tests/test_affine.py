@@ -15,8 +15,8 @@ from kmforge.affine import (
 from kmforge.catalog import catalog_for
 from kmforge.field import imaginary_unit
 from kmforge.invariants import realize_first
-from kmforge.liealg import FiniteAutomorphism, builtin_algebra, exp_curve
-from kmforge.loop import TwistContext, constant_loop, single_term
+from kmforge.liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra, exp_curve
+from kmforge.loop import LoopElement, TwistContext, constant_loop, single_term
 from kmforge.standard import (
     ExpCurve,
     apply,
@@ -222,3 +222,23 @@ def test_constant_involution_extension_has_zero_constant():
     data = finite_order_extension(phi)
     assert not data.nu
     assert hat_order(data, bound=4) == 2
+
+
+def _lifted(x, level):
+    loop = LoopElement(x.context, {k: AlgebraElement(y.algebra, tuple(c.lift(level) for c in y.coords))
+                                   for k, y in x.loop.terms})
+    return AffineElement(loop, x.c_coef.lift(level), x.d_coef.lift(level))
+
+
+def test_equality_agrees_with_a_zero_difference():
+    rng = random.Random(21)
+    for ctx in (untwisted(), tau_context()):
+        c, d = c_element(ctx), d_element(ctx)
+        for _ in range(20):
+            x, y = random_affine(rng, ctx), random_affine(rng, ctx)
+            candidates = [y, (x + y) - y, _lifted(x, 8), _lifted(y, 12), x + c * 0,
+                          x * 2, x + c, x - d, AffineElement(x.loop)]
+            for z in candidates:
+                assert (x == z) == (not (x - z))
+            assert x == (x + y) - y == _lifted(x, 24)
+    assert AffineElement(constant_loop(untwisted(), H)) != AffineElement(constant_loop(tau_context(), H))

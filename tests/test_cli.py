@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from kmforge import jsonio, realforms
 from kmforge.cli import main
 from kmforge.field import imaginary_unit, zeta_power
@@ -252,3 +254,45 @@ def test_verify_hat_sl3C_succeeds(capsys):
     code, doc = run_cli(capsys, "verify", "hat", "--algebra", "sl3C")
     assert code == 0
     assert doc["ok"] is True and doc["passed"] == 4 and doc["failed"] == 0
+
+
+def test_huge_whole_shift_folds_modulo_the_twist_order(tmp_path, capsys):
+    # sigma^twist_order is the identity, so 10^7 whole turns on top of a
+    # shift cost no more than the shift alone and leave the order unchanged
+    phi_path = tmp_path / "phi.json"
+    for q, p, rho, turns in ((2, 0, "mu", 10**7), (4, 1, "id", 10**7), (4, 2, "mu", -10**7)):
+        code, _ = run_cli(capsys, "auto", "realize", "--kind", "first", "--q", str(q),
+                          "--p", str(p), "--rho", rho, "--beta", "id", "--out", str(phi_path))
+        assert code == 0
+        code, doc = run_cli(capsys, "auto", "order", "--in", str(phi_path))
+        assert code == 0 and doc["order"] == q
+        obj = json.loads(phi_path.read_text())
+        obj["shift"] = [str(turns * q + p), str(q)]
+        phi_path.write_text(json.dumps(obj))
+        proc = subprocess.run([sys.executable, "-m", "kmforge.cli", "auto", "order",
+                               "--in", str(phi_path)], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0 and json.loads(proc.stdout) == doc
+
+
+def test_antilinear_second_kind_invariant_round_trips_with_omega_matrices(tmp_path, capsys):
+    # the conjugation of the 2:id,id real form has base omega, which is no
+    # catalog entry: the invariant carries both matrices, each tagged with the
+    # name omega, and compares equal to itself after decoding
+    form = next(f for f in realforms.enumerate_real_forms("sl2C") if f.label == "2:id,id")
+    assert form.conjugation.antilinear
+    phi_path, inv_path = tmp_path / "phi.json", tmp_path / "inv.json"
+    phi_path.write_text(json.dumps(jsonio.enc_standard(form.conjugation)))
+    code, doc = run_cli(capsys, "auto", "invariant", "--in", str(phi_path))
+    assert code == 0
+    assert "plus" not in doc and "minus" not in doc
+    assert doc["plus_matrix"]["name"] == doc["minus_matrix"]["name"] == "omega"
+    inv_path.write_text(json.dumps(doc))
+    code, doc = run_cli(capsys, "auto", "equivalent", "--a", str(inv_path), "--b", str(inv_path))
+    assert code == 0 and doc == {"equal": True}
+
+
+def test_verify_has_no_D_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "jacobi", "--D", "4"])
+    assert exc.value.code == 2
+    assert "--D" in capsys.readouterr().err

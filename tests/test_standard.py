@@ -86,6 +86,18 @@ def test_apply_shift_example():
     assert apply(phi, single_term(ctx, 1, H)) == single_term(ctx, 1, -1 * H)
 
 
+def test_whole_shift_folds_modulo_the_twist_order_with_its_sign():
+    # on an order-3 twist the whole parts -1, 2 and -1 -/+ 3*10^7 all give the
+    # base sigma^-1 = sigma^2; folding without the sign would give sigma
+    sigma = CAT.named("r3")
+    ctx = TwistContext(SL2, sigma, D=3)
+    for whole in (-1, 2, -1 - 3 * 10**7, 2 + 3 * 10**7):
+        phi = rotation(ctx, whole + Fraction(1, 3))
+        assert phi.shift == Fraction(1, 3)
+        assert phi.curve.base == sigma.power(-1)
+    assert rotation(ctx, Fraction(4, 3)).curve.base == sigma
+
+
 def test_apply_identity():
     ctx = tau_context()
     phi = identity_automorphism(ctx)
