@@ -123,16 +123,13 @@ class HatExtensionData:
     def epsilon(self):
         return self.phi.epsilon
 
-    def alpha(self, u):
-        """Central correction of a loop image: -epsilon * (phi u, shadow)."""
-        return loop_inner(apply(self.phi, u), self.shadow) * (-self.epsilon)
-
     def apply(self, x):
-        """Hat action: c and d scale by epsilon, d picks up the shadow loop."""
+        """Hat action: c and d scale by epsilon, d picks up the shadow loop,
+        and the loop image phi(u) adds -epsilon * (phi(u), shadow) to c."""
         if x.context != self.phi.source:
             raise ContextMismatchError("element is not in the source context")
         loop_part = apply(self.phi, x.loop)
-        c_part = x.c_coef * self.epsilon + self.alpha(x.loop)
+        c_part = (x.c_coef - loop_inner(loop_part, self.shadow)) * self.epsilon
         d_part = x.d_coef * self.epsilon
         if x.d_coef:
             loop_part = loop_part + self.shadow * x.d_coef

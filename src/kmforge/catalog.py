@@ -32,13 +32,13 @@ class CatalogEntry:
     auto: FiniteAutomorphism
 
 
-def _diag_auto(algebra, scalars, antilinear=False, order=None):
+def _diag_auto(algebra, scalars):
     d = algebra.dim
     rows = [[scalars[i] if i == j else 0 for j in range(d)] for i in range(d)]
-    return FiniteAutomorphism(algebra, rows, antilinear=antilinear, declared_order=order)
+    return FiniteAutomorphism(algebra, rows)
 
 
-def _images_auto(algebra, images, antilinear=False, order=None):
+def _images_auto(algebra, images):
     cols = []
     for tgt, coeff in images:
         idx = algebra.basis_names.index(tgt)
@@ -46,7 +46,7 @@ def _images_auto(algebra, images, antilinear=False, order=None):
         col[idx] = coeff if isinstance(coeff, CyclotomicNumber) else CyclotomicNumber.from_rational(Fraction(coeff))
         cols.append(col)
     rows = [[cols[j][i] for j in range(algebra.dim)] for i in range(algebra.dim)]
-    return FiniteAutomorphism(algebra, rows, antilinear=antilinear, declared_order=order)
+    return FiniteAutomorphism(algebra, rows)
 
 
 @functools.cache
@@ -60,12 +60,12 @@ def _catalog_a1():
 
     add("id", 1, FiniteAutomorphism.identity(g))
     # tau = Ad diag(1,-1): e -> -e, h -> h, f -> -f
-    add("tau", 2, _diag_auto(g, [-one, one, -one], order=2))
+    add("tau", 2, _diag_auto(g, [-one, one, -one]))
     # mu: A -> -A^t, i.e. e -> -f, h -> -h, f -> -e
-    add("mu", 2, _images_auto(g, [("f", -1), ("h", -1), ("e", -1)], order=2))
+    add("mu", 2, _images_auto(g, [("f", -1), ("h", -1), ("e", -1)]))
     for n in (3, 4, 6):
         z = zeta_power(n, 1)
-        add(f"r{n}", n, _diag_auto(g, [z, one.lift(z.level), z.inverse()], order=n))
+        add(f"r{n}", n, _diag_auto(g, [z, one.lift(z.level), z.inverse()]))
     return entries
 
 
@@ -78,29 +78,27 @@ def _catalog_a2():
     def add(name, order, auto):
         entries[name] = CatalogEntry(name, order, auto)
 
-    def ad_diag(dvals, order):
+    def ad_diag(dvals):
         # basis order: e12 e13 e23 e21 e31 e32 h1 h2
         pairs = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
         scal = [dvals[i] * dvals[j].inverse() for (i, j) in pairs] + [one.lift(dvals[0].level)] * 2
-        return _diag_auto(g, scal, order=order)
+        return _diag_auto(g, scal)
 
     add("id", 1, FiniteAutomorphism.identity(g))
-    add("theta", 2, ad_diag([one, one, -one], 2))
+    add("theta", 2, ad_diag([one, one, -one]))
     # mu: A -> -A^t swaps e_ij with -e_ji and negates the Cartan
     add("mu", 2, _images_auto(
         g,
         [("e21", -1), ("e31", -1), ("e32", -1), ("e12", -1), ("e13", -1), ("e23", -1),
-         ("h1", -1), ("h2", -1)],
-        order=2,
-    ))
+         ("h1", -1), ("h2", -1)]))
     z3 = zeta_power(3, 1)
-    add("r3", 3, ad_diag([one.lift(z3.level), z3, z3 * z3], 3))
+    add("r3", 3, ad_diag([one.lift(z3.level), z3, z3 * z3]))
     # rot: Ad of the 3-cycle permutation matrix (0 -> 1 -> 2 -> 0)
-    add("rot", 3, _perm_ad(g, {0: 1, 1: 2, 2: 0}, order=3))
+    add("rot", 3, _perm_ad(g, {0: 1, 1: 2, 2: 0}))
     return entries
 
 
-def _perm_ad(g, perm, order=None):
+def _perm_ad(g, perm):
     """Ad of a permutation matrix on the rank-2 table."""
     cols = {name: idx for idx, name in enumerate(g.basis_names)}
     name_of = {(0, 1): "e12", (0, 2): "e13", (1, 2): "e23",
@@ -116,7 +114,7 @@ def _perm_ad(g, perm, order=None):
         c1, c2 = diag_diff[(perm[i], perm[j])]
         rows[6][src] = CyclotomicNumber.from_rational(c1)
         rows[7][src] = CyclotomicNumber.from_rational(c2)
-    return FiniteAutomorphism(g, rows, declared_order=order)
+    return FiniteAutomorphism(g, rows)
 
 
 def _gl2_ad(gmat):
@@ -181,7 +179,7 @@ class Catalog:
     def omega(self):
         """Conjugation with respect to the standard compact real form."""
         mu = self.named("mu")
-        return FiniteAutomorphism(self.algebra, mu.matrix, antilinear=True, declared_order=2)
+        return FiniteAutomorphism(self.algebra, mu.matrix, antilinear=True)
 
     def rho_reps(self, order):
         """Designated conjugacy-class representatives of the given order."""
@@ -253,12 +251,8 @@ class Catalog:
     def _a1_sign_label(self, rho, beta, swap_label):
         # beta swaps the two off-axis eigenlines of rho exactly when it acts
         # by -1 on the one-dimensional fixed line
-        eig = eigenspace_decomposition(rho, order=2)
-        fixed = None
-        for lam, basis in eig:
-            if lam == 1:
-                fixed = basis
-        if fixed is None or len(fixed) != 1:
+        fixed = eigenspace_decomposition(rho, order=2).get(0, ())
+        if len(fixed) != 1:
             raise ClassifierUnavailableError("unexpected fixed space for an order-2 map")
         v = fixed[0]
         w = beta.apply(v)
@@ -315,13 +309,8 @@ class Catalog:
         order = automorphism_order(auto, bound)
         if order is None:
             return None
-        sig = []
-        for lam, basis in eigenspace_decomposition(auto, order=order):
-            for k in range(order):
-                if lam == zeta_power(order, k):
-                    sig.append((k, len(basis)))
-                    break
-        return (order, tuple(sorted(sig)))
+        eig = eigenspace_decomposition(auto, order=order)
+        return (order, tuple((k, len(basis)) for k, basis in eig.items()))
 
     def conjugate_in_aut(self, a, b, bound=48):
         """Conjugacy test, complete for the finite orders in the catalog."""
@@ -344,13 +333,12 @@ class Catalog:
         for name in self.rho_rep_names:
             if self.entries[name].auto == auto:
                 return self.entries[name], FiniteAutomorphism.identity(self.algebra)
-        order = automorphism_order(auto, bound)
-        if order is None:
-            raise CatalogMissError("map has no finite order within the bound")
         sig = self.eigen_signature(auto, bound)
+        if sig is None:
+            raise CatalogMissError("map has no finite order within the bound")
         for name in self.rho_rep_names:
             entry = self.entries[name]
-            if entry.order != order or self.eigen_signature(entry.auto, bound) != sig:
+            if entry.order != sig[0] or self.eigen_signature(entry.auto, bound) != sig:
                 continue
             for cand in self._conjugators:
                 if cand.compose(entry.auto).compose(cand.inverse()) == auto:

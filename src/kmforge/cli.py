@@ -41,7 +41,7 @@ class _CliError(Exception):
 
 def _session_level(D=None):
     """The forced field level from KMFORGE_LEVEL, or None.  It must be a valid
-    cyclotomic level (see ``field.check_level``) and a multiple of the lattice
+    cyclotomic level (see ``field.check_level``) and a multiple of the exponent
     denominator D."""
     raw = os.environ.get(LEVEL_ENV)
     if raw is None:

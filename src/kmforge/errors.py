@@ -22,7 +22,7 @@ class NotFiniteOrderError(KmforgeError):
 
 
 class IncompatibleDenominatorError(KmforgeError):
-    """Exponent-lattice denominator does not absorb an eigenvalue denominator."""
+    """Exponent denominator D does not absorb an eigenvalue denominator."""
 
 
 class ContextMismatchError(KmforgeError):

@@ -165,7 +165,7 @@ def extract_invariant_second(phi, q=None, bound=48):
         cat.name_of(plus), cat.name_of(minus))
 
 
-def realize_second(algebra_name, plus, minus, D=None, bound=48):
+def realize_second(algebra_name, plus, minus, D=None):
     """Representative u(t) -> phi_plus(u(-t)) on the twist phi_minus^{-1} phi_plus."""
     cat = catalog_for(algebra_name)
     plus = _resolve(cat, plus)
@@ -173,8 +173,6 @@ def realize_second(algebra_name, plus, minus, D=None, bound=48):
     if plus.power(2) != minus.power(2):
         raise SquareMismatchError("phi_plus^2 must equal phi_minus^2")
     sigma = minus.inverse().compose(plus)
-    if automorphism_order(sigma, bound) is None:
-        raise NotFiniteOrderError("twist phi_minus^{-1} phi_plus has no finite order in bound")
     ctx = TwistContext(builtin_algebra(algebra_name), sigma, D=D)
     if sigma.compose(plus).compose(sigma) != plus:
         raise IncompatibleDataError("pair violates the reflection periodicity")

@@ -27,6 +27,26 @@ from .standard import (
 )
 
 
+def _object(obj, what):
+    """``obj`` if it is a JSON object; any other shape is an input error."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _integer(value, what):
+    try:
+        return int(value)
+    except TypeError as exc:
+        raise InvalidInputError(f"{what} must be an integer, got {type(value).__name__}") from exc
+
+
+def _algebra_name(value):
+    if not isinstance(value, str):
+        raise InvalidInputError(f"algebra name must be a string, got {type(value).__name__}")
+    return value
+
+
 def enc_rational(q):
     q = Fraction(q)
     return [str(q.numerator), str(q.denominator)]
@@ -64,7 +84,7 @@ def enc_element(x, min_level=None):
 
 
 def dec_element(obj):
-    algebra = builtin_algebra(obj["algebra"])
+    algebra = builtin_algebra(_algebra_name(obj["algebra"]))
     coords = [dec_cyclo(c) for c in obj["coords"]]
     if len(coords) != algebra.dim:
         raise InvalidInputError("element length does not match the algebra")
@@ -95,7 +115,7 @@ def _catalog_name(a):
 
 
 def dec_automorphism(obj):
-    algebra = builtin_algebra(obj["algebra"])
+    algebra = builtin_algebra(_algebra_name(_object(obj, "automorphism")["algebra"]))
     if "matrix" not in obj and "name" in obj:
         cat = catalog_for(algebra.name)
         if obj["name"] == "omega":
@@ -112,9 +132,9 @@ def enc_context(ctx, min_level=None):
 
 
 def dec_context(obj):
-    algebra = builtin_algebra(obj["algebra"])
+    algebra = builtin_algebra(_algebra_name(_object(obj, "twist context")["algebra"]))
     sigma = dec_automorphism(obj["sigma"])
-    return TwistContext(algebra, sigma, D=int(obj["D"]))
+    return TwistContext(algebra, sigma, D=_integer(obj["D"], "D"))
 
 
 def enc_loop(u, min_level=None):
@@ -162,8 +182,8 @@ def enc_standard(phi, min_level=None):
 
 
 def dec_standard(obj):
-    source = dec_context(obj["source"])
-    curve_obj = obj["curve"]
+    source = dec_context(_object(obj, "standard map")["source"])
+    curve_obj = _object(obj["curve"], "curve")
     base = dec_automorphism(curve_obj["base"])
     if curve_obj["kind"] == "constant":
         curve = ConstantCurve(base)
@@ -174,7 +194,7 @@ def dec_standard(obj):
     else:
         raise InvalidInputError(f"unknown curve kind {curve_obj.get('kind')!r}")
     target = dec_context(obj["target"]) if "target" in obj else None
-    phi = standard_automorphism(int(obj["epsilon"]), dec_rational(obj["shift"]),
+    phi = standard_automorphism(_integer(obj["epsilon"], "epsilon"), dec_rational(obj["shift"]),
                                 curve, source, target)
     if bool(obj.get("antilinear", False)) != phi.antilinear:
         raise InvalidInputError("antilinear flag disagrees with the curve base")
@@ -208,11 +228,11 @@ def enc_invariant(inv, min_level=None):
 
 
 def dec_invariant(obj):
-    if obj.get("kind") == "first":
-        return FirstKindInvariant(obj["algebra"], int(obj["q"]), int(obj["p"]),
+    if _object(obj, "invariant").get("kind") == "first":
+        return FirstKindInvariant(obj["algebra"], _integer(obj["q"], "q"), _integer(obj["p"], "p"),
                                   obj["rho"], obj["beta_class"])
     if obj.get("kind") == "second":
-        cat = catalog_for(obj["algebra"])
+        cat = catalog_for(_algebra_name(obj["algebra"]))
         if "plus" in obj:
             plus, minus = cat.named(obj["plus"]), cat.named(obj["minus"])
             names = (obj["plus"], obj["minus"])
@@ -220,7 +240,7 @@ def dec_invariant(obj):
             plus = dec_automorphism(obj["plus_matrix"])
             minus = dec_automorphism(obj["minus_matrix"])
             names = (None, None)
-        return SecondKindInvariant(obj["algebra"], int(obj["q"]), plus, minus, *names)
+        return SecondKindInvariant(obj["algebra"], _integer(obj["q"], "q"), plus, minus, *names)
     raise InvalidInputError(f"unknown invariant kind {obj.get('kind')!r}")
 
 

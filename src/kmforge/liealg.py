@@ -15,12 +15,7 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .errors import (
-    AlgebraMismatchError,
-    IncompatibleDenominatorError,
-    NotFiniteOrderError,
-    UnknownAlgebraError,
-)
+from .errors import AlgebraMismatchError, NotFiniteOrderError, UnknownAlgebraError
 from .field import CyclotomicNumber, field_degree, imaginary_unit, zeta_of, zeta_power
 
 BUILTIN_NAMES = ("sl2C", "sl3C", "su2", "su3")
@@ -229,13 +224,12 @@ def ad_matrix(x):
 class FiniteAutomorphism:
     """(Anti)linear bracket-preserving map, stored as matrix + flag."""
 
-    __slots__ = ("algebra", "matrix", "antilinear", "declared_order")
+    __slots__ = ("algebra", "matrix", "antilinear")
 
-    def __init__(self, algebra, matrix, antilinear=False, declared_order=None):
+    def __init__(self, algebra, matrix, antilinear=False):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrix", tuple(tuple(_as_scalar(x) for x in row) for row in matrix))
         object.__setattr__(self, "antilinear", bool(antilinear))
-        object.__setattr__(self, "declared_order", declared_order)
         if len(self.matrix) != algebra.dim or any(len(r) != algebra.dim for r in self.matrix):
             raise ValueError("matrix shape does not match algebra dimension")
 
@@ -246,7 +240,7 @@ class FiniteAutomorphism:
     def identity(cls, algebra):
         d = algebra.dim
         rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        return cls(algebra, rows, antilinear=False, declared_order=1)
+        return cls(algebra, rows, antilinear=False)
 
     def apply(self, x):
         if x.algebra is not self.algebra:
@@ -321,16 +315,22 @@ def check_automorphism(auto):
     return True
 
 
-def automorphism_order(auto, bound=48):
-    """Least n <= bound with auto^n = id, else None."""
+def order_by_iteration(first, step, is_identity, bound):
+    """Least n <= bound with is_identity(x_n), else None, where x_1 = first
+    and x_(n+1) = step(x_n).  Every order in the package is found here."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    acc = auto
+    acc = first
     for n in range(1, bound + 1):
-        if acc.is_identity():
+        if is_identity(acc):
             return n
-        acc = auto.compose(acc)
+        acc = step(acc)
     return None
+
+
+def automorphism_order(auto, bound=48):
+    """Least n <= bound with auto^n = id, else None."""
+    return order_by_iteration(auto, auto.compose, FiniteAutomorphism.is_identity, bound)
 
 
 def _eigenvectors(alg, matrix, lam):
@@ -342,24 +342,19 @@ def _eigenvectors(alg, matrix, lam):
     return [AlgebraElement(alg, tuple(v)) for v in linalg.kernel_basis(shifted, zero, one)]
 
 
-def eigenspace_decomposition(auto, order=None, bound=48):
-    """Eigenspaces of a linear finite-order map; eigenvalues are zeta_n^k."""
+def eigenspace_decomposition(auto, order):
+    """{k: basis} over the nonzero eigenspaces of a linear map of the given
+    order, keyed by the exponent k of the eigenvalue zeta_order^k."""
     if auto.antilinear:
         raise NotFiniteOrderError("eigenspace decomposition needs a linear map")
-    n = order or auto.declared_order or automorphism_order(auto, bound)
-    if n is None:
-        raise NotFiniteOrderError(f"no order within bound {bound}")
-    lev = math.lcm(4, n, *[x.level for row in auto.matrix for x in row])
+    lev = math.lcm(4, order, *[x.level for row in auto.matrix for x in row])
     matrix = [[x.lift(lev) for x in row] for row in auto.matrix]
-    out = []
-    total = 0
-    for k in range(n):
-        lam = zeta_power(n, k).lift(lev)
-        basis = _eigenvectors(auto.algebra, matrix, lam)
+    out = {}
+    for k in range(order):
+        basis = _eigenvectors(auto.algebra, matrix, zeta_power(order, k).lift(lev))
         if basis:
-            out.append((lam, tuple(basis)))
-            total += len(basis)
-    if total != auto.algebra.dim:
+            out[k] = tuple(basis)
+    if sum(map(len, out.values())) != auto.algebra.dim:
         raise NotFiniteOrderError("eigenspaces do not span; map is not of the declared order")
     return out
 
@@ -520,18 +515,9 @@ def exp_curve(x, candidate_qs):
     return ExpCurveData(x, pairs)
 
 
-def exp_ad(data, s, lattice=None):
-    """The automorphism e^{ad tX} at t = 2*pi*s, evaluated exactly.
-
-    When ``lattice`` is given, every eigenvalue q must satisfy q*lattice in Z,
-    so that exponent bookkeeping on the 1/lattice grid stays integral.
-    """
+def exp_ad(data, s):
+    """The automorphism e^{ad tX} at t = 2*pi*s, evaluated exactly."""
     s = Fraction(s)
-    if lattice is not None:
-        for q, _ in data.eigenpairs:
-            if (q * lattice).denominator != 1:
-                raise IncompatibleDenominatorError(
-                    f"eigenvalue {q} does not fit exponent denominator {lattice}")
     alg = data.generator.algebra
     d = alg.dim
     scaled_cols = []

@@ -1,7 +1,7 @@
 """Twisted algebraic loop algebras.
 
 A loop element is a finite sum of terms x * e^{i*k*t/D} with x in the
-complexified algebra and k an integer on the 1/D exponent lattice.  The twist
+complexified algebra and k an integer on the 1/D exponent grid.  The twist
 condition ties each exponent to an eigenspace of the twist automorphism:
 sigma(u_k) = zeta_D^k * u_k.  All operations are exact and term-wise.
 """
@@ -36,6 +36,8 @@ class TwistContext:
         self.sigma = sigma
         self.twist_order = order
         self.D = order if D is None else int(D)
+        if self.D < 1:
+            raise InvalidInputError(f"D={self.D} must be >= 1")
         if self.D % order:
             raise InvalidInputError(f"D={self.D} must be a multiple of the twist order {order}")
         self._eigenbases = None
@@ -63,18 +65,15 @@ class TwistContext:
         return self.sigma.apply(x) == zeta_power(self.D, k) * x
 
     def eigenbasis_for_exponent(self, k):
-        """Basis of the sigma-eigenspace attached to exponent residue k."""
+        """Basis of the sigma-eigenspace attached to exponent k: zeta_D^k is
+        zeta_n^(k*n/D) for the twist order n, and no eigenvalue when D/n
+        does not divide k."""
+        step = self.D // self.twist_order
+        if k % step:
+            return ()
         if self._eigenbases is None:
-            eig = eigenspace_decomposition(self.sigma, order=self.twist_order)
-            table = {}
-            for r in range(self.D):
-                lam = zeta_power(self.D, r)
-                table[r] = ()
-                for val, basis in eig:
-                    if val == lam:
-                        table[r] = basis
-            self._eigenbases = table
-        return self._eigenbases[k % self.D]
+            self._eigenbases = eigenspace_decomposition(self.sigma, order=self.twist_order)
+        return self._eigenbases.get(k // step % self.twist_order, ())
 
 
 def slice_terms(context, N):

@@ -114,9 +114,6 @@ def enumerate_involutions(algebra_name, kind):
                 "2", algebra_name, {"plus": pn, "minus": mn}, sigma, psi, inv))
     else:
         raise InvalidInputError(f"unknown involution kind {kind!r}")
-    for desc in out:
-        if standard_order(desc.psi) != 2:
-            raise ArithmeticError(f"descriptor {desc.data} is not an involution")
     return out
 
 

@@ -20,7 +20,7 @@ from .errors import (
     TwistMismatchError,
 )
 from .field import zeta_of
-from .liealg import FiniteAutomorphism, bracket, exp_ad, exp_curve
+from .liealg import FiniteAutomorphism, bracket, exp_ad, exp_curve, order_by_iteration
 from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply, validate
 
 
@@ -90,17 +90,17 @@ def standard_automorphism(epsilon, shift, curve, source, target=None):
         for q, _ in curve.data.eigenpairs:
             if (q * source.D).denominator != 1:
                 raise IncompatibleDenominatorError(
-                    f"curve eigenvalue {q} does not fit the 1/{source.D} lattice")
+                    f"curve eigenvalue {q} does not fit the 1/{source.D} exponent grid")
         monodromy = exp_ad(curve.data, Fraction(1))
         computed = monodromy.compose(computed)
         if computed.apply(curve.data.generator) != curve.data.generator:
             raise InvalidInputError("target twist does not fix the curve generator")
-    tgt = TwistContext(source.algebra, computed, D=source.D)
-    if target is not None:
-        if target != tgt:
-            raise TwistMismatchError("supplied target twist disagrees with periodicity")
-        tgt = target
-    return StandardAutomorphism(epsilon, shift, curve, source, tgt)
+    if target is None:
+        target = TwistContext(source.algebra, computed, D=source.D)
+    elif (target.algebra is not source.algebra or target.D != source.D
+          or target.sigma != computed):
+        raise TwistMismatchError("supplied target twist disagrees with periodicity")
+    return StandardAutomorphism(epsilon, shift, curve, source, target)
 
 
 def identity_automorphism(context):
@@ -149,7 +149,7 @@ def apply(phi, u):
             shift_k = q * D
             if shift_k.denominator != 1:
                 raise IncompatibleDenominatorError(
-                    f"eigenvalue {q} does not fit the 1/{D} lattice")
+                    f"eigenvalue {q} does not fit the 1/{D} exponent grid")
             k2 = eps_exp * k + int(shift_k)
             out[k2] = out[k2] + comp if k2 in out else comp
     return LoopElement(phi.target, out)
@@ -226,17 +226,11 @@ def standard_order(phi, bound=48):
     exponential curves leaves the supported family the order is decided on a
     spanning slice of the loop algebra instead.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     if phi.source != phi.target:
         raise TwistMismatchError("order is defined for endomorphisms of one context")
     try:
-        acc = phi
-        for n in range(1, bound + 1):
-            if is_identity_standard(acc):
-                return n
-            acc = compose(phi, acc)
-        return None
+        return order_by_iteration(phi, lambda acc: compose(phi, acc),
+                                  is_identity_standard, bound)
     except CurveCompositionError:
         return loop_map_order(phi.apply, phi.source, bound)
 
@@ -246,16 +240,11 @@ def loop_map_order(apply_fn, context, bound=48, test_elements=None):
 
     The default test elements span the degree <= 2D slice of the loop algebra.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     tests = test_elements if test_elements is not None else [
         LoopElement(context, {k: b}) for k, b in slice_terms(context, 2 * context.D)]
-    current = [apply_fn(u) for u in tests]
-    for n in range(1, bound + 1):
-        if all(c == u for c, u in zip(current, tests)):
-            return n
-        current = [apply_fn(c) for c in current]
-    return None
+    return order_by_iteration(
+        [apply_fn(u) for u in tests], lambda current: [apply_fn(c) for c in current],
+        lambda current: all(c == u for c, u in zip(current, tests)), bound)
 
 
 @dataclass(frozen=True)

@@ -296,3 +296,64 @@ def test_verify_has_no_D_option(capsys):
         main(["verify", "jacobi", "--D", "4"])
     assert exc.value.code == 2
     assert "--D" in capsys.readouterr().err
+
+
+def _realized_documents(tmp_path, capsys, beta="id"):
+    """The auto realize and auto invariant documents of the sl2C first-kind
+    map with q = 2, p = 0, rho = mu: u(t) -> mu(u(t)) on the twist beta."""
+    phi_path, inv_path = tmp_path / "phi.json", tmp_path / "inv.json"
+    run_cli(capsys, "auto", "realize", "--kind", "first", "--q", "2", "--p", "0",
+            "--rho", "mu", "--beta", beta, "--out", str(phi_path))
+    run_cli(capsys, "auto", "invariant", "--in", str(phi_path), "--out", str(inv_path))
+    return json.loads(phi_path.read_text()), json.loads(inv_path.read_text())
+
+
+def _run_on_document(tmp_path, capsys, command, doc):
+    """Exit code, stdout document and stderr of one auto command on ``doc``."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = (["order", "--in", str(path)] if command == "order"
+            else ["equivalent", "--a", str(path), "--b", str(path)])
+    code = main(["auto", *argv])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
+@pytest.mark.parametrize("D", [0, -2])
+def test_scaled_map_on_a_context_with_D_below_one_exits_2(tmp_path, capsys, D):
+    # with D = -2 the spanning slice is empty and the order used to read 1
+    phi, _ = _realized_documents(tmp_path, capsys)
+    phi["tau_r"] = ["2", "1"]
+    phi["source"]["D"] = phi["target"]["D"] = D
+    code, doc, _ = _run_on_document(tmp_path, capsys, "order", phi)
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("order", lambda phi, inv: []),
+    ("order", lambda phi, inv: {**phi, "source": "x"}),
+    ("order", lambda phi, inv: {**phi, "epsilon": None}),
+    ("order", lambda phi, inv: {**phi, "source": {**phi["source"], "algebra": ["sl2C"]}}),
+    ("equivalent", lambda phi, inv: []),
+    ("equivalent", lambda phi, inv: {**inv, "q": None}),
+], ids=["top-level-list", "source-string", "epsilon-null", "algebra-list",
+        "invariant-list", "q-null"])
+def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys, command, edit):
+    phi, inv = _realized_documents(tmp_path, capsys)
+    code, doc, err = _run_on_document(tmp_path, capsys, command, edit(phi, inv))
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidInputError"
+    assert err == ""
+
+
+def test_document_whose_target_twist_disagrees_exits_2(tmp_path, capsys):
+    # mu commutes with tau, so the map fixes the tau twist; mu is a valid twist
+    # of the same D, and only the comparison with the computed twist rejects it
+    phi, _ = _realized_documents(tmp_path, capsys, beta="tau")
+    code, doc, _ = _run_on_document(tmp_path, capsys, "order", phi)
+    assert code == 0 and doc["order"] == 2
+    phi["target"]["sigma"] = {"algebra": "sl2C", "name": "mu"}
+    code, doc, _ = _run_on_document(tmp_path, capsys, "order", phi)
+    assert code == 2
+    assert doc["error"]["type"] == "TwistMismatchError"

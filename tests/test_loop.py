@@ -190,6 +190,32 @@ def test_context_requires_multiple_of_order():
         TwistContext(SL2, catalog_for("sl2C").named("tau"), D=3)
 
 
+@pytest.mark.parametrize("D", [0, -2])
+def test_context_rejects_D_below_one(D):
+    # -2 is a multiple of the identity's order 1; the degree <= 2D slice of
+    # such a context would be empty, so every order test on it would pass
+    with pytest.raises(InvalidInputError):
+        untwisted(D)
+
+
+@pytest.mark.parametrize("algebra, name, D", [("sl2C", "tau", 4), ("sl3C", "r3", 6)])
+def test_eigenbases_when_D_is_a_proper_multiple_of_the_twist_order(algebra, name, D):
+    sigma = catalog_for(algebra).named(name)
+    ctx = TwistContext(sigma.algebra, sigma, D=D)
+    step = D // ctx.twist_order
+    assert step > 1
+    total = 0
+    for r in range(D):
+        basis = ctx.eigenbasis_for_exponent(r)
+        assert all(ctx.term_ok(r, b) for b in basis)
+        if r % step:
+            assert basis == ()
+        # exponents in one residue class mod D share one eigenspace
+        assert ctx.eigenbasis_for_exponent(r - 3 * D) == basis
+        total += len(basis)
+    assert total == sigma.algebra.dim
+
+
 def test_zero_loop():
     assert not zero_loop(untwisted())
     assert zero_loop(untwisted()).degree() == 0

@@ -32,6 +32,7 @@ from kmforge.loop import (
 )
 from kmforge.standard import (
     ComposedLoopMap,
+    ConstantCurve,
     ExpCurve,
     ScalingAutomorphism,
     apply,
@@ -355,6 +356,22 @@ def test_twist_mismatch_on_compose():
     b = identity_automorphism(tau_context())
     with pytest.raises(TwistMismatchError):
         compose(a, b)
+
+
+SU2 = builtin_algebra("su2")
+
+
+@pytest.mark.parametrize("target", [
+    TwistContext(SL2, CAT.named("mu"), D=2),
+    tau_context(D=4),
+    TwistContext(SU2, FiniteAutomorphism.identity(SU2), D=2),
+], ids=["sigma", "D", "algebra"])
+def test_supplied_target_must_match_the_computed_twist(target):
+    # a constant identity curve maps the tau twist (D = 2) to itself
+    curve = ConstantCurve(FiniteAutomorphism.identity(SL2))
+    assert standard_automorphism(1, 0, curve, tau_context(), tau_context()).target == tau_context()
+    with pytest.raises(TwistMismatchError):
+        standard_automorphism(1, 0, curve, tau_context(), target)
 
 
 def test_conjugation_by_exp_curve_keeps_invariant():
