@@ -159,19 +159,28 @@ def _cmd_verify(args):
         raise _CliError(2, "N must be >= 0")
     if args.bound < 1:
         raise _CliError(2, "bound must be >= 1")
-    if args.trials < 0:
+    # tau_r and untwist keep their own trials and seed unless a flag sets them
+    chosen = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
+    trials, seed = chosen.get("trials", 100), chosen.get("seed", 7)
+    if trials < 0:
         raise _CliError(2, "trials must be >= 0")
     if args.q is not None and args.q < 1:
         raise _CliError(2, "q must be >= 1")
     kwargs = {"algebra": args.algebra}
     if args.suite in ("jacobi", "cocycle"):
-        kwargs.update(N=args.N, trials=args.trials, seed=args.seed)
+        kwargs.update(N=args.N, trials=trials, seed=seed)
     elif args.suite == "roundtrip":
         kwargs.update(qs=(args.q,) if args.q is not None else (2, 3, 4, 6), bound=args.bound)
     elif args.suite in ("realforms", "cartan"):
         kwargs.update(N=args.N)
     elif args.suite == "hat":
-        kwargs.update(seed=args.seed)
+        kwargs.update(seed=seed)
+    elif args.suite == "tau_r":
+        kwargs.update(chosen, bound=args.bound)
+    elif args.suite == "untwist":
+        if args.algebra != "sl2C":
+            raise _CliError(2, "the untwist suite is defined on sl2C only")
+        kwargs = chosen
     return fn(**kwargs)
 
 
@@ -228,8 +237,8 @@ def build_parser():
     p_ver.add_argument("--algebra", default="sl2C")
     p_ver.add_argument("--N", type=int, default=None)
     p_ver.add_argument("--bound", type=int, default=48)
-    p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--trials", type=int, default=100)
+    p_ver.add_argument("--seed", type=int, help="default 7 (tau_r: 17, untwist: 19)")
+    p_ver.add_argument("--trials", type=int, help="default 100 (tau_r: 50, untwist: 6)")
     p_ver.add_argument("--q", type=int)
 
     return parser

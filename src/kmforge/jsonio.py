@@ -41,9 +41,15 @@ def _integer(value, what):
         raise InvalidInputError(f"{what} must be an integer, got {type(value).__name__}") from exc
 
 
-def _algebra_name(value):
+def _string(value, what):
     if not isinstance(value, str):
-        raise InvalidInputError(f"algebra name must be a string, got {type(value).__name__}")
+        raise InvalidInputError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{what} must be a JSON list, got {type(value).__name__}")
     return value
 
 
@@ -84,7 +90,7 @@ def enc_element(x, min_level=None):
 
 
 def dec_element(obj):
-    algebra = builtin_algebra(_algebra_name(obj["algebra"]))
+    algebra = builtin_algebra(_string(obj["algebra"], "algebra name"))
     coords = [dec_cyclo(c) for c in obj["coords"]]
     if len(coords) != algebra.dim:
         raise InvalidInputError("element length does not match the algebra")
@@ -115,13 +121,14 @@ def _catalog_name(a):
 
 
 def dec_automorphism(obj):
-    algebra = builtin_algebra(_algebra_name(_object(obj, "automorphism")["algebra"]))
+    algebra = builtin_algebra(_string(_object(obj, "automorphism")["algebra"], "algebra name"))
     if "matrix" not in obj and "name" in obj:
         cat = catalog_for(algebra.name)
-        if obj["name"] == "omega":
+        if _string(obj["name"], "automorphism name") == "omega":
             return cat.omega()
         return cat.named(obj["name"])
-    rows = [[dec_cyclo(x) for x in row] for row in obj["matrix"]]
+    matrix = _list(obj["matrix"], "matrix")
+    rows = [[dec_cyclo(x) for x in _list(row, "matrix row")] for row in matrix]
     return FiniteAutomorphism(algebra, rows, antilinear=bool(obj.get("antilinear", False)))
 
 
@@ -132,7 +139,7 @@ def enc_context(ctx, min_level=None):
 
 
 def dec_context(obj):
-    algebra = builtin_algebra(_algebra_name(_object(obj, "twist context")["algebra"]))
+    algebra = builtin_algebra(_string(_object(obj, "twist context")["algebra"], "algebra name"))
     sigma = dec_automorphism(obj["sigma"])
     return TwistContext(algebra, sigma, D=_integer(obj["D"], "D"))
 
@@ -229,12 +236,16 @@ def enc_invariant(inv, min_level=None):
 
 def dec_invariant(obj):
     if _object(obj, "invariant").get("kind") == "first":
+        rho = _string(obj["rho"], "rho")
+        # an unknown rho is a catalog miss, as an unknown second-kind name is
+        catalog_for(_string(obj["algebra"], "algebra name")).named(rho)
         return FirstKindInvariant(obj["algebra"], _integer(obj["q"], "q"), _integer(obj["p"], "p"),
-                                  obj["rho"], obj["beta_class"])
+                                  rho, _string(obj["beta_class"], "beta_class"))
     if obj.get("kind") == "second":
-        cat = catalog_for(_algebra_name(obj["algebra"]))
+        cat = catalog_for(_string(obj["algebra"], "algebra name"))
         if "plus" in obj:
-            plus, minus = cat.named(obj["plus"]), cat.named(obj["minus"])
+            plus = cat.named(_string(obj["plus"], "plus"))
+            minus = cat.named(_string(obj["minus"], "minus"))
             names = (obj["plus"], obj["minus"])
         else:
             plus = dec_automorphism(obj["plus_matrix"])

@@ -22,59 +22,64 @@ BUILTIN_NAMES = ("sl2C", "sl3C", "su2", "su3")
 
 
 class LieAlgebraTable:
-    """Simple Lie algebra with exact structure constants and Killing form."""
+    """Simple Lie algebra with exact structure constants and Killing form.
+
+    The dense ``structure[i][j][k]`` (coefficient of x_k in [x_i, x_j]) is the
+    input and the encoded view; computations read ``pairs[i][j]``, the nonzero
+    constants of [x_i, x_j] as ``(k, c)`` in increasing k, c an int if integral.
+    """
 
     def __init__(self, name, structure, basis_names, base_field_tag, compact_flag):
         self.name = name
-        self.dim = len(structure)
-        self.structure = structure  # structure[i][j][k] = coefficient of x_k in [x_i, x_j]
+        self.dim = d = len(structure)
+        if any(len(plane) != d or any(len(row) != d for row in plane) for plane in structure):
+            raise ValueError(f"{name}: structure constants must form a {d}x{d}x{d} cube")
+        self.structure = structure
+        self.pairs = tuple(tuple(tuple((k, _integral(c)) for k, c in enumerate(row) if c)
+                                 for row in plane) for plane in structure)
         self.basis_names = tuple(basis_names)
         self.base_field_tag = base_field_tag
         self.compact_flag = compact_flag
         self.killing = self._killing_matrix()
         self._validate()
 
+    @functools.cached_property
+    def identity(self):
+        """The identity automorphism, built once and shared: it is immutable."""
+        return FiniteAutomorphism(self, linalg.identity_like(self.dim, 1))
+
     def _killing_matrix(self):
-        d = self.dim
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = Fraction(0)
-                for a in range(d):
-                    for b in range(d):
-                        if self.structure[i][a][b] and self.structure[j][b][a]:
-                            acc += self.structure[i][a][b] * self.structure[j][b][a]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        """kappa(x_i, x_j) = tr(ad x_i ad x_j) = sum of c[i][a][b] * c[j][b][a]."""
+        cols = [[dict(row) for row in plane] for plane in self.pairs]
+        return tuple(tuple(_integral(sum(c * cols[j][b].get(a, 0)
+                                         for a, row in enumerate(self.pairs[i]) for b, c in row))
+                           for j in range(self.dim)) for i in range(self.dim))
 
     def _validate(self):
-        d = self.dim
-        s = self.structure
+        d, p = self.dim, self.pairs
+        for i in range(d):
+            for j in range(d):
+                a, b = dict(p[i][j]), dict(p[j][i])
+                bad = [k for k in sorted(a.keys() | b.keys()) if a.get(k, 0) != -b.get(k, 0)]
+                if bad:
+                    raise ValueError(f"{self.name}: antisymmetry fails at {i},{j},{bad[0]}")
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    if s[i][j][k] != -s[j][i][k]:
-                        raise ValueError(f"{self.name}: antisymmetry fails at {i},{j},{k}")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for n in range(d):
-                        acc = Fraction(0)
-                        for m in range(d):
-                            acc += s[j][k][m] * s[i][m][n]
-                            acc += s[k][i][m] * s[j][m][n]
-                            acc += s[i][j][m] * s[k][m][n]
-                        if acc:
-                            raise ValueError(f"{self.name}: Jacobi fails at {i},{j},{k}")
-        for i in range(d):
-            for j in range(d):
-                if self.killing[i][j] != self.killing[j][i]:
-                    raise ValueError(f"{self.name}: Killing form not symmetric")
-        if linalg.rank(self.killing) < d:
+                    # acc[n]: x_n-coefficient of the cyclic sum of [x_i, [x_j, x_k]]
+                    acc = {}
+                    for x, y, z in ((j, k, i), (k, i, j), (i, j, k)):
+                        for m, c in p[x][y]:
+                            for n, c2 in p[z][m]:
+                                acc[n] = acc.get(n, 0) + c * c2
+                    if any(acc.values()):
+                        raise ValueError(f"{self.name}: Jacobi fails at {i},{j},{k}")
+        if any(self.killing[i][j] != self.killing[j][i] for i in range(d) for j in range(d)):
+            raise ValueError(f"{self.name}: Killing form not symmetric")
+        kappa = [[Fraction(x) for x in row] for row in self.killing]
+        if linalg.rank(kappa) < d:
             raise ValueError(f"{self.name}: Killing form degenerate")
-        if self.compact_flag and not _negative_definite(self.killing):
+        if self.compact_flag and not _negative_definite(kappa):
             raise ValueError(f"{self.name}: compact table must have negative definite Killing form")
 
     def basis_element(self, i, level=4):
@@ -99,6 +104,12 @@ def _as_scalar(c):
     if isinstance(c, CyclotomicNumber):
         return c
     return CyclotomicNumber.from_rational(Fraction(c))
+
+
+def _integral(c):
+    """A rational as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _negative_definite(matrix):
@@ -173,19 +184,16 @@ def bracket(x, y):
     """Lie bracket from the structure constants."""
     x._check(y)
     alg = x.algebra
-    d = alg.dim
-    out = [CyclotomicNumber.zero() for _ in range(d)]
+    out = [CyclotomicNumber.zero()] * alg.dim
     for i, xi in enumerate(x.coords):
         if not xi:
             continue
+        row = alg.pairs[i]
         for j, yj in enumerate(y.coords):
-            if not yj:
-                continue
-            row = alg.structure[i][j]
-            prod = xi * yj
-            for k in range(d):
-                if row[k]:
-                    out[k] = out[k] + prod * row[k]
+            if yj and row[j]:
+                prod = xi * yj
+                for k, c in row[j]:
+                    out[k] = out[k] + prod * c
     return AlgebraElement(alg, tuple(out))
 
 
@@ -205,20 +213,14 @@ def killing_form(x, y):
 
 def ad_matrix(x):
     """Matrix of ad(x) in the table basis (columns are [x, e_j])."""
-    alg = x.algebra
-    d = alg.dim
-    cols = []
-    for j in range(d):
-        col = [CyclotomicNumber.zero() for _ in range(d)]
-        for i, xi in enumerate(x.coords):
-            if not xi:
-                continue
-            row = alg.structure[i][j]
-            for k in range(d):
-                if row[k]:
-                    col[k] = col[k] + xi * row[k]
-        cols.append(col)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    d = x.algebra.dim
+    out = [[CyclotomicNumber.zero()] * d for _ in range(d)]
+    for i, xi in enumerate(x.coords):
+        if xi:
+            for j, row in enumerate(x.algebra.pairs[i]):
+                for k, c in row:
+                    out[k][j] = out[k][j] + xi * c
+    return out
 
 
 class FiniteAutomorphism:
@@ -238,9 +240,7 @@ class FiniteAutomorphism:
 
     @classmethod
     def identity(cls, algebra):
-        d = algebra.dim
-        rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        return cls(algebra, rows, antilinear=False)
+        return algebra.identity
 
     def apply(self, x):
         if x.algebra is not self.algebra:

@@ -376,4 +376,6 @@ SUITES = {
     "realforms": verify_realforms,
     "cartan": verify_cartan,
     "hat": verify_hat,
+    "tau_r": verify_tau_r,
+    "untwist": verify_untwisting,
 }

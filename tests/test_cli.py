@@ -337,14 +337,49 @@ def test_scaled_map_on_a_context_with_D_below_one_exits_2(tmp_path, capsys, D):
     ("order", lambda phi, inv: {**phi, "source": {**phi["source"], "algebra": ["sl2C"]}}),
     ("equivalent", lambda phi, inv: []),
     ("equivalent", lambda phi, inv: {**inv, "q": None}),
+    ("order", lambda phi, inv: _with_base_matrix(phi, None)),
+    ("order", lambda phi, inv: _with_base_matrix(phi, [phi["curve"]["base"]["matrix"][0], None,
+                                                       phi["curve"]["base"]["matrix"][2]])),
+    ("equivalent", lambda phi, inv: {"kind": "second", "algebra": "sl2C", "q": 2,
+                                     "plus": ["mu"], "minus": "id"}),
+    ("equivalent", lambda phi, inv: {**inv, "rho": ["mu"]}),
 ], ids=["top-level-list", "source-string", "epsilon-null", "algebra-list",
-        "invariant-list", "q-null"])
+        "invariant-list", "q-null", "matrix-null", "matrix-row-null", "plus-list",
+        "rho-list"])
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys, command, edit):
     phi, inv = _realized_documents(tmp_path, capsys)
     code, doc, err = _run_on_document(tmp_path, capsys, command, edit(phi, inv))
     assert code == 2
     assert doc["error"]["type"] == "InvalidInputError"
     assert err == ""
+
+
+def _with_base_matrix(phi, matrix):
+    return {**phi, "curve": {**phi["curve"], "base": {**phi["curve"]["base"], "matrix": matrix}}}
+
+
+def test_unknown_first_kind_rho_is_a_catalog_miss(tmp_path, capsys):
+    # it used to be accepted, and compared equal to itself
+    _, inv = _realized_documents(tmp_path, capsys)
+    code, doc, err = _run_on_document(tmp_path, capsys, "equivalent", {**inv, "rho": "zzz"})
+    assert code == 3
+    assert doc["error"]["type"] == "CatalogMissError"
+    assert err == ""
+
+
+@pytest.mark.parametrize("suite, trials, seed", [("tau_r", 50, 17), ("untwist", 6, 19)])
+def test_tau_r_and_untwist_suites_keep_their_own_defaults(capsys, suite, trials, seed):
+    code, doc = run_cli(capsys, "verify", suite)
+    assert code == 0 and doc["ok"] is True and doc["failed"] == 0
+    assert (doc["config"]["trials"], doc["config"]["seed"]) == (trials, seed)
+    code, doc = run_cli(capsys, "verify", suite, "--trials", "2", "--seed", "5")
+    assert code == 0 and doc["ok"] is True
+    assert (doc["config"]["trials"], doc["config"]["seed"]) == (2, 5)
+
+
+def test_untwist_suite_is_sl2C_only(capsys):
+    code, doc = run_cli(capsys, "verify", "untwist", "--algebra", "sl3C")
+    assert code == 2 and doc["error"]["code"] == 2
 
 
 def test_document_whose_target_twist_disagrees_exits_2(tmp_path, capsys):
