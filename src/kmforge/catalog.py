@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -185,16 +186,14 @@ class Catalog:
         """Designated conjugacy-class representatives of the given order."""
         return [self.entries[n] for n in self.rho_rep_names if self.entries[n].order == order]
 
-    def involution_rhos(self):
-        if self.rank == 1:
-            return [self.entries["mu"]]
-        return [self.entries["theta"], self.entries["mu"]]
-
-    def outer_class_reps(self):
-        """Representatives of pi0(Aut g), used by period-halving involutions."""
-        if self.rank == 1:
-            return [("id", self.named("id"))]
-        return [("id", self.named("id")), ("mu", self.named("mu"))]
+    def first_kind_triples(self, q):
+        """Every first-kind invariant (p, rho, beta label) of order q: p in
+        [0, q/2], rho a representative of order gcd(p, q), and the labels of
+        rho's component classes that have a representative."""
+        return [(p, entry.name, label)
+                for p in range(q // 2 + 1)
+                for entry in self.rho_reps(math.gcd(p, q))
+                for label, _rep in self.pi0_class_reps(entry.name)]
 
     def second_kind_pairs(self):
         """Involution pairs (plus, minus) up to the generated relation."""
@@ -226,6 +225,15 @@ class Catalog:
             if rho_name == "r3":
                 return [("id", self.named("id")), ("rot", self.named("rot"))]
         raise ClassifierUnavailableError(f"no pi0 data for rho={rho_name!r}")
+
+    def component_labels(self, rho_name):
+        """Every label ``component_class`` can return for the named rho: the
+        labels of ``pi0_class_reps``, and on rank 2 the outer class "out" of
+        r3, which has no representative there."""
+        labels = [label for label, _rep in self.pi0_class_reps(rho_name)]
+        if self.rank == 2 and rho_name == "r3":
+            labels.append("out")
+        return labels
 
     def component_class(self, rho_name, beta):
         """Label of the component of beta inside the centralizer of rho."""
@@ -288,20 +296,6 @@ class Catalog:
             if perm == negated:
                 return False
         raise ClassifierUnavailableError("root permutation is not a diagram symmetry")
-
-    def in_identity_component(self, square, alpha):
-        """Membership of alpha in the identity component of the centralizer
-        of the given square (used by second-kind equivalence)."""
-        if self.rank == 1:
-            order = automorphism_order(square)
-            if order == 1:
-                return True
-            if order == 2:
-                return self._a1_sign_label(square, alpha, "swap") == "id"
-            return True  # centralizer of a rank-1 torus element is the torus
-        if square.is_identity():
-            return self._a2_is_inner(alpha)
-        raise ClassifierUnavailableError("second-kind coupling beyond involutions is not catalogued")
 
     # -- conjugacy at catalog scope ------------------------------------------
 

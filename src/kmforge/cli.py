@@ -10,6 +10,7 @@ documents.  Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -31,6 +32,9 @@ from .standard import StandardAutomorphism, loop_map_order, standard_order
 from .verify import SUITES
 
 LEVEL_ENV = "KMFORGE_LEVEL"
+
+# the flags of ``verify``; --q is passed to a suite as qs=(q,)
+_VERIFY_FLAGS = {"algebra": str, "N": int, "bound": int, "seed": int, "trials": int, "q": int}
 
 
 class _CliError(Exception):
@@ -155,32 +159,25 @@ def _cmd_verify(args):
     if fn is None:
         raise _CliError(2, f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     _session_level()
-    if args.N < 0:
+    if args.N is not None and args.N < 0:
         raise _CliError(2, "N must be >= 0")
-    if args.bound < 1:
+    if args.bound is not None and args.bound < 1:
         raise _CliError(2, "bound must be >= 1")
-    # tau_r and untwist keep their own trials and seed unless a flag sets them
-    chosen = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
-    trials, seed = chosen.get("trials", 100), chosen.get("seed", 7)
-    if trials < 0:
+    if args.trials is not None and args.trials < 0:
         raise _CliError(2, "trials must be >= 0")
     if args.q is not None and args.q < 1:
         raise _CliError(2, "q must be >= 1")
-    kwargs = {"algebra": args.algebra}
-    if args.suite in ("jacobi", "cocycle"):
-        kwargs.update(N=args.N, trials=trials, seed=seed)
-    elif args.suite == "roundtrip":
-        kwargs.update(qs=(args.q,) if args.q is not None else (2, 3, 4, 6), bound=args.bound)
-    elif args.suite in ("realforms", "cartan"):
-        kwargs.update(N=args.N)
-    elif args.suite == "hat":
-        kwargs.update(seed=seed)
-    elif args.suite == "tau_r":
-        kwargs.update(chosen, bound=args.bound)
-    elif args.suite == "untwist":
-        if args.algebra != "sl2C":
-            raise _CliError(2, "the untwist suite is defined on sl2C only")
-        kwargs = chosen
+    # each suite's signature holds its defaults; only flags the user set are passed
+    params = inspect.signature(fn).parameters
+    kwargs = {}
+    for flag in _VERIFY_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        name, value = ("qs", (value,)) if flag == "q" else (flag, value)
+        if name not in params:
+            raise _CliError(2, f"suite {args.suite!r} takes no --{flag}")
+        kwargs[name] = value
     return fn(**kwargs)
 
 
@@ -232,19 +229,15 @@ def build_parser():
     p_cls.add_argument("--algebra", default="sl2C")
     p_cls.add_argument("--kind", choices=["1a", "1b", "2"])
 
-    p_ver = sub.add_parser("verify", help="run a verification suite", parents=[common])
+    p_ver = sub.add_parser(
+        "verify", help="run a verification suite", parents=[common],
+        description="Each flag defaults to the suite's own value; a flag the suite "
+                    "does not take exits 2.")
     p_ver.add_argument("suite", choices=sorted(SUITES))
-    p_ver.add_argument("--algebra", default="sl2C")
-    p_ver.add_argument("--N", type=int, default=None)
-    p_ver.add_argument("--bound", type=int, default=48)
-    p_ver.add_argument("--seed", type=int, help="default 7 (tau_r: 17, untwist: 19)")
-    p_ver.add_argument("--trials", type=int, help="default 100 (tau_r: 50, untwist: 6)")
-    p_ver.add_argument("--q", type=int)
+    for flag, kind in _VERIFY_FLAGS.items():
+        p_ver.add_argument(f"--{flag}", type=kind)
 
     return parser
-
-
-_VERIFY_DEFAULT_N = {"jacobi": 6, "cocycle": 6, "realforms": 4, "cartan": 3}
 
 
 def main(argv=None):
@@ -266,8 +259,6 @@ def main(argv=None):
         elif args.command == "classify":
             payload = _cmd_classify(args)
         elif args.command == "verify":
-            if args.N is None:
-                args.N = _VERIFY_DEFAULT_N.get(args.suite, 4)
             payload = _cmd_verify(args)
         else:
             raise _CliError(2, f"unknown command {args.command!r}")

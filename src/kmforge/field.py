@@ -42,7 +42,8 @@ def _divisors(n):
     return out
 
 
-def _poly_mul_int(a, b):
+def _poly_mul(a, b):
+    # int coefficients for products, Fraction ones in the Euclidean inverse
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -259,7 +260,7 @@ class CyclotomicNumber:
                 r1 //= g
                 den //= g
             return _make(4, (r0, r1), den)
-        return _canon(a.level, _reduce(a.level, _poly_mul_int(a.nums, b.nums)), den)
+        return _canon(a.level, _reduce(a.level, _poly_mul(a.nums, b.nums)), den)
 
     __rmul__ = __mul__
 
@@ -285,7 +286,7 @@ class CyclotomicNumber:
                 return _make(L, nums, den)
             q, r = _poly_divmod_frac(r0, r1)
             r0, r1 = r1, r
-            t_new = _poly_sub(t0, _poly_mul_frac(q, t1))
+            t_new = _poly_sub(t0, _poly_mul(q, t1))
             t0, t1 = t1, t_new
 
     def __truediv__(self, other):
@@ -451,18 +452,6 @@ def _poly_divmod_frac(num, den):
     while num and not num[-1]:
         num.pop()
     return quot, num
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def _poly_sub(a, b):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .catalog import catalog_for
-from .errors import InvalidInputError, UnknownAlgebraError
+from .errors import CatalogMissError, InvalidInputError, UnknownAlgebraError
 from .field import CyclotomicNumber, check_level
 from .invariants import FirstKindInvariant, SecondKindInvariant
 from .liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra, exp_curve
@@ -236,11 +236,20 @@ def enc_invariant(inv, min_level=None):
 
 def dec_invariant(obj):
     if _object(obj, "invariant").get("kind") == "first":
+        cat = catalog_for(_string(obj["algebra"], "algebra name"))
+        q, p = _integer(obj["q"], "q"), _integer(obj["p"], "p")
+        if q < 1 or not 0 <= 2 * p <= q:
+            raise InvalidInputError(f"a first-kind invariant needs q >= 1 and 0 <= p <= q/2, "
+                                    f"got q={q}, p={p}")
         rho = _string(obj["rho"], "rho")
-        # an unknown rho is a catalog miss, as an unknown second-kind name is
-        catalog_for(_string(obj["algebra"], "algebra name")).named(rho)
-        return FirstKindInvariant(obj["algebra"], _integer(obj["q"], "q"), _integer(obj["p"], "p"),
-                                  rho, _string(obj["beta_class"], "beta_class"))
+        beta = _string(obj["beta_class"], "beta_class")
+        # an unknown rho or class is a catalog miss, as an unknown second-kind name is
+        r = math.gcd(p, q)
+        if rho not in [entry.name for entry in cat.rho_reps(r)]:
+            raise CatalogMissError(f"no catalog representative {rho!r} of order {r}")
+        if beta not in cat.component_labels(rho):
+            raise CatalogMissError(f"no component class {beta!r} in the centralizer of {rho!r}")
+        return FirstKindInvariant(obj["algebra"], q, p, rho, beta)
     if obj.get("kind") == "second":
         cat = catalog_for(_string(obj["algebra"], "algebra name"))
         if "plus" in obj:

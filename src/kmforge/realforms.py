@@ -93,19 +93,16 @@ def enumerate_involutions(algebra_name, kind):
     """Involution descriptors of one of the three shapes, catalog order."""
     cat = catalog_for(algebra_name)
     out = []
-    if kind == "1a":
-        for rho in cat.involution_rhos():
-            for label, _beta in cat.pi0_class_reps(rho.name):
-                sigma, psi = realize_first(algebra_name, 0, rho.name, label, 2)
-                inv = extract_invariant_first(psi, 2)
-                out.append(InvolutionDescriptor(
-                    "1a", algebra_name, {"rho": rho.name, "beta": label}, sigma, psi, inv))
-    elif kind == "1b":
-        for label, _phi in cat.outer_class_reps():
-            sigma, psi = realize_first(algebra_name, 1, "id", label, 2)
+    if kind in ("1a", "1b"):
+        # 1a involutions have shift p = 0, the period-halving 1b ones p = 1
+        shift = 0 if kind == "1a" else 1
+        for p, rho, label in cat.first_kind_triples(2):
+            if p != shift:
+                continue
+            sigma, psi = realize_first(algebra_name, p, rho, label, 2)
             inv = extract_invariant_first(psi, 2)
-            out.append(InvolutionDescriptor(
-                "1b", algebra_name, {"phi": label}, sigma, psi, inv))
+            data = {"rho": rho, "beta": label} if p == 0 else {"phi": label}
+            out.append(InvolutionDescriptor(kind, algebra_name, data, sigma, psi, inv))
     elif kind == "2":
         for pn, mn in cat.second_kind_pairs():
             sigma, psi = realize_second(algebra_name, pn, mn)

@@ -7,7 +7,6 @@ for anything that failed.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .affine import (
     hat_preserves_bracket,
 )
 from .catalog import catalog_for
+from .errors import InvalidInputError
 from .field import imaginary_unit
 from .invariants import (
     extract_invariant_first,
@@ -58,9 +58,11 @@ def _twists_for(algebra_name):
     return [("id", cat.named("id"), 1), (second, cat.named(second), 2)]
 
 
-def random_loop(rng, ctx, max_degree=6, max_terms=3):
+# The suites look random_loop and random_affine up when they run, so a caller
+# may wrap them (the benchmark marks trial boundaries this way).
+def random_loop(rng, ctx, max_degree=6):
     acc = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         k = rng.randint(-max_degree, max_degree)
         basis = ctx.eigenbasis_for_exponent(k)
         if not basis:
@@ -95,80 +97,78 @@ def _report(suite, config, checks):
     }
 
 
-def verify_jacobi(algebra="sl2C", N=6, trials=100, seed=7):
-    """Exact Jacobi identity for the hat bracket on seeded random triples."""
+def _seeded_trials(trials, draw, check):
+    """(failures, first witness) of ``check(*draw())`` over ``trials`` trials.
+
+    ``draw`` makes every random choice of one trial, so the draws happen in
+    trial order; ``check`` returns a falsy value on success, a witness
+    otherwise.
+    """
+    bad = 0
+    witness = None
+    for _ in range(trials):
+        found = check(*draw())
+        if found:
+            bad += 1
+            witness = witness or found
+    return bad, witness
+
+
+def _twist_suite(suite, algebra, N, trials, seed, draw, check):
+    """One seeded identity check per twist of the algebra (id, then the
+    order-2 twist), all drawing from one RNG; each trial checks three
+    elements ``draw(rng, ctx, N)``."""
     rng = random.Random(seed)
     checks = []
     for twist_name, sigma, D in _twists_for(algebra):
         ctx = TwistContext(builtin_algebra(algebra), sigma, D=D)
-        bad = 0
-        witness = None
-        for _ in range(trials):
-            x, y, z = (random_affine(rng, ctx, N) for _ in range(3))
-            total = (
-                affine_bracket(x, affine_bracket(y, z))
-                + affine_bracket(y, affine_bracket(z, x))
-                + affine_bracket(z, affine_bracket(x, y))
-            )
-            if total:
-                bad += 1
-                witness = witness or repr(total)
+        bad, witness = _seeded_trials(
+            trials, lambda: [draw(rng, ctx, N) for _ in range(3)], check)
         checks.append({
-            "name": f"jacobi:{algebra}:{twist_name}",
+            "name": f"{suite}:{algebra}:{twist_name}",
             "pass": bad == 0,
             "trials": trials,
             "witness": witness,
         })
-    return _report("jacobi", {"algebra": algebra, "N": N, "trials": trials, "seed": seed}, checks)
+    return _report(suite, {"algebra": algebra, "N": N, "trials": trials, "seed": seed}, checks)
 
 
-def verify_cocycle(algebra="sl2C", N=6, trials=100, seed=11):
+def _jacobi_witness(x, y, z):
+    total = (
+        affine_bracket(x, affine_bracket(y, z))
+        + affine_bracket(y, affine_bracket(z, x))
+        + affine_bracket(z, affine_bracket(x, y))
+    )
+    return repr(total) if total else None
+
+
+def verify_jacobi(algebra="sl2C", N=6, trials=100, seed=7):
+    """Exact Jacobi identity for the hat bracket on seeded random triples."""
+    return _twist_suite("jacobi", algebra, N, trials, seed, random_affine, _jacobi_witness)
+
+
+def _cocycle_witness(u, v, w):
+    if cocycle(u, v) != -cocycle(v, u):
+        return "antisymmetry"
+    total = (
+        cocycle(loop_bracket(u, v), w)
+        + cocycle(loop_bracket(v, w), u)
+        + cocycle(loop_bracket(w, u), v)
+    )
+    return "cocycle identity" if total else None
+
+
+def verify_cocycle(algebra="sl2C", N=6, trials=100, seed=7):
     """Antisymmetry and the 2-cocycle identity, exact, on seeded triples."""
-    rng = random.Random(seed)
-    checks = []
-    for twist_name, sigma, D in _twists_for(algebra):
-        ctx = TwistContext(builtin_algebra(algebra), sigma, D=D)
-        anti_bad = cocyc_bad = 0
-        witness = None
-        for _ in range(trials):
-            u, v, w = (random_loop(rng, ctx, N) for _ in range(3))
-            if cocycle(u, v) != -cocycle(v, u):
-                anti_bad += 1
-                witness = witness or "antisymmetry"
-            total = (
-                cocycle(loop_bracket(u, v), w)
-                + cocycle(loop_bracket(v, w), u)
-                + cocycle(loop_bracket(w, u), v)
-            )
-            if total:
-                cocyc_bad += 1
-                witness = witness or "cocycle identity"
-        checks.append({
-            "name": f"cocycle:{algebra}:{twist_name}",
-            "pass": anti_bad == 0 and cocyc_bad == 0,
-            "trials": trials,
-            "witness": witness,
-        })
-    return _report("cocycle", {"algebra": algebra, "N": N, "trials": trials, "seed": seed}, checks)
-
-
-def first_kind_catalog(algebra, q):
-    """All catalog first-kind invariant triples (p, rho, beta_label) of order q."""
-    cat = catalog_for(algebra)
-    out = []
-    for p in range(0, q // 2 + 1):
-        r = math.gcd(p, q)
-        for entry in cat.rho_reps(r):
-            for label, _rep in cat.pi0_class_reps(entry.name):
-                out.append((p, entry.name, label))
-    return out
+    return _twist_suite("cocycle", algebra, N, trials, seed, random_loop, _cocycle_witness)
 
 
 def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=48):
     """Realize/extract round trips with a brute-force order oracle."""
+    cat = catalog_for(algebra)
     checks = []
     for q in qs:
-        for p, rho, label in first_kind_catalog(algebra, q):
+        for p, rho, label in cat.first_kind_triples(q):
             sigma, phi = realize_first(algebra, p, rho, label, q)
             closed = standard_order(phi, bound)
             brute = loop_map_order(phi.apply, phi.source, bound)
@@ -182,7 +182,6 @@ def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=48):
                 "order_bruteforce": brute,
                 "extracted": [inv.p, inv.rho, inv.beta_class],
             })
-    cat = catalog_for(algebra)
     pairs = list(cat.second_kind_pairs())
     if algebra == "sl2C":
         pairs += [("tau", "tau"), ("tau", "id")]
@@ -208,16 +207,10 @@ def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=48):
     return _report("roundtrip", {"algebra": algebra, "qs": list(qs), "bound": bound}, checks)
 
 
-def golden_first_kind(algebra):
-    if algebra != "sl2C":
-        return None
-    return {(1, 0, "id", "id"), (2, 0, "mu", "id"), (2, 0, "mu", "tau"), (2, 1, "id", "id")}
-
-
-def golden_second_kind(algebra):
-    if algebra != "sl2C":
-        return None
-    return {("id", "id"), ("mu", "mu"), ("mu", "id")}
+# The sl2C real forms of the first kind as (q, p, rho, beta) and of the second
+# kind as (plus, minus), from PAPER.md.
+GOLDEN_FIRST_KIND = {(1, 0, "id", "id"), (2, 0, "mu", "id"), (2, 0, "mu", "tau"), (2, 1, "id", "id")}
+GOLDEN_SECOND_KIND = {("id", "id"), ("mu", "mu"), ("mu", "id")}
 
 
 def verify_realforms(algebra="sl2C", N=4):
@@ -229,9 +222,9 @@ def verify_realforms(algebra="sl2C", N=4):
         first = {(f.invariant.q, f.invariant.p, f.invariant.rho, f.invariant.beta_class)
                  for f in forms if f.kind in ("compact", "1a", "1b")}
         second = {(f.invariant.plus_name, f.invariant.minus_name) for f in forms if f.kind == "2"}
-        checks.append({"name": "golden:first-kind", "pass": first == golden_first_kind(algebra),
+        checks.append({"name": "golden:first-kind", "pass": first == GOLDEN_FIRST_KIND,
                        "found": sorted(map(list, first))})
-        checks.append({"name": "golden:second-kind", "pass": second == golden_second_kind(algebra),
+        checks.append({"name": "golden:second-kind", "pass": second == GOLDEN_SECOND_KIND,
                        "found": sorted(map(list, second))})
     distinct = all(
         real_forms_equivalent(a, b) == (i == j)
@@ -282,7 +275,7 @@ def _exp_conjugator(ctx):
         1, Fraction(0), ExpCurve(curve, FiniteAutomorphism.identity(alg)), ctx)
 
 
-def verify_hat(algebra="sl2C", seed=13, trials=10):
+def verify_hat(algebra="sl2C", seed=7, trials=10):
     """Finite-order hat extensions of exp-conjugated involutions, with the
     wrong-constant negative control, plus center/derived-algebra checks."""
     rng = random.Random(seed)
@@ -326,11 +319,13 @@ def verify_tau_r(algebra="sl2C", r=Fraction(2), trials=50, seed=17, bound=48):
     rng = random.Random(seed)
     cat = catalog_for(algebra)
     ctx = TwistContext(builtin_algebra(algebra), cat.named("id"), D=1)
-    bad = 0
-    for _ in range(trials):
-        u, v = random_loop(rng, ctx), random_loop(rng, ctx)
-        if tau_r_apply(r, loop_bracket(u, v)) != loop_bracket(tau_r_apply(r, u), tau_r_apply(r, v)):
-            bad += 1
+
+    def broken(u, v):
+        return tau_r_apply(r, loop_bracket(u, v)) != loop_bracket(tau_r_apply(r, u),
+                                                                  tau_r_apply(r, v))
+
+    bad, _ = _seeded_trials(trials, lambda: (random_loop(rng, ctx), random_loop(rng, ctx)),
+                            broken)
     composed = ComposedLoopMap((ScalingAutomorphism(Fraction(r)), identity_automorphism(ctx)))
     order = loop_map_order(composed.apply, ctx, bound)
     checks = [
@@ -341,12 +336,14 @@ def verify_tau_r(algebra="sl2C", r=Fraction(2), trials=50, seed=17, bound=48):
                              "seed": seed, "bound": bound}, checks)
 
 
-def verify_untwisting(seed=19, trials=6):
+def verify_untwisting(algebra="sl2C", seed=19, trials=6):
     """Exponential-curve isomorphism from the twisted onto the untwisted
     algebra: monodromy inverse to the twist, validity, exact brackets."""
+    if algebra != "sl2C":
+        raise InvalidInputError("the untwist suite is defined on sl2C only")
     rng = random.Random(seed)
-    alg = builtin_algebra("sl2C")
-    cat = catalog_for("sl2C")
+    alg = builtin_algebra(algebra)
+    cat = catalog_for(algebra)
     ctx = TwistContext(alg, cat.named("tau"), D=2)
     i = imaginary_unit()
     x = alg.element([0, i * Fraction(1, 4), 0])
@@ -354,17 +351,20 @@ def verify_untwisting(seed=19, trials=6):
     psi = standard_automorphism(1, Fraction(0),
                                 ExpCurve(curve, FiniteAutomorphism.identity(alg)), ctx)
     monodromy_ok = psi.target.sigma.is_identity()
-    all_ok = True
-    for _ in range(trials):
-        u, v = random_loop(rng, ctx, 4), random_loop(rng, ctx, 4)
+
+    def witness(u, v):
         pu, pv = apply(psi, u), apply(psi, v)
         if not (validate(pu) and validate(pv)):
-            all_ok = False
+            return "validity"
         if apply(psi, loop_bracket(u, v)) != loop_bracket(pu, pv):
-            all_ok = False
+            return "bracket"
+        return None
+
+    bad, _ = _seeded_trials(trials, lambda: (random_loop(rng, ctx, 4), random_loop(rng, ctx, 4)),
+                            witness)
     checks = [
         {"name": "untwist:monodromy", "pass": monodromy_ok},
-        {"name": "untwist:validity-and-bracket", "pass": all_ok, "trials": trials},
+        {"name": "untwist:validity-and-bracket", "pass": bad == 0, "trials": trials},
     ]
     return _report("untwist", {"seed": seed, "trials": trials}, checks)
 

@@ -117,11 +117,25 @@ def test_second_kind_pairs_have_common_squares():
             assert cat.named(pn).power(2) == cat.named(mn).power(2)
 
 
-def test_in_identity_component():
-    ident = A1.named("id")
-    assert A1.in_identity_component(ident, A1.named("r4"))
-    assert A2.in_identity_component(A2.named("id"), A2.named("rot"))
-    assert not A2.in_identity_component(A2.named("id"), A2.named("mu"))
+def test_first_kind_triples_of_order_two():
+    # p = 0 gives the 1a involutions, p = 1 the period-halving 1b ones
+    assert A1.first_kind_triples(2) == [(0, "mu", "id"), (0, "mu", "tau"), (1, "id", "id")]
+    assert A2.first_kind_triples(2) == [
+        (0, "theta", "id"), (0, "theta", "mu"), (0, "mu", "id"), (0, "mu", "mu"),
+        (1, "id", "id"), (1, "id", "mu")]
+
+
+def test_component_labels_are_exactly_what_the_classifier_returns():
+    # the conjugator family holds the outer centralizer elements of r3 on sl3C
+    for cat in (A1, A2):
+        for rho in cat.rho_rep_names:
+            seen = set()
+            for beta in cat._conjugators:
+                try:
+                    seen.add(cat.component_class(rho, beta))
+                except ClassifierUnavailableError:
+                    pass
+            assert seen == set(cat.component_labels(rho))
 
 
 def test_a2_classifier_rejects_non_centralizing():

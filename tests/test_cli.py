@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -5,7 +6,8 @@ import time
 
 import pytest
 
-from kmforge import jsonio, realforms
+from kmforge import jsonio, realforms, verify
+from kmforge.catalog import catalog_for
 from kmforge.cli import main
 from kmforge.field import imaginary_unit, zeta_power
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra
@@ -380,6 +382,9 @@ def test_tau_r_and_untwist_suites_keep_their_own_defaults(capsys, suite, trials,
 def test_untwist_suite_is_sl2C_only(capsys):
     code, doc = run_cli(capsys, "verify", "untwist", "--algebra", "sl3C")
     assert code == 2 and doc["error"]["code"] == 2
+    assert doc["error"]["type"] == "InvalidInputError"
+    code, doc = run_cli(capsys, "verify", "untwist", "--algebra", "sl2C")
+    assert code == 0 and doc["ok"] is True
 
 
 def test_document_whose_target_twist_disagrees_exits_2(tmp_path, capsys):
@@ -392,3 +397,114 @@ def test_document_whose_target_twist_disagrees_exits_2(tmp_path, capsys):
     code, doc, _ = _run_on_document(tmp_path, capsys, "order", phi)
     assert code == 2
     assert doc["error"]["type"] == "TwistMismatchError"
+
+
+# The config of every suite at its CLI defaults, as the CLI reported it when
+# the defaults were also spelled out in cli.py.
+SUITE_CONFIG_AT_DEFAULTS = {
+    "jacobi": {"N": 6, "algebra": "sl2C", "seed": 7, "trials": 100},
+    "cocycle": {"N": 6, "algebra": "sl2C", "seed": 7, "trials": 100},
+    "roundtrip": {"algebra": "sl2C", "bound": 48, "qs": [2, 3, 4, 6]},
+    "realforms": {"N": 4, "algebra": "sl2C"},
+    "cartan": {"N": 3, "algebra": "sl2C"},
+    "hat": {"algebra": "sl2C", "seed": 7, "trials": 10},
+    "tau_r": {"algebra": "sl2C", "bound": 48, "r": "2", "seed": 17, "trials": 50},
+    "untwist": {"seed": 19, "trials": 6},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_suite_config_at_cli_defaults(capsys, suite):
+    code, doc = run_cli(capsys, "verify", suite)
+    assert code == 0 and doc["ok"] is True
+    assert doc["config"] == SUITE_CONFIG_AT_DEFAULTS[suite]
+
+
+@pytest.mark.parametrize("suite, flag", [("hat", "--N"), ("realforms", "--seed"),
+                                         ("jacobi", "--bound")])
+def test_a_flag_the_suite_does_not_take_exits_2(capsys, suite, flag):
+    code, doc = run_cli(capsys, "verify", suite, flag, "3")
+    assert code == 2
+    assert doc == {"error": {"code": 2, "message": f"suite {suite!r} takes no {flag}"}}
+
+
+def test_verify_hat_honours_trials(capsys, monkeypatch):
+    draws = []
+    original = verify.random_affine
+    monkeypatch.setattr(verify, "random_affine",
+                        lambda *args: draws.append(args) or original(*args))
+    code, doc = run_cli(capsys, "verify", "hat", "--trials", "3")
+    assert code == 0 and doc["ok"] is True
+    assert doc["config"]["trials"] == 3
+    assert len(draws) == 2 * 3 * 2  # two involutions, three pairs each
+
+
+def test_suite_flags_resolve_through_a_wrapped_suite(capsys, monkeypatch):
+    # the benchmark tracer replaces SUITES entries with (*args, **kwargs)
+    # wrappers that set __wrapped__
+    suite = verify.SUITES["hat"]
+    monkeypatch.setitem(verify.SUITES, "hat",
+                        functools.wraps(suite)(lambda *args, **kwargs: suite(*args, **kwargs)))
+    code, doc = run_cli(capsys, "verify", "hat", "--trials", "1")
+    assert code == 0 and doc["config"]["trials"] == 1
+    code, doc = run_cli(capsys, "verify", "hat", "--N", "1")
+    assert code == 2
+
+
+@pytest.mark.parametrize("edit, code, error", [
+    ({"beta_class": "zzz"}, 3, "CatalogMissError"),
+    ({"beta_class": "rot"}, 3, "CatalogMissError"),
+    ({"q": 5}, 3, "CatalogMissError"),
+    ({"q": 10 ** 400}, 3, "CatalogMissError"),
+    ({"q": -4, "p": 77}, 2, "InvalidInputError"),
+    ({"q": 0}, 2, "InvalidInputError"),
+    ({"p": -1}, 2, "InvalidInputError"),
+    ({"q": 4, "p": 3}, 2, "InvalidInputError"),
+], ids=["unknown-beta", "beta-of-another-rho", "rho-of-another-order", "huge-q", "negative-q",
+        "zero-q", "negative-p", "p-above-half-q"])
+def test_first_kind_invariant_documents_are_validated(tmp_path, capsys, edit, code, error):
+    # each of these used to compare equal to itself; the base document is
+    # q = 2, p = 0, rho = mu, beta = id
+    _, inv = _realized_documents(tmp_path, capsys)
+    t0 = time.perf_counter()
+    got, doc, err = _run_on_document(tmp_path, capsys, "equivalent", {**inv, **edit})
+    assert time.perf_counter() - t0 < 5
+    assert got == code
+    assert doc["error"]["type"] == error
+    assert err == ""
+
+
+def test_first_kind_invariants_with_any_reachable_class_decode(tmp_path, capsys):
+    # "out" is a class of r3 on sl3C that component_class returns but that
+    # has no representative; q = 10^400 with p = 1 needs rho of order 1
+    for doc in ({"algebra": "sl3C", "kind": "first", "q": 3, "p": 0, "rho": "r3",
+                 "beta_class": "out"},
+                {"algebra": "sl2C", "kind": "first", "q": 10 ** 400, "p": 1, "rho": "id",
+                 "beta_class": "id"}):
+        code, out, _ = _run_on_document(tmp_path, capsys, "equivalent", doc)
+        assert code == 0 and out == {"equal": True}
+
+
+@pytest.mark.parametrize("algebra, qs", [("sl2C", (1, 2, 3, 4)), ("sl3C", (2, 3))])
+def test_every_catalog_invariant_chain_still_decodes(tmp_path, capsys, algebra, qs):
+    # the auto realize -> invariant -> equivalent chain on every catalog triple
+    phi_path, inv_path = tmp_path / "phi.json", tmp_path / "inv.json"
+    for q in qs:
+        for p, rho, beta in catalog_for(algebra).first_kind_triples(q):
+            assert main(["auto", "realize", "--algebra", algebra, "--kind", "first",
+                         "--q", str(q), "--p", str(p), "--rho", rho, "--beta", beta,
+                         "--out", str(phi_path)]) == 0
+            assert main(["auto", "invariant", "--in", str(phi_path),
+                         "--out", str(inv_path)]) == 0
+            code, doc = run_cli(capsys, "auto", "equivalent", "--a", str(inv_path),
+                                "--b", str(inv_path))
+            assert code == 0 and doc == {"equal": True}
+
+
+@pytest.mark.parametrize("algebra", ["sl2C", "sl3C"])
+def test_every_classified_invariant_decodes(capsys, algebra):
+    for what in ("involutions", "realforms"):
+        code, docs = run_cli(capsys, "classify", what, "--algebra", algebra)
+        assert code == 0
+        for doc in docs:
+            assert jsonio.enc_invariant(jsonio.dec_invariant(doc["invariant"])) == doc["invariant"]
