@@ -44,7 +44,7 @@ from .affine import (
     finite_order_extension,
 )
 from .standard import (
-    ScalingAutomorphism,
+    ScaledMap,
     StandardAutomorphism,
     apply,
     compose,

@@ -29,7 +29,7 @@ from .loop import (
     slice_terms,
     zero_loop,
 )
-from .standard import ConstantCurve, apply, loop_map_order, standard_order
+from .standard import apply, loop_map_order, standard_order
 
 
 class AffineElement:
@@ -139,11 +139,10 @@ class HatExtensionData:
 
 def extend_to_hat(phi, nu=0):
     """Hat extension of a standard automorphism with free central constant."""
-    if isinstance(phi.curve, ConstantCurve):
+    if phi.exp is None:
         shadow = zero_loop(phi.target)
     else:
-        x = phi.curve.data.generator
-        shadow = constant_loop(phi.target, x * Fraction(-phi.epsilon))
+        shadow = constant_loop(phi.target, phi.exp.generator * Fraction(-phi.epsilon))
     return HatExtensionData(phi, shadow, _as_scalar(nu))
 
 

@@ -123,8 +123,7 @@ def _cmd_auto_order(args):
     if isinstance(phi, StandardAutomorphism):
         order = standard_order(phi, args.bound)
     else:
-        inner = phi.maps[-1]
-        order = loop_map_order(phi.apply, inner.source, args.bound)
+        order = loop_map_order(phi.apply, phi.source, args.bound)
     return {"order": order if order is not None else "unbounded", "bound": args.bound}
 
 

@@ -78,7 +78,7 @@ def extract_invariant_first(phi, q=None, bound=48):
     """Invariant (p, rho, [beta]) of a first-kind constant-curve map."""
     if phi.epsilon != 1:
         raise NotFirstKindError("map is of the second kind")
-    if not phi.is_constant:
+    if phi.exp is not None:
         raise InvalidInputError("extraction needs a constant curve; quasiconjugate first")
     order = standard_order(phi, bound)
     if order is None:
@@ -97,7 +97,7 @@ def extract_invariant_first(phi, q=None, bound=48):
     r = math.gcd(p, q)  # r = q when p = 0
     p1, q1 = p // r, q // r
     l, m = _bezout(p1, q1)
-    base = phi.curve.base
+    base = phi.base
     sigma = phi.source.sigma
     rho_t = base.power(q1).compose(sigma.power(p1))
     lam = base.power(l).compose(sigma.power(-m))
@@ -140,7 +140,7 @@ def extract_invariant_second(phi, q=None, bound=48):
     """Invariant [phi_plus, phi_minus] of a second-kind constant-curve map."""
     if phi.epsilon != -1:
         raise NotSecondKindError("map is of the first kind")
-    if not phi.is_constant:
+    if phi.exp is not None:
         raise InvalidInputError("extraction needs a constant curve; quasiconjugate first")
     if phi.shift:
         rot = rotation(phi.source, phi.shift / 2)
@@ -151,7 +151,7 @@ def extract_invariant_second(phi, q=None, bound=48):
     if q is not None and q != order:
         raise OrderMismatchError(f"declared order {q} but computed {order}")
     q = order
-    base = phi.curve.base
+    base = phi.base
     sigma = phi.source.sigma
     plus = base
     minus = base.compose(sigma.inverse())
@@ -183,8 +183,7 @@ def realize_second(algebra_name, plus, minus, D=None):
 def invariants_equal_first(a, b):
     if not isinstance(a, FirstKindInvariant) or not isinstance(b, FirstKindInvariant):
         raise InvalidInputError("first-kind invariants expected")
-    return (a.algebra == b.algebra and a.q == b.q and a.p == b.p
-            and a.rho == b.rho and a.beta_class == b.beta_class)
+    return a == b
 
 
 def invariants_equal_second(a, b, bound=48):

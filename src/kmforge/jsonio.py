@@ -13,18 +13,24 @@ from fractions import Fraction
 
 from .affine import AffineElement
 from .catalog import catalog_for
-from .errors import CatalogMissError, InvalidInputError, UnknownAlgebraError
+from .errors import (
+    CatalogMissError,
+    InvalidInputError,
+    OrderMismatchError,
+    SquareMismatchError,
+    UnknownAlgebraError,
+)
 from .field import CyclotomicNumber, check_level
 from .invariants import FirstKindInvariant, SecondKindInvariant
-from .liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra, exp_curve
-from .loop import LoopElement, TwistContext
-from .standard import (
-    ComposedLoopMap,
-    ConstantCurve,
-    ExpCurve,
-    ScalingAutomorphism,
-    standard_automorphism,
+from .liealg import (
+    AlgebraElement,
+    FiniteAutomorphism,
+    automorphism_order,
+    builtin_algebra,
+    exp_curve,
 )
+from .loop import LoopElement, TwistContext
+from .standard import ScaledMap, standard_automorphism
 
 
 def _object(obj, what):
@@ -35,10 +41,18 @@ def _object(obj, what):
 
 
 def _integer(value, what):
-    try:
-        return int(value)
-    except TypeError as exc:
-        raise InvalidInputError(f"{what} must be an integer, got {type(value).__name__}") from exc
+    """``value`` if it is a JSON integer; a float, a bool or a string is not."""
+    if type(value) is not int:
+        raise InvalidInputError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _flag(obj, key):
+    """``obj[key]`` if it is a JSON boolean; False when the key is absent."""
+    value = obj.get(key, False)
+    if type(value) is not bool:
+        raise InvalidInputError(f"{key} must be true or false, got {type(value).__name__}")
+    return value
 
 
 def _string(value, what):
@@ -59,11 +73,13 @@ def enc_rational(q):
 
 
 def dec_rational(obj):
-    try:
-        num, den = obj
-        return Fraction(int(num), int(den))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad rational encoding: {obj!r}") from exc
+    """A [num, den] pair of decimal strings (JSON integers are taken too)."""
+    if isinstance(obj, list) and len(obj) == 2 and all(type(x) in (str, int) for x in obj):
+        try:
+            return Fraction(int(obj[0]), int(obj[1]))
+        except ValueError:
+            pass
+    raise InvalidInputError(f"bad rational encoding: {obj!r}")
 
 
 def enc_cyclo(x, min_level=None):
@@ -74,7 +90,7 @@ def enc_cyclo(x, min_level=None):
 
 def dec_cyclo(obj):
     try:
-        level = int(obj["level"])
+        level = _integer(obj["level"], "level")
         degree = check_level(level)  # before anything is built at that level
         coords = [dec_rational(c) for c in obj["coords"]]
     except (KeyError, TypeError) as exc:
@@ -91,7 +107,7 @@ def enc_element(x, min_level=None):
 
 def dec_element(obj):
     algebra = builtin_algebra(_string(obj["algebra"], "algebra name"))
-    coords = [dec_cyclo(c) for c in obj["coords"]]
+    coords = [dec_cyclo(c) for c in _list(obj["coords"], "element coords")]
     if len(coords) != algebra.dim:
         raise InvalidInputError("element length does not match the algebra")
     return AlgebraElement(algebra, tuple(coords))
@@ -129,7 +145,7 @@ def dec_automorphism(obj):
         return cat.named(obj["name"])
     matrix = _list(obj["matrix"], "matrix")
     rows = [[dec_cyclo(x) for x in _list(row, "matrix row")] for row in matrix]
-    return FiniteAutomorphism(algebra, rows, antilinear=bool(obj.get("antilinear", False)))
+    return FiniteAutomorphism(algebra, rows, antilinear=_flag(obj, "antilinear"))
 
 
 def enc_context(ctx, min_level=None):
@@ -153,7 +169,7 @@ def enc_loop(u, min_level=None):
 
 def dec_loop(obj):
     ctx = dec_context(obj["context"])
-    terms = {int(t["k"]): dec_element(t["coeff"]) for t in obj["terms"]}
+    terms = {_integer(t["k"], "k"): dec_element(t["coeff"]) for t in obj["terms"]}
     return LoopElement(ctx, terms)
 
 
@@ -168,15 +184,14 @@ def dec_affine(obj):
 
 
 def enc_standard(phi, min_level=None):
-    if isinstance(phi.curve, ConstantCurve):
-        curve = {"kind": "constant", "base": enc_automorphism(phi.curve.base, min_level)}
-    else:
+    curve = {"kind": "constant"}
+    if phi.exp is not None:
         curve = {
             "kind": "exp",
-            "generator": enc_element(phi.curve.data.generator, min_level),
-            "eigenvalues": [enc_rational(q) for q, _ in phi.curve.data.eigenpairs],
-            "base": enc_automorphism(phi.curve.base, min_level),
+            "generator": enc_element(phi.exp.generator, min_level),
+            "eigenvalues": [enc_rational(q) for q, _ in phi.exp.eigenpairs],
         }
+    curve["base"] = enc_automorphism(phi.base, min_level)
     return {
         "type": "standard",
         "epsilon": phi.epsilon,
@@ -192,18 +207,17 @@ def dec_standard(obj):
     source = dec_context(_object(obj, "standard map")["source"])
     curve_obj = _object(obj["curve"], "curve")
     base = dec_automorphism(curve_obj["base"])
-    if curve_obj["kind"] == "constant":
-        curve = ConstantCurve(base)
-    elif curve_obj["kind"] == "exp":
+    exp = None
+    if curve_obj["kind"] == "exp":
         gen = dec_element(curve_obj["generator"])
-        qs = [dec_rational(q) for q in curve_obj["eigenvalues"]]
-        curve = ExpCurve(exp_curve(gen, qs), base)
-    else:
+        qs = _list(curve_obj["eigenvalues"], "eigenvalues")
+        exp = exp_curve(gen, [dec_rational(q) for q in qs])
+    elif curve_obj["kind"] != "constant":
         raise InvalidInputError(f"unknown curve kind {curve_obj.get('kind')!r}")
     target = dec_context(obj["target"]) if "target" in obj else None
     phi = standard_automorphism(_integer(obj["epsilon"], "epsilon"), dec_rational(obj["shift"]),
-                                curve, source, target)
-    if bool(obj.get("antilinear", False)) != phi.antilinear:
+                                base, source, target, exp=exp)
+    if _flag(obj, "antilinear") != phi.antilinear:
         raise InvalidInputError("antilinear flag disagrees with the curve base")
     return phi
 
@@ -214,7 +228,7 @@ def dec_loop_map(obj):
     if "tau_r" in obj:
         r = dec_rational(obj["tau_r"])
         if r != 1:
-            return ComposedLoopMap((ScalingAutomorphism(r), phi))
+            return ScaledMap(r, phi)
     return phi
 
 
@@ -260,7 +274,17 @@ def dec_invariant(obj):
             plus = dec_automorphism(obj["plus_matrix"])
             minus = dec_automorphism(obj["minus_matrix"])
             names = (None, None)
-        return SecondKindInvariant(obj["algebra"], _integer(obj["q"], "q"), plus, minus, *names)
+        q = _integer(obj["q"], "q")
+        if q < 1:
+            raise InvalidInputError(f"a second-kind invariant needs q >= 1, got q={q}")
+        square = plus.power(2)
+        if square != minus.power(2):
+            raise SquareMismatchError("plus and minus have no common square")
+        # the order of the square is bounded, so a huge q costs nothing
+        half = automorphism_order(square)
+        if half is None or 2 * half != q:
+            raise OrderMismatchError(f"q={q} is not twice the order of the common square")
+        return SecondKindInvariant(obj["algebra"], q, plus, minus, *names)
     raise InvalidInputError(f"unknown invariant kind {obj.get('kind')!r}")
 
 

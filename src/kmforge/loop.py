@@ -8,10 +8,11 @@ sigma(u_k) = zeta_D^k * u_k.  All operations are exact and term-wise.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ContextMismatchError, InvalidInputError, NotFiniteOrderError
-from .field import CyclotomicNumber, field_degree, imaginary_unit, zeta_power
+from .field import CyclotomicNumber, check_level, field_degree, imaginary_unit, zeta_power
 from .liealg import (
     automorphism_order,
     bracket,
@@ -40,6 +41,9 @@ class TwistContext:
             raise InvalidInputError(f"D={self.D} must be >= 1")
         if self.D % order:
             raise InvalidInputError(f"D={self.D} must be a multiple of the twist order {order}")
+        # zeta_D lives at level lcm(4, D); refusing a D beyond every valid level
+        # here keeps slices and orders of such a context from ever being built
+        check_level(math.lcm(4, self.D))
         self._eigenbases = None
 
     def __eq__(self, other):

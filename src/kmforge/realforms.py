@@ -42,9 +42,13 @@ class InvolutionDescriptor:
     kind: str            # "1a" | "1b" | "2"
     algebra: str
     data: dict
-    sigma: object        # FiniteAutomorphism, the resulting twist
     psi: object          # StandardAutomorphism of order 2
     invariant: object
+
+    @property
+    def sigma(self):
+        """The resulting twist."""
+        return self.psi.source.sigma
 
     @property
     def antilinear(self):
@@ -59,12 +63,18 @@ class RealFormDescriptor:
     involution: object   # InvolutionDescriptor | None (compact form)
     conjugation: object  # antilinear StandardAutomorphism of order 2
     invariant: object
-    hat_adjoin: str      # "Rc+Rd" | "R(ic)+R(id)"
-    split_tag: str       # "almost_compact" | "almost_split"
 
     @property
     def context(self):
         return self.conjugation.source
+
+    @property
+    def hat_adjoin(self):
+        return "Rc+Rd" if self.conjugation.epsilon == 1 else "R(ic)+R(id)"
+
+    @property
+    def split_tag(self):
+        return "almost_compact" if self.conjugation.epsilon == 1 else "almost_split"
 
 
 @dataclass(frozen=True)
@@ -99,16 +109,16 @@ def enumerate_involutions(algebra_name, kind):
         for p, rho, label in cat.first_kind_triples(2):
             if p != shift:
                 continue
-            sigma, psi = realize_first(algebra_name, p, rho, label, 2)
+            _sigma, psi = realize_first(algebra_name, p, rho, label, 2)
             inv = extract_invariant_first(psi, 2)
             data = {"rho": rho, "beta": label} if p == 0 else {"phi": label}
-            out.append(InvolutionDescriptor(kind, algebra_name, data, sigma, psi, inv))
+            out.append(InvolutionDescriptor(kind, algebra_name, data, psi, inv))
     elif kind == "2":
         for pn, mn in cat.second_kind_pairs():
-            sigma, psi = realize_second(algebra_name, pn, mn)
+            _sigma, psi = realize_second(algebra_name, pn, mn)
             inv = extract_invariant_second(psi, 2)
             out.append(InvolutionDescriptor(
-                "2", algebra_name, {"plus": pn, "minus": mn}, sigma, psi, inv))
+                "2", algebra_name, {"plus": pn, "minus": mn}, psi, inv))
     else:
         raise InvalidInputError(f"unknown involution kind {kind!r}")
     return out
@@ -126,11 +136,8 @@ def real_form_from_involution(desc):
     theta = compose(omega_tilde, desc.psi)
     if standard_order(theta) != 2:
         raise ArithmeticError("conjugation is not an involution")
-    adjoin = "Rc+Rd" if theta.epsilon == 1 else "R(ic)+R(id)"
-    tag = "almost_compact" if theta.epsilon == 1 else "almost_split"
     label = f"{desc.kind}:" + ",".join(str(v) for v in desc.data.values())
-    return RealFormDescriptor(desc.kind, desc.algebra, label, desc, theta,
-                              desc.invariant, adjoin, tag)
+    return RealFormDescriptor(desc.kind, desc.algebra, label, desc, theta, desc.invariant)
 
 
 def compact_real_form(algebra_name):
@@ -140,8 +147,7 @@ def compact_real_form(algebra_name):
     theta = compact_conjugation(ctx)
     ident = identity_automorphism(ctx)
     inv = extract_invariant_first(ident, 1)
-    return RealFormDescriptor("compact", algebra_name, "compact", None, theta,
-                              inv, "Rc+Rd", "almost_compact")
+    return RealFormDescriptor("compact", algebra_name, "compact", None, theta, inv)
 
 
 def enumerate_real_forms(algebra_name):

@@ -25,42 +25,32 @@ from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply, validate
 
 
 @dataclass(frozen=True)
-class ConstantCurve:
-    base: FiniteAutomorphism
-
-
-@dataclass(frozen=True)
-class ExpCurve:
-    data: object  # ExpCurveData
-    base: FiniteAutomorphism
-
-
-@dataclass(frozen=True)
 class StandardAutomorphism:
+    """u(t) -> phi_t(u(epsilon*t + 2*pi*shift)), where the curve phi_t is the
+    constant ``base``, or e^{ad tX} o base when ``exp`` holds the
+    ExpCurveData of X (``exp`` is None for a constant curve)."""
+
     epsilon: int
     shift: Fraction
-    curve: object
+    base: FiniteAutomorphism
+    exp: object  # ExpCurveData | None
     source: TwistContext
     target: TwistContext
 
     @property
     def antilinear(self):
-        return self.curve.base.antilinear
-
-    @property
-    def is_constant(self):
-        return isinstance(self.curve, ConstantCurve)
+        return self.base.antilinear
 
     def apply(self, u):
         return apply(self, u)
 
     def __repr__(self):
-        kind = "constant" if self.is_constant else "exp"
+        kind = "constant" if self.exp is None else "exp"
         return (f"StandardAutomorphism(eps={self.epsilon}, shift={self.shift}, "
                 f"{kind}, antilinear={self.antilinear})")
 
 
-def standard_automorphism(epsilon, shift, curve, source, target=None):
+def standard_automorphism(epsilon, shift, base, source, target=None, exp=None):
     """Build and validate a standard automorphism.
 
     The target twist is computed from periodicity: for constant curves
@@ -77,55 +67,49 @@ def standard_automorphism(epsilon, shift, curve, source, target=None):
     # twist order, keeping their sign: a huge shift costs no more than a small one
     turns = abs(whole) % source.twist_order
     whole = turns if whole > 0 else -turns
-    if isinstance(curve, ExpCurve) and not curve.data.generator:
-        curve = ConstantCurve(curve.base)
-    base = curve.base
+    if exp is not None and not exp.generator:
+        exp = None
     sigma = source.sigma
     if whole:
         base = base.compose(sigma.power(whole))
-        curve = (ConstantCurve(base) if isinstance(curve, ConstantCurve)
-                 else ExpCurve(curve.data, base))
     computed = base.compose(sigma.power(epsilon)).compose(base.inverse())
-    if isinstance(curve, ExpCurve):
-        for q, _ in curve.data.eigenpairs:
+    if exp is not None:
+        for q, _ in exp.eigenpairs:
             if (q * source.D).denominator != 1:
                 raise IncompatibleDenominatorError(
                     f"curve eigenvalue {q} does not fit the 1/{source.D} exponent grid")
-        monodromy = exp_ad(curve.data, Fraction(1))
+        monodromy = exp_ad(exp, Fraction(1))
         computed = monodromy.compose(computed)
-        if computed.apply(curve.data.generator) != curve.data.generator:
+        if computed.apply(exp.generator) != exp.generator:
             raise InvalidInputError("target twist does not fix the curve generator")
     if target is None:
         target = TwistContext(source.algebra, computed, D=source.D)
     elif (target.algebra is not source.algebra or target.D != source.D
           or target.sigma != computed):
         raise TwistMismatchError("supplied target twist disagrees with periodicity")
-    return StandardAutomorphism(epsilon, shift, curve, source, target)
+    return StandardAutomorphism(epsilon, shift, base, exp, source, target)
 
 
 def identity_automorphism(context):
     return standard_automorphism(
-        1, Fraction(0), ConstantCurve(FiniteAutomorphism.identity(context.algebra)),
-        context, context)
+        1, Fraction(0), FiniteAutomorphism.identity(context.algebra), context, context)
 
 
 def rotation(context, shift):
     """u(t) -> u(t + 2*pi*shift); twist-preserving."""
     return standard_automorphism(
-        1, Fraction(shift), ConstantCurve(FiniteAutomorphism.identity(context.algebra)),
-        context)
+        1, Fraction(shift), FiniteAutomorphism.identity(context.algebra), context)
 
 
 def reflection(context):
     """u(t) -> u(-t); maps the twist to its inverse."""
     return standard_automorphism(
-        -1, Fraction(0), ConstantCurve(FiniteAutomorphism.identity(context.algebra)),
-        context)
+        -1, Fraction(0), FiniteAutomorphism.identity(context.algebra), context)
 
 
 def pointwise(context, auto, epsilon=1, shift=Fraction(0)):
     """u(t) -> auto(u(epsilon*t + 2*pi*shift)) with a constant curve."""
-    return standard_automorphism(epsilon, Fraction(shift), ConstantCurve(auto), context)
+    return standard_automorphism(epsilon, Fraction(shift), auto, context)
 
 
 def apply(phi, u):
@@ -136,15 +120,12 @@ def apply(phi, u):
         raise InvalidInputError("loop element violates its twist condition")
     D = phi.source.D
     eps_exp = phi.epsilon * (-1 if phi.antilinear else 1)
-    base = phi.curve.base
+    base, exp = phi.base, phi.exp
     out = {}
     for k, x in u.terms:
         fac = zeta_of(Fraction(k) * phi.shift / D)
         y = base.apply(fac * x)
-        if isinstance(phi.curve, ConstantCurve):
-            pieces = {Fraction(0): y}
-        else:
-            pieces = phi.curve.data.decompose(y)
+        pieces = {Fraction(0): y} if exp is None else exp.decompose(y)
         for q, comp in pieces.items():
             shift_k = q * D
             if shift_k.denominator != 1:
@@ -155,57 +136,45 @@ def apply(phi, u):
     return LoopElement(phi.target, out)
 
 
-def _reparam_curve(curve, eps, shift):
-    """The curve t -> phi_{eps*t + 2*pi*shift}."""
-    if isinstance(curve, ConstantCurve):
-        return curve
-    data = curve.data
-    base = curve.base
-    if shift:
-        base = exp_ad(data, Fraction(shift)).compose(base)
-    return ExpCurve(data.scaled(eps) if eps != 1 else data, base)
-
-
-def _prepend_curve(outer, inner):
-    """Pointwise composition outer_t o inner_t of two curves."""
-    if isinstance(outer, ConstantCurve) and isinstance(inner, ConstantCurve):
-        return ConstantCurve(outer.base.compose(inner.base))
-    if isinstance(outer, ConstantCurve):
-        moved = inner.data.transformed(outer.base)
-        return ExpCurve(moved, outer.base.compose(inner.base))
-    if isinstance(inner, ConstantCurve):
-        return ExpCurve(outer.data, outer.base.compose(inner.base))
-    moved = inner.data.transformed(outer.base)
-    x_elem = outer.data.generator
-    z_elem = moved.generator
-    if bracket(x_elem, z_elem):
-        raise CurveCompositionError("exponential generators do not commute")
-    qs = {qx + qz for qx, _ in outer.data.eigenpairs for qz, _ in moved.eigenpairs}
-    merged = exp_curve(x_elem + z_elem, sorted(qs))
-    return ExpCurve(merged, outer.base.compose(inner.base))
-
-
 def compose(a, b):
-    """The standard automorphism a o b (apply b first)."""
+    """The standard automorphism a o b (apply b first).
+
+    b's curve is reparametrised by t -> a.epsilon*t + 2*pi*a.shift and pushed
+    through a's base; the curves are then multiplied pointwise, which keeps
+    two exponential curves in the family only when their generators commute.
+    """
     if b.target != a.source:
         raise TwistMismatchError("inner target twist does not match outer source")
     eps = a.epsilon * b.epsilon
     shift = b.epsilon * a.shift + b.shift
-    inner = _reparam_curve(b.curve, a.epsilon, a.shift)
-    curve = _prepend_curve(a.curve, inner)
-    return standard_automorphism(eps, shift, curve, b.source, a.target)
+    base, exp = b.base, b.exp
+    if exp is not None:
+        if a.shift:
+            base = exp_ad(exp, a.shift).compose(base)
+        if a.epsilon != 1:
+            exp = exp.scaled(a.epsilon)
+        exp = exp.transformed(a.base)
+        if a.exp is not None:
+            x, z = a.exp.generator, exp.generator
+            if bracket(x, z):
+                raise CurveCompositionError("exponential generators do not commute")
+            qs = {qx + qz for qx, _ in a.exp.eigenpairs for qz, _ in exp.eigenpairs}
+            exp = exp_curve(x + z, sorted(qs))
+    else:
+        exp = a.exp
+    return standard_automorphism(eps, shift, a.base.compose(base), b.source, a.target, exp=exp)
 
 
 def inverse(phi):
     eps = phi.epsilon
-    base_inv = phi.curve.base.inverse()
-    if isinstance(phi.curve, ConstantCurve):
-        curve = ConstantCurve(base_inv)
-    else:
-        neg = phi.curve.data.transformed(base_inv).scaled(-1)
-        base = exp_ad(neg, -eps * phi.shift).compose(base_inv)
-        curve = ExpCurve(neg.scaled(eps) if eps != 1 else neg, base)
-    return standard_automorphism(eps, -eps * phi.shift, curve, phi.target, phi.source)
+    base = phi.base.inverse()
+    exp = phi.exp
+    if exp is not None:
+        exp = exp.transformed(base).scaled(-1)
+        base = exp_ad(exp, -eps * phi.shift).compose(base)
+        if eps != 1:
+            exp = exp.scaled(eps)
+    return standard_automorphism(eps, -eps * phi.shift, base, phi.target, phi.source, exp=exp)
 
 
 def conjugate(psi, phi):
@@ -214,8 +183,8 @@ def conjugate(psi, phi):
 
 
 def is_identity_standard(phi):
-    return (phi.epsilon == 1 and phi.shift == 0 and phi.is_constant
-            and phi.curve.base.is_identity())
+    return (phi.epsilon == 1 and phi.shift == 0 and phi.exp is None
+            and phi.base.is_identity())
 
 
 def standard_order(phi, bound=48):
@@ -248,22 +217,16 @@ def loop_map_order(apply_fn, context, bound=48, test_elements=None):
 
 
 @dataclass(frozen=True)
-class ScalingAutomorphism:
-    """The algebraic-category scaling u_k -> r^k u_k."""
+class ScaledMap:
+    """tau_r after a standard map: u -> tau_r(phi(u)), where the
+    algebraic-category scaling tau_r sends u_k to r^k u_k."""
 
     r: Fraction
+    phi: StandardAutomorphism
+
+    @property
+    def source(self):
+        return self.phi.source
 
     def apply(self, u):
-        return tau_r_apply(self.r, u)
-
-
-@dataclass(frozen=True)
-class ComposedLoopMap:
-    """Composition of loop self-maps, applied right to left."""
-
-    maps: tuple
-
-    def apply(self, u):
-        for m in reversed(self.maps):
-            u = m.apply(u)
-        return u
+        return tau_r_apply(self.r, apply(self.phi, u))

@@ -39,9 +39,7 @@ from .realforms import (
     verify_real_form,
 )
 from .standard import (
-    ComposedLoopMap,
-    ExpCurve,
-    ScalingAutomorphism,
+    ScaledMap,
     apply,
     conjugate,
     identity_automorphism,
@@ -271,8 +269,7 @@ def _exp_conjugator(ctx):
     else:
         curve = exp_curve(x, [Fraction(1), Fraction(-1), Fraction(1, 2),
                               Fraction(-1, 2), Fraction(0)])
-    return standard_automorphism(
-        1, Fraction(0), ExpCurve(curve, FiniteAutomorphism.identity(alg)), ctx)
+    return standard_automorphism(1, Fraction(0), FiniteAutomorphism.identity(alg), ctx, exp=curve)
 
 
 def verify_hat(algebra="sl2C", seed=7, trials=10):
@@ -326,8 +323,8 @@ def verify_tau_r(algebra="sl2C", r=Fraction(2), trials=50, seed=17, bound=48):
 
     bad, _ = _seeded_trials(trials, lambda: (random_loop(rng, ctx), random_loop(rng, ctx)),
                             broken)
-    composed = ComposedLoopMap((ScalingAutomorphism(Fraction(r)), identity_automorphism(ctx)))
-    order = loop_map_order(composed.apply, ctx, bound)
+    scaled = ScaledMap(Fraction(r), identity_automorphism(ctx))
+    order = loop_map_order(scaled.apply, ctx, bound)
     checks = [
         {"name": f"tau_r:homomorphism:r={r}", "pass": bad == 0, "trials": trials},
         {"name": f"tau_r:unbounded:r={r}", "pass": order is None, "order": order},
@@ -348,8 +345,7 @@ def verify_untwisting(algebra="sl2C", seed=19, trials=6):
     i = imaginary_unit()
     x = alg.element([0, i * Fraction(1, 4), 0])
     curve = exp_curve(x, [Fraction(1, 2), Fraction(0), Fraction(-1, 2)])
-    psi = standard_automorphism(1, Fraction(0),
-                                ExpCurve(curve, FiniteAutomorphism.identity(alg)), ctx)
+    psi = standard_automorphism(1, Fraction(0), FiniteAutomorphism.identity(alg), ctx, exp=curve)
     monodromy_ok = psi.target.sigma.is_identity()
 
     def witness(u, v):

@@ -18,7 +18,6 @@ from kmforge.invariants import realize_first
 from kmforge.liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra, exp_curve
 from kmforge.loop import LoopElement, TwistContext, constant_loop, single_term
 from kmforge.standard import (
-    ExpCurve,
     apply,
     conjugate,
     pointwise,
@@ -134,7 +133,7 @@ def _exp_conjugated_mu(D=2):
     i = imaginary_unit()
     X = SL2.element([0, i * Fraction(1, 2), 0])
     curve = exp_curve(X, [Fraction(1), Fraction(0), Fraction(-1)])
-    psi = standard_automorphism(1, Fraction(0), ExpCurve(curve, FiniteAutomorphism.identity(SL2)), ctx)
+    psi = standard_automorphism(1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=curve)
     return conjugate(psi, pointwise(ctx, CAT.named("mu")))
 
 
@@ -211,7 +210,7 @@ def test_raw_exp_curve_shadow_is_minus_generator():
     X = SL2.element([0, i * Fraction(1, 2), 0])
     curve = exp_curve(X, [Fraction(1), Fraction(0), Fraction(-1)])
     psi = standard_automorphism(
-        1, Fraction(0), ExpCurve(curve, FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=curve)
     data = extend_to_hat(psi)
     assert data.shadow == constant_loop(psi.target, -1 * X)
 

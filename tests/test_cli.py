@@ -10,6 +10,7 @@ from kmforge import jsonio, realforms, verify
 from kmforge.catalog import catalog_for
 from kmforge.cli import main
 from kmforge.field import imaginary_unit, zeta_power
+from kmforge.invariants import extract_invariant_second
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra
 from kmforge.loop import TwistContext
 from kmforge.standard import pointwise
@@ -508,3 +509,100 @@ def test_every_classified_invariant_decodes(capsys, algebra):
         assert code == 0
         for doc in docs:
             assert jsonio.enc_invariant(jsonio.dec_invariant(doc["invariant"])) == doc["invariant"]
+
+
+def _base_entry_level(phi, level):
+    matrix = [list(row) for row in phi["curve"]["base"]["matrix"]]
+    matrix[0][0] = {**matrix[0][0], "level": level}
+    return _with_base_matrix(phi, matrix)
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("equivalent", lambda phi, inv: {**inv, "q": 2.9, "p": True}),
+    ("equivalent", lambda phi, inv: {**inv, "q": "2"}),
+    ("order", lambda phi, inv: {**phi, "source": {**phi["source"], "D": 2.7}}),
+    ("order", lambda phi, inv: {**phi, "epsilon": True}),
+    ("order", lambda phi, inv: _base_entry_level(phi, 4.5)),
+    ("equivalent", lambda phi, inv: {"kind": "second", "algebra": "sl2C", "q": 2.0,
+                                     "plus": "mu", "minus": "id"}),
+], ids=["float-q-bool-p", "string-q", "float-D", "bool-epsilon", "float-level",
+        "second-kind-float-q"])
+def test_structural_integers_must_be_json_integers(tmp_path, capsys, command, edit):
+    # each of these used to be truncated or coerced by int() and accepted
+    phi, inv = _realized_documents(tmp_path, capsys)
+    code, doc, err = _run_on_document(tmp_path, capsys, command, edit(phi, inv))
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidInputError"
+    assert "must be an integer" in doc["error"]["message"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("D", [10 ** 8, 10 ** 400])
+@pytest.mark.parametrize("scaled", [True, False], ids=["tau_r", "standard"])
+def test_a_D_beyond_every_field_level_exits_2(tmp_path, capsys, D, scaled):
+    # zeta_D would need level lcm(4, D) > MAX_LEVEL; with tau_r the order
+    # used to build the degree-2D slice first (D = 10^8 ran past 25 s)
+    phi, _ = _realized_documents(tmp_path, capsys)
+    if scaled:
+        phi["tau_r"] = ["2", "1"]
+    phi["source"]["D"] = phi["target"]["D"] = D
+    t0 = time.perf_counter()
+    code, doc, err = _run_on_document(tmp_path, capsys, "order", phi)
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidLevelError"
+    assert err == ""
+
+
+def _omega_pair_invariant():
+    """The matrix invariant omega/omega (q = 2) of the 2:id,id conjugation."""
+    form = next(f for f in realforms.enumerate_real_forms("sl2C") if f.label == "2:id,id")
+    return jsonio.enc_invariant(extract_invariant_second(form.conjugation))
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["named", "matrix"])
+@pytest.mark.parametrize("edit, error", [
+    ({"q": -4}, "InvalidInputError"),
+    ({"q": 0}, "InvalidInputError"),
+    ({"q": 7}, "OrderMismatchError"),
+    ({"q": 4}, "OrderMismatchError"),
+    ({"q": 10 ** 400}, "OrderMismatchError"),
+    ({"minus": "r4"}, "SquareMismatchError"),
+], ids=["negative-q", "zero-q", "odd-q", "q-not-twice-the-square-order", "huge-q",
+        "no-common-square"])
+def test_second_kind_invariant_documents_are_validated(tmp_path, capsys, named, edit, error):
+    # the base documents are mu/id and omega/omega, both with q = 2; each edit
+    # used to compare equal to itself
+    if named:
+        inv = {"kind": "second", "algebra": "sl2C", "q": 2, "plus": "mu", "minus": "id", **edit}
+    else:
+        inv = _omega_pair_invariant()
+        if "minus" in edit:
+            inv["minus_matrix"] = jsonio.enc_automorphism(catalog_for("sl2C").named("r4"))
+        inv.update({k: v for k, v in edit.items() if k == "q"})
+    t0 = time.perf_counter()
+    code, doc, err = _run_on_document(tmp_path, capsys, "equivalent", inv)
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert doc["error"]["type"] == error
+    assert err == ""
+
+
+def test_second_kind_squares_must_agree(tmp_path, capsys):
+    # r3 and id have different squares; r3^2 has order 3, so q = 6 would
+    # otherwise match
+    inv = {"kind": "second", "algebra": "sl3C", "q": 6, "plus": "r3", "minus": "id"}
+    code, doc, _ = _run_on_document(tmp_path, capsys, "equivalent", inv)
+    assert code == 2 and doc["error"]["type"] == "SquareMismatchError"
+
+
+@pytest.mark.parametrize("algebra", ["sl2C", "sl3C"])
+def test_every_second_kind_chain_still_decodes(tmp_path, capsys, algebra):
+    phi_path, inv_path = tmp_path / "phi.json", tmp_path / "inv.json"
+    for plus, minus in catalog_for(algebra).second_kind_pairs():
+        assert main(["auto", "realize", "--algebra", algebra, "--kind", "second",
+                     "--plus", plus, "--minus", minus, "--out", str(phi_path)]) == 0
+        assert main(["auto", "invariant", "--in", str(phi_path), "--out", str(inv_path)]) == 0
+        code, doc = run_cli(capsys, "auto", "equivalent", "--a", str(inv_path),
+                            "--b", str(inv_path))
+        assert code == 0 and doc == {"equal": True}

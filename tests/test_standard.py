@@ -31,10 +31,7 @@ from kmforge.loop import (
     validate,
 )
 from kmforge.standard import (
-    ComposedLoopMap,
-    ConstantCurve,
-    ExpCurve,
-    ScalingAutomorphism,
+    ScaledMap,
     apply,
     compose,
     conjugate,
@@ -95,8 +92,8 @@ def test_whole_shift_folds_modulo_the_twist_order_with_its_sign():
     for whole in (-1, 2, -1 - 3 * 10**7, 2 + 3 * 10**7):
         phi = rotation(ctx, whole + Fraction(1, 3))
         assert phi.shift == Fraction(1, 3)
-        assert phi.curve.base == sigma.power(-1)
-    assert rotation(ctx, Fraction(4, 3)).curve.base == sigma
+        assert phi.base == sigma.power(-1)
+    assert rotation(ctx, Fraction(4, 3)).base == sigma
 
 
 def test_apply_identity():
@@ -141,7 +138,7 @@ def test_compose_matches_pointwise_application():
 def test_compose_exp_curves_with_pointwise_check():
     ctx = tau_context()
     psi = standard_automorphism(
-        1, Fraction(0), ExpCurve(half_h_exp_curve(), FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=half_h_exp_curve())
     rng = random.Random(2)
     phi = pointwise(ctx, CAT.named("tau"))
     comp = compose(psi, phi)
@@ -187,8 +184,8 @@ def test_standard_order_second_kind():
 
 def test_tau_r_composed_map_is_unbounded():
     ctx = untwisted()
-    composed = ComposedLoopMap((ScalingAutomorphism(Fraction(2)), identity_automorphism(ctx)))
-    assert loop_map_order(composed.apply, ctx, 48) is None
+    scaled = ScaledMap(Fraction(2), identity_automorphism(ctx))
+    assert loop_map_order(scaled.apply, ctx, 48) is None
 
 
 def test_order_bounds_below_one_are_rejected():
@@ -208,7 +205,7 @@ def test_apply_preserves_bracket_constant_and_exp():
         pointwise(ctx, CAT.named("tau"), shift=Fraction(1, 2)),
         reflection(ctx),
         standard_automorphism(
-            1, Fraction(0), ExpCurve(half_h_exp_curve(), FiniteAutomorphism.identity(SL2)), ctx),
+            1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=half_h_exp_curve()),
         pointwise(ctx, CAT.omega()),  # antilinear compact conjugation
     ]
     for phi in maps:
@@ -225,7 +222,7 @@ def test_exp_curve_isomorphism_untwists_tau():
     ctx = tau_context()
     curve = half_h_exp_curve(Fraction(1, 4))  # X = (i/4) h, monodromy tau
     psi = standard_automorphism(
-        1, Fraction(0), ExpCurve(curve, FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=curve)
     assert psi.target.sigma.is_identity()
     rng = random.Random(6)
     for _ in range(6):
@@ -368,19 +365,19 @@ SU2 = builtin_algebra("su2")
 ], ids=["sigma", "D", "algebra"])
 def test_supplied_target_must_match_the_computed_twist(target):
     # a constant identity curve maps the tau twist (D = 2) to itself
-    curve = ConstantCurve(FiniteAutomorphism.identity(SL2))
-    assert standard_automorphism(1, 0, curve, tau_context(), tau_context()).target == tau_context()
+    base = FiniteAutomorphism.identity(SL2)
+    assert standard_automorphism(1, 0, base, tau_context(), tau_context()).target == tau_context()
     with pytest.raises(TwistMismatchError):
-        standard_automorphism(1, 0, curve, tau_context(), target)
+        standard_automorphism(1, 0, base, tau_context(), target)
 
 
 def test_conjugation_by_exp_curve_keeps_invariant():
     ctx = untwisted(2)
     psi = standard_automorphism(
-        1, Fraction(0), ExpCurve(half_h_exp_curve(), FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=half_h_exp_curve())
     phi = pointwise(ctx, CAT.named("mu"))
     moved = conjugate(psi, phi)
-    assert not moved.is_constant
+    assert moved.exp is not None
     assert standard_order(moved) == 2
 
 
@@ -393,7 +390,7 @@ def test_incompatible_curve_denominator_rejected():
     curve = exp_curve(X, [Fraction(1, 3), Fraction(0), Fraction(-1, 3)])
     with pytest.raises(IncompatibleDenominatorError):
         standard_automorphism(
-            1, Fraction(0), ExpCurve(curve, FiniteAutomorphism.identity(SL2)), ctx)
+            1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=curve)
 
 
 def test_antilinear_standard_json_round_trip():
@@ -410,7 +407,7 @@ def test_antilinear_standard_json_round_trip():
 def test_inverse_of_shifted_exp_curve():
     ctx = tau_context()
     psi = standard_automorphism(
-        1, Fraction(1, 3), ExpCurve(half_h_exp_curve(), FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(1, 3), FiniteAutomorphism.identity(SL2), ctx, exp=half_h_exp_curve())
     inv = inverse(psi)
     rng = random.Random(11)
     for _ in range(5):
@@ -434,9 +431,9 @@ def test_second_kind_extraction_normalizes_shift():
 def test_compose_corner_cases_against_pointwise():
     ctx = tau_context()
     psi = standard_automorphism(
-        1, Fraction(0), ExpCurve(half_h_exp_curve(), FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=half_h_exp_curve())
     psi_shift = standard_automorphism(
-        1, Fraction(1, 4), ExpCurve(half_h_exp_curve(), FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(1, 4), FiniteAutomorphism.identity(SL2), ctx, exp=half_h_exp_curve())
     rng = random.Random(21)
     cases = [
         (pointwise(psi.target, CAT.omega()), psi),     # antilinear after exp
@@ -458,9 +455,9 @@ def test_non_commuting_curve_composition_falls_back():
     ctx = untwisted(2)
     rot_curve = _exp_curve(E - F, [Fraction(2), Fraction(0), Fraction(-2)])
     a = standard_automorphism(
-        1, Fraction(0), ExpCurve(half_h_exp_curve(), FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=half_h_exp_curve())
     b = standard_automorphism(
-        1, Fraction(0), ExpCurve(rot_curve, FiniteAutomorphism.identity(SL2)), ctx)
+        1, Fraction(0), FiniteAutomorphism.identity(SL2), ctx, exp=rot_curve)
     with pytest.raises(CurveCompositionError):
         compose(a, b)
     # a map whose square leaves the supported family: the base moves the
@@ -469,7 +466,7 @@ def test_non_commuting_curve_composition_falls_back():
     _entry, alpha = CAT.match(CAT.named("tau"))
     assert not alpha.is_identity()
     phi = standard_automorphism(
-        1, Fraction(0), ExpCurve(half_h_exp_curve(), alpha), ctx)
+        1, Fraction(0), alpha, ctx, exp=half_h_exp_curve())
     assert standard_order(phi, 8) is None
 
 
