@@ -9,6 +9,7 @@ identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .affine import AffineElement
@@ -27,6 +28,7 @@ from .liealg import (
     FiniteAutomorphism,
     automorphism_order,
     builtin_algebra,
+    check_automorphism,
     exp_curve,
 )
 from .loop import LoopElement, TwistContext
@@ -72,9 +74,14 @@ def enc_rational(q):
     return [str(q.numerator), str(q.denominator)]
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def dec_rational(obj):
-    """A [num, den] pair of decimal strings (JSON integers are taken too)."""
-    if isinstance(obj, list) and len(obj) == 2 and all(type(x) in (str, int) for x in obj):
+    """A [num, den] pair of decimal strings matching ``-?[0-9]+``; JSON
+    integers that are not booleans are taken too."""
+    if isinstance(obj, list) and len(obj) == 2 and all(
+            type(x) is int or (type(x) is str and _DECIMAL.fullmatch(x)) for x in obj):
         try:
             return Fraction(int(obj[0]), int(obj[1]))
         except ValueError:
@@ -145,7 +152,13 @@ def dec_automorphism(obj):
         return cat.named(obj["name"])
     matrix = _list(obj["matrix"], "matrix")
     rows = [[dec_cyclo(x) for x in _list(row, "matrix row")] for row in matrix]
-    return FiniteAutomorphism(algebra, rows, antilinear=_flag(obj, "antilinear"))
+    auto = FiniteAutomorphism(algebra, rows, antilinear=_flag(obj, "antilinear"))
+    if not check_automorphism(auto):
+        raise InvalidInputError("matrix is not an automorphism: it is singular "
+                                "or does not preserve the bracket")
+    if "name" in obj and _string(obj["name"], "automorphism name") != _catalog_name(auto):
+        raise InvalidInputError(f"name {obj['name']!r} does not match the matrix")
+    return auto
 
 
 def enc_context(ctx, min_level=None):
@@ -204,7 +217,9 @@ def enc_standard(phi, min_level=None):
 
 
 def dec_standard(obj):
-    source = dec_context(_object(obj, "standard map")["source"])
+    if _object(obj, "standard map").get("type") != "standard":
+        raise InvalidInputError(f"a standard map has type 'standard', got {obj.get('type')!r}")
+    source = dec_context(obj["source"])
     curve_obj = _object(obj["curve"], "curve")
     base = dec_automorphism(curve_obj["base"])
     exp = None

@@ -224,7 +224,14 @@ def ad_matrix(x):
 
 
 class FiniteAutomorphism:
-    """(Anti)linear bracket-preserving map, stored as matrix + flag."""
+    """(Anti)linear bracket-preserving map, stored as matrix + flag.
+
+    The public constructor validates: it wraps every entry as a
+    CyclotomicNumber and checks the d x d shape (``jsonio`` decodes through
+    it).  ``_trusted`` is internal only: it takes d x d rows that are already
+    CyclotomicNumbers, the results of ``compose`` and ``inverse``, and stores
+    them without re-wrapping or checking.
+    """
 
     __slots__ = ("algebra", "matrix", "antilinear")
 
@@ -234,6 +241,14 @@ class FiniteAutomorphism:
         object.__setattr__(self, "antilinear", bool(antilinear))
         if len(self.matrix) != algebra.dim or any(len(r) != algebra.dim for r in self.matrix):
             raise ValueError("matrix shape does not match algebra dimension")
+
+    @classmethod
+    def _trusted(cls, algebra, rows, antilinear):
+        self = object.__new__(cls)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
+        object.__setattr__(self, "antilinear", antilinear)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteAutomorphism is immutable")
@@ -255,40 +270,33 @@ class FiniteAutomorphism:
         m2 = other.matrix
         if self.antilinear:
             m2 = [[x.conj() for x in row] for row in m2]
-        return FiniteAutomorphism(
-            self.algebra,
-            linalg.mat_mul(self.matrix, m2),
-            antilinear=self.antilinear != other.antilinear,
-        )
+        return FiniteAutomorphism._trusted(self.algebra, linalg.mat_mul(self.matrix, m2),
+                                           self.antilinear != other.antilinear)
 
     def inverse(self):
         inv = linalg.invert([list(r) for r in self.matrix])
         if self.antilinear:
             inv = [[x.conj() for x in row] for row in inv]
-        return FiniteAutomorphism(self.algebra, inv, antilinear=self.antilinear)
+        return FiniteAutomorphism._trusted(self.algebra, inv, self.antilinear)
 
     def power(self, n):
         if n < 0:
             return self.inverse().power(-n)
-        acc = FiniteAutomorphism.identity(self.algebra)
-        for _ in range(n):
+        if n == 0:
+            return self.algebra.identity
+        acc = self
+        for _ in range(n - 1):
             acc = self.compose(acc)
         return acc
 
     def is_identity(self):
-        if self.antilinear:
-            return False
-        d = self.algebra.dim
-        return all(self.matrix[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d))
+        return not self.antilinear and self.matrix == self.algebra.identity.matrix
 
     def __eq__(self, other):
         if not isinstance(other, FiniteAutomorphism):
             return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.antilinear == other.antilinear
-            and all(a == b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb))
-        )
+        return (self.algebra is other.algebra and self.antilinear == other.antilinear
+                and self.matrix == other.matrix)
 
     __hash__ = None
 

@@ -4,6 +4,13 @@ Works uniformly for Fraction and CyclotomicNumber entries: scalars must
 support +, -, *, /, bool (nonzero test) and ==.  Matrices are lists of rows;
 nothing here mutates its arguments.
 
+Products pay only for nonzero entries: ``mat_vec`` and ``mat_mul`` read the
+nonzero ``(k, value)`` pairs of the vector and of each row of the right
+operand, computed once per call.  An entry sums the products ``a * b`` of its
+nonzero pairs in ascending k, starting from the first product, and an entry
+with no such product is ``row[0] * 0`` for the left operand's row, so values
+and levels are those of the dense triple loop.
+
 Elimination skips structural zeros: a pivot row is normalised as
 ``x / inv if x else x`` and a row update (in ``rref`` and ``in_span``) is
 ``x - f * y if y else x``.  A skipped CyclotomicNumber operation does not lift
@@ -20,12 +27,18 @@ import math
 from .field import CyclotomicNumber
 
 
+def _nonzeros(row):
+    return [(k, x) for k, x in enumerate(row) if x]
+
+
 def mat_vec(matrix, vec):
+    nonzero = _nonzeros(vec)
     out = []
     for row in matrix:
         acc = None
-        for a, x in zip(row, vec):
-            if a and x:
+        for k, x in nonzero:
+            a = row[k]
+            if a:
                 term = a * x
                 acc = term if acc is None else acc + term
         if acc is None:
@@ -35,20 +48,20 @@ def mat_vec(matrix, vec):
 
 
 def mat_mul(a, b):
-    cols = list(zip(*b))
+    b_rows = [_nonzeros(row) for row in b]
+    ncols = len(b[0]) if b else 0
     out = []
     for row in a:
-        out_row = []
-        for col in cols:
-            acc = None
-            for x, y in zip(row, col):
-                if x and y:
+        acc = [None] * ncols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
                     term = x * y
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                acc = row[0] * 0
-            out_row.append(acc)
-        out.append(out_row)
+                    acc[j] = term if acc[j] is None else acc[j] + term
+        if any(v is None for v in acc):
+            zero = row[0] * 0
+            acc = [zero if v is None else v for v in acc]
+        out.append(acc)
     return out
 
 

@@ -361,6 +361,21 @@ def _with_base_matrix(phi, matrix):
     return {**phi, "curve": {**phi["curve"], "base": {**phi["curve"]["base"], "matrix": matrix}}}
 
 
+def test_a_base_that_is_not_an_automorphism_exits_2(tmp_path, capsys):
+    # mu sends f to -e; sending it to -2e breaks [e, f] = h.  The order used
+    # to read "unbounded" with exit 0.
+    phi, _ = _realized_documents(tmp_path, capsys)
+    matrix = [list(row) for row in phi["curve"]["base"]["matrix"]]
+    matrix[0][2] = {"level": 4, "coords": [["-2", "1"], ["0", "1"]]}
+    base = {k: v for k, v in phi["curve"]["base"].items() if k != "name"}
+    phi = {**phi, "curve": {**phi["curve"], "base": {**base, "matrix": matrix}}}
+    code, doc, err = _run_on_document(tmp_path, capsys, "order", phi)
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidInputError"
+    assert "not an automorphism" in doc["error"]["message"]
+    assert err == ""
+
+
 def test_unknown_first_kind_rho_is_a_catalog_miss(tmp_path, capsys):
     # it used to be accepted, and compared equal to itself
     _, inv = _realized_documents(tmp_path, capsys)

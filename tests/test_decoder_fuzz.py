@@ -17,6 +17,7 @@ import tempfile
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmforge import cli, jsonio, realforms
@@ -109,8 +110,7 @@ def _run(command, doc):
     return code, json.loads(out.getvalue()), err.getvalue(), elapsed
 
 
-# keys the decoders do not read beside a matrix, or whose value is a boolean
-_UNREAD = {"name", "type"}
+# keys whose value is a boolean
 _BOOLEAN = {"antilinear"}
 
 
@@ -125,9 +125,9 @@ def _check(command, docs, edit):
     if code:
         assert out["error"]["code"] == code
     # no float, and no bool outside a flag, stands for a structural value
-    if type(value) is float and key not in _UNREAD:
+    if type(value) is float:
         assert code != 0, out
-    if type(value) is bool and key not in _UNREAD | _BOOLEAN:
+    if type(value) is bool and key not in _BOOLEAN:
         assert code != 0, out
 
 
@@ -153,3 +153,39 @@ def test_edited_loop_map_documents_never_crash(edit):
 @given(_edits(INVARIANT_DOCS))
 def test_edited_invariant_documents_never_crash(edit):
     _check("equivalent", INVARIANT_DOCS, edit)
+
+
+def _edit_first(edit):
+    doc = json.loads(json.dumps(ORDER_DOCS["first"]))
+    edit(doc)
+    return doc
+
+
+def _set(path, value):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+# each of these used to be accepted with exit 0
+@pytest.mark.parametrize("edit", [
+    # int() also reads digit separators, padding and non-ASCII digits
+    _set(("shift",), ["1_0", "1"]),
+    _set(("shift",), [" 3 ", "1"]),
+    _set(("shift",), ["\u0661", "1"]),
+    _set(("tau_r",), ["2", "1_0"]),
+    _set(("tau_r",), ["2", " 3 "]),
+    _set(("tau_r",), ["2", "\u0661"]),
+    # the base is mu, not tau
+    _set(("curve", "base", "name"), "tau"),
+    _set(("type",), "scaled"),
+    lambda doc: doc.pop("type"),
+], ids=["shift-underscore", "shift-padded", "shift-arabic-indic", "tau_r-underscore",
+        "tau_r-padded", "tau_r-arabic-indic", "name-contradicts-matrix", "type-scaled",
+        "type-dropped"])
+def test_documents_the_encoder_never_writes_exit_2(edit):
+    code, out, err, _ = _run("order", _edit_first(edit))
+    assert code == 2 and out["error"]["type"] == "InvalidInputError", out
+    assert err == ""

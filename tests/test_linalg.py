@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmforge import linalg
+from kmforge.catalog import catalog_for
 from kmforge.field import CyclotomicNumber, field_degree, zeta_power
+from kmforge.liealg import FiniteAutomorphism, builtin_algebra
 
 
 def _random_fraction_matrix(rng, n, m):
@@ -307,3 +309,203 @@ def test_invert_matches_dense_on_mixed_levels(m):
     assert _same_entries(inv, ref)
     assert all(x == (1 if i == j else 0)
                for i, row in enumerate(linalg.mat_mul(m, inv)) for j, x in enumerate(row))
+
+
+# -- differential tests of the sparse products ---------------------------------
+#
+# _dense_mat_vec and _dense_mat_mul are the products before the sparse rows,
+# kept verbatim as the oracle: every entry is tested against every term.
+
+
+def _dense_mat_vec(matrix, vec):
+    out = []
+    for row in matrix:
+        acc = None
+        for a, x in zip(row, vec):
+            if a and x:
+                term = a * x
+                acc = term if acc is None else acc + term
+        if acc is None:
+            acc = row[0] * 0 if row else vec[0] * 0
+        out.append(acc)
+    return out
+
+
+def _dense_mat_mul(a, b):
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = None
+            for x, y in zip(row, col):
+                if x and y:
+                    term = x * y
+                    acc = term if acc is None else acc + term
+            if acc is None:
+                acc = row[0] * 0
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+# None stands for Fraction entries; a pair is the levels of a mixed-level
+# CyclotomicNumber matrix, as in the catalog
+_LEVEL_MIXES = (None, (4, 12), (4, 20), (4, 196))
+_SHAPES = ("monomial", "sparse", "dense")
+
+
+@st.composite
+def _scalars(draw, levels, nonzero):
+    """A Fraction, or q * zeta^j (plus a second root) at one of ``levels``;
+    a zero CyclotomicNumber keeps the level drawn for it."""
+    if levels is None:
+        return draw(_nonzero_fraction) if nonzero else Fraction(0)
+    level = draw(st.sampled_from(levels))
+    if not nonzero:
+        return CyclotomicNumber.zero(level)
+    x = zeta_power(level, draw(st.integers(0, level - 1))) * draw(_nonzero_fraction)
+    if draw(st.booleans()):
+        x = x + zeta_power(level, draw(st.integers(0, level - 1)))
+    return x
+
+
+@st.composite
+def _product_matrices(draw, n, m, levels, shape):
+    """An n x m matrix: at most one nonzero per row, about 30 % nonzero, or
+    every entry drawn nonzero (a sum of two roots may still cancel)."""
+    if shape == "monomial":
+        cols = [draw(st.one_of(st.none(), st.integers(0, m - 1))) for _ in range(n)]
+        nonzero = {(i, j) for i, j in enumerate(cols) if j is not None}
+    elif shape == "sparse":
+        cells = draw(st.lists(st.integers(0, n * m - 1), max_size=(n * m * 3) // 10 + 1,
+                              unique=True))
+        nonzero = {divmod(c, m) for c in cells}
+    else:
+        nonzero = {(i, j) for i in range(n) for j in range(m)}
+    return [[draw(_scalars(levels, (i, j) in nonzero)) for j in range(m)] for i in range(n)]
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b, v) with a n x m, b m x p and v of length m, over one level mix."""
+    levels = draw(st.sampled_from(_LEVEL_MIXES))
+    n, m, p = (draw(st.integers(1, 6)) for _ in range(3))
+    a = draw(_product_matrices(n, m, levels, draw(st.sampled_from(_SHAPES))))
+    b = draw(_product_matrices(m, p, levels, draw(st.sampled_from(_SHAPES))))
+    v = draw(_product_matrices(1, m, levels, draw(st.sampled_from(_SHAPES))))[0]
+    return a, b, v
+
+
+@_fast
+@given(product_operands())
+def test_mat_mul_and_mat_vec_match_dense(operands):
+    a, b, v = operands
+    assert _same_entries(linalg.mat_mul(a, b), _dense_mat_mul(a, b))
+    assert _same_entries([linalg.mat_vec(a, v)], [_dense_mat_vec(a, v)])
+
+
+# The FiniteAutomorphism operations before the trusted constructor, kept
+# verbatim (on the dense product) as the oracle.
+
+
+def _old_compose(f, g):
+    m2 = g.matrix
+    if f.antilinear:
+        m2 = [[x.conj() for x in row] for row in m2]
+    return FiniteAutomorphism(f.algebra, _dense_mat_mul(f.matrix, m2),
+                              antilinear=f.antilinear != g.antilinear)
+
+
+def _old_inverse(f):
+    inv = linalg.invert([list(r) for r in f.matrix])
+    if f.antilinear:
+        inv = [[x.conj() for x in row] for row in inv]
+    return FiniteAutomorphism(f.algebra, inv, antilinear=f.antilinear)
+
+
+def _old_power(f, n):
+    if n < 0:
+        return _old_power(_old_inverse(f), -n)
+    acc = FiniteAutomorphism.identity(f.algebra)
+    for _ in range(n):
+        acc = _old_compose(f, acc)
+    return acc
+
+
+def _old_is_identity(f):
+    if f.antilinear:
+        return False
+    d = f.algebra.dim
+    return all(f.matrix[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d))
+
+
+def _old_eq(f, g):
+    """Same algebra and flag, and entrywise equal values (levels may differ)."""
+    return (f.algebra is g.algebra and f.antilinear == g.antilinear
+            and all(a == b for ra, rb in zip(f.matrix, g.matrix) for a, b in zip(ra, rb)))
+
+
+_ALGEBRAS = ("sl2C", "sl3C")
+
+
+@st.composite
+def automorphisms(draw, algebra=None):
+    """A catalog matrix, a permutation matrix whose scalars are roots of
+    unity at a level mix (finite order), or one with general scalars and up
+    to two extra entries (possibly singular); either flag."""
+    alg = builtin_algebra(algebra or draw(st.sampled_from(_ALGEBRAS)))
+    d = alg.dim
+    kind = draw(st.sampled_from(("catalog", "roots", "general")))
+    if kind == "catalog":
+        cat = catalog_for(alg.name)
+        matrix = cat.named(draw(st.sampled_from(cat.names()))).matrix
+    else:
+        levels = draw(st.sampled_from(_LEVEL_MIXES[1:]))
+        perm = draw(st.permutations(range(d)))
+        matrix = [[draw(_scalars(levels, False)) for _ in range(d)] for _ in range(d)]
+        for i, j in enumerate(perm):
+            level = draw(st.sampled_from(levels))
+            matrix[i][j] = (zeta_power(level, draw(st.integers(0, level - 1))) if kind == "roots"
+                            else draw(_scalars(levels, True)))
+        if kind == "general":
+            for _ in range(draw(st.integers(0, 2))):
+                matrix[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = \
+                    draw(_scalars(levels, True))
+    return FiniteAutomorphism(alg, matrix, antilinear=draw(st.booleans()))
+
+
+@_slow
+@given(automorphisms(), st.data())
+def test_automorphism_algebra_matches_the_dense_implementation(f, data):
+    g = data.draw(automorphisms(f.algebra.name))
+    assert _old_eq(f.compose(g), _old_compose(f, g))
+    assert _old_eq(g.compose(f), _old_compose(g, f))
+    assert (f == g) == _old_eq(f, g) and (g == g) and _old_eq(g, g)
+    try:
+        old_inverse = _old_inverse(f)
+    except ValueError:
+        with pytest.raises(ValueError):
+            f.inverse()
+        powers = range(0, 7)
+    else:
+        assert _old_eq(f.inverse(), old_inverse)
+        powers = range(-2, 7)
+    for n in powers:
+        power, old = f.power(n), _old_power(f, n)
+        assert _old_eq(power, old)
+        assert power.is_identity() == _old_is_identity(old)
+        assert (power == f) == _old_eq(old, f)
+
+
+def test_is_identity_compares_values_at_any_level():
+    for name in _ALGEBRAS:
+        alg = builtin_algebra(name)
+        for level in (4, 12, 196):
+            ident = FiniteAutomorphism(
+                alg, linalg.identity_like(alg.dim, CyclotomicNumber.one(level)))
+            assert ident.is_identity() and _old_is_identity(ident)
+            assert ident == alg.identity
+            flipped = FiniteAutomorphism(alg, ident.matrix, antilinear=True)
+            assert not flipped.is_identity() and not _old_is_identity(flipped)
+            assert flipped != alg.identity
