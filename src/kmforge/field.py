@@ -347,11 +347,6 @@ class CyclotomicNumber:
     def is_rational(self):
         return not any(self.nums[1:])
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return Fraction(self.nums[0], self.den)
-
     # -- debug -------------------------------------------------------------
 
     def to_complex(self):

@@ -9,7 +9,8 @@ nonzero ``(k, value)`` pairs of the vector and of each row of the right
 operand, computed once per call.  An entry sums the products ``a * b`` of its
 nonzero pairs in ascending k, starting from the first product, and an entry
 with no such product is ``row[0] * 0`` for the left operand's row, so values
-and levels are those of the dense triple loop.
+and levels are those of the dense triple loop (``mat_vec`` puts ``zeros[i]``
+there instead when given).
 
 Elimination skips structural zeros: a pivot row is normalised as
 ``x / inv if x else x`` and a row update (in ``rref`` and ``in_span``) is
@@ -31,10 +32,10 @@ def _nonzeros(row):
     return [(k, x) for k, x in enumerate(row) if x]
 
 
-def mat_vec(matrix, vec):
+def mat_vec(matrix, vec, zeros=None):
     nonzero = _nonzeros(vec)
     out = []
-    for row in matrix:
+    for i, row in enumerate(matrix):
         acc = None
         for k, x in nonzero:
             a = row[k]
@@ -42,7 +43,7 @@ def mat_vec(matrix, vec):
                 term = a * x
                 acc = term if acc is None else acc + term
         if acc is None:
-            acc = row[0] * 0 if row else vec[0] * 0
+            acc = zeros[i] if zeros is not None else row[0] * 0 if row else vec[0] * 0
         out.append(acc)
     return out
 

@@ -20,6 +20,7 @@ from .liealg import (
     killing_form,
     rational_coords,
 )
+from .linalg import mat_vec
 
 
 class TwistContext:
@@ -45,6 +46,7 @@ class TwistContext:
         # here keeps slices and orders of such a context from ever being built
         check_level(math.lcm(4, self.D))
         self._eigenbases = None
+        self._kernels = {}
 
     def __eq__(self, other):
         if not isinstance(other, TwistContext):
@@ -63,10 +65,16 @@ class TwistContext:
         return f"TwistContext({self.algebra.name}, order {self.twist_order}, D={self.D})"
 
     def term_ok(self, k, x):
-        """Twist condition for one term: sigma(x) = zeta_D^k x."""
+        """Twist condition sigma(x) = zeta_D^k x for one term, checked as
+        (sigma - zeta_D^r I) x = 0 (sigma is linear), kernel cached per r = k mod D."""
         if not x:
             return True
-        return self.sigma.apply(x) == zeta_power(self.D, k) * x
+        r = k % self.D
+        if r not in self._kernels:
+            z = zeta_power(self.D, r)
+            self._kernels[r] = [[a - z if i == j else a for j, a in enumerate(row)]
+                                for i, row in enumerate(self.sigma.matrix)]
+        return not any(mat_vec(self._kernels[r], x.coords))
 
     def eigenbasis_for_exponent(self, k):
         """Basis of the sigma-eigenspace attached to exponent k: zeta_D^k is

@@ -5,12 +5,16 @@ phi_t is either constant or of exponential form e^{ad tX} composed with a
 constant base.  Reparametrization shifts fold into the base modulo full
 periods, so every map carries a canonical shift in [0, 1).  Antilinear bases
 conjugate coefficients and reverse Fourier exponents on top of epsilon.
+
+``apply`` costs one mat-vec per term k: the base matrix times zeta^(k*shift/D)
+(its conjugate for an antilinear base, which acts on conj(x)), cached on the
+map per k modulo the denominator of shift/D, so at most that many kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -20,7 +24,8 @@ from .errors import (
     TwistMismatchError,
 )
 from .field import zeta_of
-from .liealg import FiniteAutomorphism, bracket, exp_ad, exp_curve, order_by_iteration
+from .liealg import AlgebraElement, FiniteAutomorphism, bracket, exp_ad, exp_curve, order_by_iteration
+from .linalg import mat_vec
 from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply, validate
 
 
@@ -36,6 +41,7 @@ class StandardAutomorphism:
     exp: object  # ExpCurveData | None
     source: TwistContext
     target: TwistContext
+    _kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def antilinear(self):
@@ -112,19 +118,35 @@ def pointwise(context, auto, epsilon=1, shift=Fraction(0)):
     return standard_automorphism(epsilon, Fraction(shift), auto, context)
 
 
+def _kernel(phi, k):
+    """(rows, zeros) for term k; ``zeros`` are the zeros ``base.apply`` gives
+    an entry with no product, so levels match the per-term path."""
+    s = phi.shift / phi.source.D
+    r = k % s.denominator
+    if r not in phi._kernels:
+        fac = zeta_of(-r * s if phi.antilinear else r * s)
+        rows = phi.base.matrix
+        phi._kernels[r] = ([[fac * a if a else a for a in row] for row in rows] if s else rows,
+                           [row[0] * 0 for row in rows])
+    return phi._kernels[r]
+
+
 def apply(phi, u):
-    """Act on a loop element; output lives in the target context."""
+    """Act on a loop element; output lives in the target context.  Every
+    input is validated; term k is one mat-vec with the kernel cached for k
+    modulo the denominator of shift/D."""
     if u.context != phi.source:
         raise TwistMismatchError("loop element is not in the source context")
     if not validate(u):
         raise InvalidInputError("loop element violates its twist condition")
     D = phi.source.D
     eps_exp = phi.epsilon * (-1 if phi.antilinear else 1)
-    base, exp = phi.base, phi.exp
+    exp = phi.exp
     out = {}
     for k, x in u.terms:
-        fac = zeta_of(Fraction(k) * phi.shift / D)
-        y = base.apply(fac * x)
+        coords = [c.conj() for c in x.coords] if phi.antilinear else x.coords
+        rows, zeros = _kernel(phi, k)
+        y = AlgebraElement(x.algebra, mat_vec(rows, coords, zeros))
         pieces = {Fraction(0): y} if exp is None else exp.decompose(y)
         for q, comp in pieces.items():
             shift_k = q * D

@@ -7,6 +7,7 @@ for anything that failed.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +181,10 @@ def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=48):
                 "order_bruteforce": brute,
                 "extracted": [inv.p, inv.rho, inv.beta_class],
             })
+        # a p whose rho order has no catalog representative fails the run
+        checks += [{"name": f"first:{algebra}:q={q}:p={p}:rho_order={m}", "pass": False,
+                    "error": "no catalog rho of this order"}
+                   for p in range(q // 2 + 1) if not cat.rho_reps(m := math.gcd(p, q))]
     pairs = list(cat.second_kind_pairs())
     if algebra == "sl2C":
         pairs += [("tau", "tau"), ("tau", "id")]

@@ -190,6 +190,16 @@ def test_verify_realforms_via_cli(capsys):
     assert len(names) == 7
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["--algebra", "sl2C", "--q", "5"], ["first:sl2C:q=5:p=0:rho_order=5"]),
+    (["--algebra", "sl3C"], ["first:sl3C:q=4:p=0:rho_order=4", "first:sl3C:q=6:p=0:rho_order=6"]),
+])
+def test_roundtrip_fails_on_a_rho_order_without_representative(capsys, argv, missing):
+    code, doc = run_cli(capsys, "verify", "roundtrip", *argv)
+    assert code == 1 and doc["ok"] is False
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == missing
+
+
 def test_verify_rejects_out_of_range_q_and_trials(capsys):
     for argv in (["roundtrip", "--q", "0"], ["roundtrip", "--q", "-3"],
                  ["jacobi", "--trials", "-1"]):

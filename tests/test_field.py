@@ -154,7 +154,6 @@ def test_power_and_division():
 
 def test_rational_detection():
     assert rat(Fraction(3, 2)).is_rational()
-    assert rat(Fraction(3, 2)).rational_value() == Fraction(3, 2)
     assert not zeta_power(8, 1).is_rational()
 
 

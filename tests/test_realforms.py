@@ -9,6 +9,7 @@ from kmforge.invariants import FirstKindInvariant
 from kmforge.liealg import builtin_algebra
 from kmforge.loop import TwistContext, single_term, validate
 from kmforge.realforms import (
+    CartanDecomposition,
     cartan_decomposition,
     compact_real_form,
     enumerate_involutions,
@@ -173,14 +174,15 @@ def test_cartan_inclusions_all_noncompact():
         assert report["dim_k"] + report["dim_m"] == len(fixed_point_basis(f, 2))
 
 
-def test_cartan_involution_action():
-    forms = enumerate_real_forms("sl2C")
-    sl2r = [f for f in forms if f.invariant == FirstKindInvariant("sl2C", 2, 0, "mu", "id")][0]
-    dec = cartan_decomposition(sl2r, 1)
-    for b in dec.k_basis:
-        assert dec.cartan_involution(b) == b
-    for b in dec.m_basis:
-        assert dec.cartan_involution(b) == -1 * b
+def test_swapped_k_and_m_vectors_fail_the_halved_bracket_checks():
+    # the m vector sits last in k, so only pairs (i, last) with i < last reach it
+    for f in enumerate_real_forms("sl2C")[1:]:
+        dec = cartan_decomposition(f, 1)
+        k, m = list(dec.k_basis), list(dec.m_basis)
+        k[-1], m[0] = m[0], k[-1]
+        report = verify_cartan(CartanDecomposition(f, dec.N, tuple(k), tuple(m), dec.theta_c))
+        assert report["kk_in_k"] is False, f.label
+        assert report["passed"] is False
 
 
 def test_hat_adjunction_checks():
