@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .element import _as_scalar
 from .errors import ContextMismatchError, NotFiniteOrderError, OrderMismatchError
 from .field import CyclotomicNumber
-from .liealg import _as_scalar, rational_coords
+from .liealg import rational_coords
 from .linalg import in_span, rref
 from .loop import (
     LoopElement,
@@ -207,7 +208,7 @@ def center_and_derived_check(context, N):
             if w:
                 results.append(w)
     levels = {cf.level for w in results for cf in (w.c_coef, w.d_coef)}
-    levels.update(cf.level for w in results for _, x in w.loop.terms for cf in x.coords)
+    levels.update(x.level for w in results for _, x in w.loop.terms)
     lev = math.lcm(4, *levels)
     support = sorted({k for w in results for k in w.loop.support()} | {0})
     flat = [_flatten_affine(w, support, lev) for w in results]

@@ -113,7 +113,7 @@ def enc_element(x, min_level=None):
 
 
 def dec_element(obj):
-    algebra = builtin_algebra(_string(obj["algebra"], "algebra name"))
+    algebra = builtin_algebra(_string(_object(obj, "element")["algebra"], "algebra name"))
     coords = [dec_cyclo(c) for c in _list(obj["coords"], "element coords")]
     if len(coords) != algebra.dim:
         raise InvalidInputError("element length does not match the algebra")

@@ -2,9 +2,12 @@
 
 Tables hold exact rational structure constants in a fixed basis; elements
 carry cyclotomic coordinate vectors over the table, so one table serves both
-a real form and its complexification.  Automorphisms are matrices plus an
-antilinearity flag: an antilinear map acts by conjugating coordinates first,
-then applying the matrix.
+a real form and its complexification.  Elements are integer blocks, each at
+one level; ``element`` states their layout and level rule, and holds the
+bracket, the Killing form and ``IntRows``, the integer rows through which
+automorphism matrices act.  Automorphisms are matrices plus an antilinearity
+flag: an antilinear map acts by conjugating coordinates first, then applying
+the matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import operator
 from fractions import Fraction
 
 from . import linalg
+from .element import AlgebraElement, IntRows, _as_scalar, _element, bracket
+from .element import killing_form  # noqa: F401  (re-exported: part of liealg's API)
 from .errors import AlgebraMismatchError, NotFiniteOrderError, UnknownAlgebraError
-from .field import CyclotomicNumber, field_degree, imaginary_unit, zeta_of, zeta_power
+from .field import CyclotomicNumber, check_level, field_degree, imaginary_unit, zeta_of, zeta_power
 
 BUILTIN_NAMES = ("sl2C", "sl3C", "su2", "su3")
 
@@ -42,6 +47,13 @@ class LieAlgebraTable:
         self.compact_flag = compact_flag
         self.killing = self._killing_matrix()
         self._validate()
+        # for integer blocks: the constants as ints over one denominator s,
+        # and the Killing entries, sums of products of two, as ints over s^2
+        s = self.scale = math.lcm(*(c.denominator for plane in self.pairs for row in plane
+                                     for _, c in row))
+        self.int_pairs = tuple(tuple(tuple((k, int(c * s)) for k, c in row) for row in plane)
+                                for plane in self.pairs)
+        self.int_killing = tuple(tuple(int(c * s * s) for c in row) for row in self.killing)
 
     @functools.cached_property
     def identity(self):
@@ -83,27 +95,22 @@ class LieAlgebraTable:
             raise ValueError(f"{self.name}: compact table must have negative definite Killing form")
 
     def basis_element(self, i, level=4):
-        coords = [CyclotomicNumber.zero(level) for _ in range(self.dim)]
-        coords[i] = CyclotomicNumber.one(level)
-        return AlgebraElement(self, tuple(coords))
+        n = check_level(level)
+        nums = [0] * (self.dim * n)
+        nums[i * n] = 1
+        return _element(self, level, tuple(nums), 1)
 
     def zero_element(self, level=4):
-        return AlgebraElement(self, tuple(CyclotomicNumber.zero(level) for _ in range(self.dim)))
+        return _element(self, level, (0,) * (self.dim * check_level(level)), 1)
 
     def element(self, coords):
-        return AlgebraElement(self, tuple(_as_scalar(c) for c in coords))
+        return AlgebraElement(self, coords)
 
     def basis(self, level=4):
         return [self.basis_element(i, level) for i in range(self.dim)]
 
     def __repr__(self):
         return f"LieAlgebraTable({self.name}, dim={self.dim})"
-
-
-def _as_scalar(c):
-    if isinstance(c, CyclotomicNumber):
-        return c
-    return CyclotomicNumber.from_rational(Fraction(c))
 
 
 def _integral(c):
@@ -126,91 +133,6 @@ def _negative_definite(matrix):
     return True
 
 
-class AlgebraElement:
-    """Coordinate vector over a LieAlgebraTable, scalars in Q(zeta_L)."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(coords))
-        if len(self.coords) != algebra.dim:
-            raise ValueError("coordinate length does not match algebra dimension")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise AlgebraMismatchError("elements live over different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coords))
-
-    def __mul__(self, scalar):
-        scalar = _as_scalar(scalar) if not isinstance(scalar, CyclotomicNumber) else scalar
-        return AlgebraElement(self.algebra, tuple(scalar * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra is other.algebra and all(a == b for a, b in zip(self.coords, other.coords))
-
-    __hash__ = None
-
-    def conj(self):
-        return AlgebraElement(self.algebra, tuple(a.conj() for a in self.coords))
-
-    def __repr__(self):
-        names = self.algebra.basis_names
-        terms = [f"({c})*{n}" for c, n in zip(self.coords, names) if c]
-        return " + ".join(terms) if terms else "0"
-
-
-def bracket(x, y):
-    """Lie bracket from the structure constants."""
-    x._check(y)
-    alg = x.algebra
-    out = [CyclotomicNumber.zero()] * alg.dim
-    for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        row = alg.pairs[i]
-        for j, yj in enumerate(y.coords):
-            if yj and row[j]:
-                prod = xi * yj
-                for k, c in row[j]:
-                    out[k] = out[k] + prod * c
-    return AlgebraElement(alg, tuple(out))
-
-
-def killing_form(x, y):
-    """Killing form, extended bilinearly over the cyclotomic scalars."""
-    x._check(y)
-    kappa = x.algebra.killing
-    acc = CyclotomicNumber.zero()
-    for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        for j, yj in enumerate(y.coords):
-            if yj and kappa[i][j]:
-                acc = acc + xi * yj * kappa[i][j]
-    return acc
-
-
 def ad_matrix(x):
     """Matrix of ad(x) in the table basis (columns are [x, e_j])."""
     d = x.algebra.dim
@@ -230,15 +152,17 @@ class FiniteAutomorphism:
     CyclotomicNumber and checks the d x d shape (``jsonio`` decodes through
     it).  ``_trusted`` is internal only: it takes d x d rows that are already
     CyclotomicNumbers, the results of ``compose`` and ``inverse``, and stores
-    them without re-wrapping or checking.
+    them without re-wrapping or checking.  ``apply`` builds the matrix's
+    ``IntRows`` on first use and keeps them.
     """
 
-    __slots__ = ("algebra", "matrix", "antilinear")
+    __slots__ = ("algebra", "matrix", "antilinear", "_rows")
 
     def __init__(self, algebra, matrix, antilinear=False):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrix", tuple(tuple(_as_scalar(x) for x in row) for row in matrix))
         object.__setattr__(self, "antilinear", bool(antilinear))
+        object.__setattr__(self, "_rows", None)
         if len(self.matrix) != algebra.dim or any(len(r) != algebra.dim for r in self.matrix):
             raise ValueError("matrix shape does not match algebra dimension")
 
@@ -248,6 +172,7 @@ class FiniteAutomorphism:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
         object.__setattr__(self, "antilinear", antilinear)
+        object.__setattr__(self, "_rows", None)
         return self
 
     def __setattr__(self, name, value):
@@ -260,8 +185,13 @@ class FiniteAutomorphism:
     def apply(self, x):
         if x.algebra is not self.algebra:
             raise AlgebraMismatchError("element is over a different algebra")
-        coords = [c.conj() for c in x.coords] if self.antilinear else list(x.coords)
-        return AlgebraElement(self.algebra, tuple(linalg.mat_vec(self.matrix, coords)))
+        return self.int_rows().apply(x.conj() if self.antilinear else x)
+
+    def int_rows(self):
+        """The matrix as ``IntRows``, built on first use and kept."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", IntRows(self.matrix))
+        return self._rows
 
     def compose(self, other):
         """self after other."""
@@ -444,20 +374,19 @@ class ExpCurveData:
                 self._labels.append(q)
         if len(cols) != d:
             raise ValueError("eigenspaces do not span the algebra")
-        lev = math.lcm(4, *[c.level for v in cols for c in v.coords])
+        lev = math.lcm(4, *[v.level for v in cols])
         cmat = [[cols[j].coords[i].lift(lev) for j in range(d)] for i in range(d)]
+        self._cols = cols
         self._cmat = cmat
         self._cinv = linalg.invert(cmat)
         self.validate()
 
     def validate(self):
-        adX = ad_matrix(self.generator)
         i_unit = imaginary_unit()
         span_rows = {}
         for q, vs in self.eigenpairs:
             for v in vs:
-                img = AlgebraElement(v.algebra, tuple(linalg.mat_vec(adX, list(v.coords))))
-                if img != (i_unit * q) * v:
+                if bracket(self.generator, v) != (i_unit * q) * v:
                     raise ValueError(f"ad(X) does not act as i*{q} on a supplied vector")
             span_rows[q] = linalg.rref([list(c for c in v.coords) for v in vs])
         qset = {q for q, _ in self.eigenpairs}
@@ -476,17 +405,10 @@ class ExpCurveData:
 
     def decompose(self, x):
         """Split x into its ad(X)-eigencomponents, keyed by q."""
-        y = linalg.mat_vec(self._cinv, list(x.coords))
         parts = {}
-        d = x.algebra.dim
-        for idx, q in enumerate(self._labels):
-            if not y[idx]:
-                continue
-            coords = [y[idx] * self._cmat[i][idx] for i in range(d)]
-            if q in parts:
-                parts[q] = parts[q] + AlgebraElement(x.algebra, tuple(coords))
-            else:
-                parts[q] = AlgebraElement(x.algebra, tuple(coords))
+        for c, q, v in zip(linalg.mat_vec(self._cinv, list(x.coords)), self._labels, self._cols):
+            if c:
+                parts[q] = parts[q] + c * v if q in parts else c * v
         return parts
 
     def scaled(self, c):
@@ -564,20 +486,18 @@ def _flatten_matrix(mat):
 
 
 def _structure_from_matrices(basis_mats):
+    """Coordinates of every commutator [m_i, m_j] in the basis matrices, from
+    one elimination of the basis columns beside all d^2 commutator columns:
+    the basis is independent, so the first d pivots are 0..d-1, and a pivot
+    past them is a commutator outside the span."""
     d = len(basis_mats)
     columns = [_flatten_matrix(m) for m in basis_mats]
-    solver = [[columns[j][r] for j in range(d)] for r in range(len(columns[0]))]
-    structure = []
-    for i in range(d):
-        row_i = []
-        for j in range(d):
-            comm = _commutator(basis_mats[i], basis_mats[j])
-            sol = linalg.solve(solver, _flatten_matrix(comm))
-            if sol is None:
-                raise ValueError("commutator leaves the span of the basis")
-            row_i.append(tuple(Fraction(c) for c in sol))
-        structure.append(tuple(row_i))
-    return tuple(structure)
+    columns += [_flatten_matrix(_commutator(a, b)) for a in basis_mats for b in basis_mats]
+    rows, pivots = linalg.rref([list(r) for r in zip(*columns)])
+    if pivots != list(range(d)):
+        raise ValueError("commutator leaves the span of the basis")
+    return tuple(tuple(tuple(rows[k][d + i * d + j] for k in range(d)) for j in range(d))
+                 for i in range(d))
 
 
 def _e(m, i, j):

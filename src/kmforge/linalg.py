@@ -9,8 +9,10 @@ nonzero ``(k, value)`` pairs of the vector and of each row of the right
 operand, computed once per call.  An entry sums the products ``a * b`` of its
 nonzero pairs in ascending k, starting from the first product, and an entry
 with no such product is ``row[0] * 0`` for the left operand's row, so values
-and levels are those of the dense triple loop (``mat_vec`` puts ``zeros[i]``
-there instead when given).
+and levels are those of the dense triple loop.  Algebra elements do not come
+through here: an element is one integer block at one level, and matrices
+act on it as ``element.IntRows``; ``mat_vec`` serves scalar vectors such as
+the eigencoordinates of ``liealg.ExpCurveData``.
 
 Elimination skips structural zeros: a pivot row is normalised as
 ``x / inv if x else x`` and a row update (in ``rref`` and ``in_span``) is
@@ -32,10 +34,10 @@ def _nonzeros(row):
     return [(k, x) for k, x in enumerate(row) if x]
 
 
-def mat_vec(matrix, vec, zeros=None):
+def mat_vec(matrix, vec):
     nonzero = _nonzeros(vec)
     out = []
-    for i, row in enumerate(matrix):
+    for row in matrix:
         acc = None
         for k, x in nonzero:
             a = row[k]
@@ -43,7 +45,7 @@ def mat_vec(matrix, vec, zeros=None):
                 term = a * x
                 acc = term if acc is None else acc + term
         if acc is None:
-            acc = zeros[i] if zeros is not None else row[0] * 0 if row else vec[0] * 0
+            acc = row[0] * 0 if row else vec[0] * 0
         out.append(acc)
     return out
 

@@ -11,16 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .element import IntRows, bracket, killing_form
 from .errors import ContextMismatchError, InvalidInputError, NotFiniteOrderError
 from .field import CyclotomicNumber, check_level, field_degree, imaginary_unit, zeta_power
-from .liealg import (
-    automorphism_order,
-    bracket,
-    eigenspace_decomposition,
-    killing_form,
-    rational_coords,
-)
-from .linalg import mat_vec
+from .liealg import automorphism_order, eigenspace_decomposition
 
 
 class TwistContext:
@@ -66,15 +60,16 @@ class TwistContext:
 
     def term_ok(self, k, x):
         """Twist condition sigma(x) = zeta_D^k x for one term, checked as
-        (sigma - zeta_D^r I) x = 0 (sigma is linear), kernel cached per r = k mod D."""
+        (sigma - zeta_D^r I) x = 0 (sigma is linear), with the integer rows
+        of that kernel cached per r = k mod D."""
         if not x:
             return True
         r = k % self.D
         if r not in self._kernels:
             z = zeta_power(self.D, r)
-            self._kernels[r] = [[a - z if i == j else a for j, a in enumerate(row)]
-                                for i, row in enumerate(self.sigma.matrix)]
-        return not any(mat_vec(self._kernels[r], x.coords))
+            self._kernels[r] = IntRows([[a - z if i == j else a for j, a in enumerate(row)]
+                                        for i, row in enumerate(self.sigma.matrix)])
+        return not self._kernels[r].apply(x)
 
     def eigenbasis_for_exponent(self, k):
         """Basis of the sigma-eigenspace attached to exponent k: zeta_D^k is
@@ -95,7 +90,12 @@ def slice_terms(context, N):
 
 
 class LoopElement:
-    """Finite Laurent element of a twisted loop algebra."""
+    """Finite Laurent element of a twisted loop algebra.
+
+    The public constructor cleans what it is given: exponents become ints,
+    equal exponents are summed, zero terms dropped and the rest sorted.
+    Internal results come from ``_trusted``, which trusts its terms.
+    """
 
     __slots__ = ("context", "terms")
 
@@ -107,6 +107,16 @@ class LoopElement:
                 clean[int(k)] = clean[int(k)] + x if int(k) in clean else x
         clean = {k: x for k, x in clean.items() if x}
         object.__setattr__(self, "terms", tuple(sorted(clean.items())))
+
+    @classmethod
+    def _trusted(cls, context, terms):
+        """Internal results only: ``terms`` maps int exponents of ``context``
+        to its elements; zero terms are dropped and the rest sorted (the
+        exponents are distinct, so no element is ever compared)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "terms", tuple(sorted([(k, x) for k, x in terms.items() if x])))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LoopElement is immutable")
@@ -129,16 +139,16 @@ class LoopElement:
         acc = self.terms_dict()
         for k, x in other.terms:
             acc[k] = acc[k] + x if k in acc else x
-        return LoopElement(self.context, acc)
+        return LoopElement._trusted(self.context, acc)
 
     def __neg__(self):
-        return LoopElement(self.context, {k: -x for k, x in self.terms})
+        return LoopElement._trusted(self.context, {k: -x for k, x in self.terms})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        return LoopElement(self.context, {k: x * scalar for k, x in self.terms})
+        return LoopElement._trusted(self.context, {k: x * scalar for k, x in self.terms})
 
     __rmul__ = __mul__
 
@@ -174,12 +184,19 @@ def zero_loop(context):
 
 def loop_coords(u, exponents, lev):
     """Rational coordinates of u over ``exponents``: for each k, the
-    ``rational_coords`` at level ``lev`` of the k-th term, with a zero block
-    where the term is missing."""
+    numerators at level ``lev`` of the k-th term's block over its
+    denominator, with a zero block where the term is missing."""
     terms = u.terms_dict()
     zero = [Fraction(0)] * (u.context.algebra.dim * field_degree(lev))
-    return [q for k in exponents
-            for q in (rational_coords(terms[k].coords, lev) if k in terms else zero)]
+    out = []
+    for k in exponents:
+        x = terms.get(k)
+        if x is None:
+            out += zero
+        else:
+            den = x.den
+            out += [Fraction(v, den) for v in x.nums_at(lev)]
+    return out
 
 
 def validate(u):
@@ -197,7 +214,7 @@ def loop_bracket(u, v):
             if w:
                 k = k1 + k2
                 acc[k] = acc[k] + w if k in acc else w
-    return LoopElement(u.context, acc)
+    return LoopElement._trusted(u.context, acc)
 
 
 def loop_derivative(u):
@@ -207,8 +224,8 @@ def loop_derivative(u):
     out = {}
     for k, x in u.terms:
         if k:
-            out[k] = (i_unit * Fraction(k, D)) * x
-    return LoopElement(u.context, out)
+            out[k] = x * (i_unit * Fraction(k, D))
+    return LoopElement._trusted(u.context, out)
 
 
 def loop_inner(u, v):
@@ -232,4 +249,4 @@ def tau_r_apply(r, u):
     r = Fraction(r)
     if r <= 0:
         raise InvalidInputError("scaling parameter must be positive")
-    return LoopElement(u.context, {k: x * (r ** k) for k, x in u.terms})
+    return LoopElement._trusted(u.context, {k: x * (r ** k) for k, x in u.terms})

@@ -6,9 +6,10 @@ constant base.  Reparametrization shifts fold into the base modulo full
 periods, so every map carries a canonical shift in [0, 1).  Antilinear bases
 conjugate coefficients and reverse Fourier exponents on top of epsilon.
 
-``apply`` costs one mat-vec per term k: the base matrix times zeta^(k*shift/D)
-(its conjugate for an antilinear base, which acts on conj(x)), cached on the
-map per k modulo the denominator of shift/D, so at most that many kernels.
+``apply`` costs one integer-row product per term k: the base matrix times
+zeta^(k*shift/D) (its conjugate for an antilinear base, which acts on
+conj(x)) as ``element.IntRows``, cached on the map per k modulo the
+denominator of shift/D, so at most that many kernels.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .element import IntRows, bracket
 from .errors import (
     CurveCompositionError,
     IncompatibleDenominatorError,
@@ -24,8 +26,7 @@ from .errors import (
     TwistMismatchError,
 )
 from .field import zeta_of
-from .liealg import AlgebraElement, FiniteAutomorphism, bracket, exp_ad, exp_curve, order_by_iteration
-from .linalg import mat_vec
+from .liealg import FiniteAutomorphism, exp_ad, exp_curve, order_by_iteration
 from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply, validate
 
 
@@ -119,15 +120,14 @@ def pointwise(context, auto, epsilon=1, shift=Fraction(0)):
 
 
 def _kernel(phi, k):
-    """(rows, zeros) for term k; ``zeros`` are the zeros ``base.apply`` gives
-    an entry with no product, so levels match the per-term path."""
+    """The integer rows that act on term k: the base matrix times
+    zeta^(k*shift/D), conjugated for an antilinear base."""
     s = phi.shift / phi.source.D
     r = k % s.denominator
     if r not in phi._kernels:
         fac = zeta_of(-r * s if phi.antilinear else r * s)
-        rows = phi.base.matrix
-        phi._kernels[r] = ([[fac * a if a else a for a in row] for row in rows] if s else rows,
-                           [row[0] * 0 for row in rows])
+        phi._kernels[r] = (IntRows([[fac * a if a else a for a in row] for row in phi.base.matrix])
+                           if s else phi.base.int_rows())
     return phi._kernels[r]
 
 
@@ -144,9 +144,7 @@ def apply(phi, u):
     exp = phi.exp
     out = {}
     for k, x in u.terms:
-        coords = [c.conj() for c in x.coords] if phi.antilinear else x.coords
-        rows, zeros = _kernel(phi, k)
-        y = AlgebraElement(x.algebra, mat_vec(rows, coords, zeros))
+        y = _kernel(phi, k).apply(x.conj() if phi.antilinear else x)
         pieces = {Fraction(0): y} if exp is None else exp.decompose(y)
         for q, comp in pieces.items():
             shift_k = q * D
@@ -155,7 +153,7 @@ def apply(phi, u):
                     f"eigenvalue {q} does not fit the 1/{D} exponent grid")
             k2 = eps_exp * k + int(shift_k)
             out[k2] = out[k2] + comp if k2 in out else comp
-    return LoopElement(phi.target, out)
+    return LoopElement._trusted(phi.target, out)
 
 
 def compose(a, b):

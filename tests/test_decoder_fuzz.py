@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kmforge import cli, jsonio, realforms
 from kmforge.invariants import extract_invariant_second, realize_first, realize_second
@@ -145,6 +145,7 @@ _fuzz = settings(max_examples=150, deadline=None)
 
 @_fuzz
 @given(_edits(ORDER_DOCS))
+@example(("exp", ("curve", "generator"), False, None))  # an element that is not an object
 def test_edited_loop_map_documents_never_crash(edit):
     _check("order", ORDER_DOCS, edit)
 

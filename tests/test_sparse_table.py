@@ -9,6 +9,7 @@ dense implementation.
 """
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -242,8 +243,12 @@ def test_sparse_readers_agree_with_the_dense_ones(name):
     @settings(max_examples=30, deadline=None)
     @given(_elements(alg), _elements(alg))
     def check(x, y):
+        # the dense copy starts each coordinate from a level-4 zero; an
+        # element has one level, so every bracket coordinate is at the lcm
         got, want = bracket(x, y), dense_bracket(x, y)
-        assert all(_same(a, b) for a, b in zip(got.coords, want.coords))
+        assert got == want
+        assert all(a == b and a.level == math.lcm(x.level, y.level)
+                   for a, b in zip(got.coords, want.coords))
         assert _same(killing_form(x, y), dense_killing_form(x, y))
         got, want = ad_matrix(x), dense_ad_matrix(x)
         assert all(_same(a, b) for ra, rb in zip(got, want) for a, b in zip(ra, rb))
