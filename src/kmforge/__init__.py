@@ -10,7 +10,7 @@ decompositions), ``verify`` (the exact check suites), ``cli`` (JSON front
 end).
 """
 
-from .field import CyclotomicNumber, conj, zeta_power
+from .field import CyclotomicNumber, zeta_power
 from .liealg import (
     AlgebraElement,
     ExpCurveData,

@@ -2,7 +2,9 @@
 
 Built-ins cover the rank-1 and rank-2 special linear algebras.  Catalog
 representatives are the automorphisms that may appear in classification
-invariants; the classifier assigns component labels inside centralizer
+invariants.  Each is stated by its defining map on matrices (Ad of a diagonal
+or permutation matrix, or m -> -m^T) and read back in the table's basis by
+``_auto``.  The classifier assigns component labels inside centralizer
 groups, using closed-form tests (sign on a fixed line for rank 1, root-line
 permutations for rank 2) instead of any Lie-group topology.
 """
@@ -13,16 +15,17 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import CatalogMissError, ClassifierUnavailableError, UnknownAlgebraError
-from .field import CyclotomicNumber, zeta_power
+from .field import CyclotomicNumber, imaginary_unit, zeta_power
 from .liealg import (
     FiniteAutomorphism,
     automorphism_order,
     builtin_algebra,
+    builtin_matrices,
     eigenspace_decomposition,
+    matrix_coordinates,
 )
 
 
@@ -33,110 +36,57 @@ class CatalogEntry:
     auto: FiniteAutomorphism
 
 
-def _diag_auto(algebra, scalars):
-    d = algebra.dim
-    rows = [[scalars[i] if i == j else 0 for j in range(d)] for i in range(d)]
-    return FiniteAutomorphism(algebra, rows)
+_ONE, _ZERO = CyclotomicNumber.one(), CyclotomicNumber.zero()
 
 
-def _images_auto(algebra, images):
-    cols = []
-    for tgt, coeff in images:
-        idx = algebra.basis_names.index(tgt)
-        col = [CyclotomicNumber.zero() for _ in range(algebra.dim)]
-        col[idx] = coeff if isinstance(coeff, CyclotomicNumber) else CyclotomicNumber.from_rational(Fraction(coeff))
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(algebra.dim)] for i in range(algebra.dim)]
-    return FiniteAutomorphism(algebra, rows)
+def _auto(table, image):
+    """The automorphism of the built-in ``table`` that sends each basis matrix
+    m to image(m), read back in that basis; zero entries are level-4 zeros."""
+    mats = builtin_matrices(table)
+    cols = matrix_coordinates(mats, [image(m) for m in mats])
+    return FiniteAutomorphism(builtin_algebra(table),
+                              [[c or _ZERO for c in row] for row in zip(*cols)])
+
+
+def _ad(p, p_inv):
+    """m -> p m p^-1."""
+    return lambda m: linalg.mat_mul(linalg.mat_mul(p, m), p_inv)
+
+
+def _diagonal(d):
+    return [[x if r == s else _ZERO for s in range(len(d))] for r, x in enumerate(d)]
+
+
+def _ad_diag(*d):
+    """Ad diag(d)."""
+    d = [_ONE * x for x in d]
+    return _ad(_diagonal(d), _diagonal([x.inverse() for x in d]))
+
+
+def _ad_perm(*perm):
+    """Ad P for the permutation matrix with P e_i = e_perm[i]; P^-1 is P^T."""
+    p = [[_ONE if perm[s] == r else _ZERO for s in range(len(perm))] for r in range(len(perm))]
+    return _ad(p, [list(col) for col in zip(*p)])
+
+
+def _minus_transpose(m):
+    """m -> -m^T, the Cartan involution of sl(n)."""
+    return [[-x for x in col] for col in zip(*m)]
 
 
 @functools.cache
-def _catalog_a1():
-    g = builtin_algebra("sl2C")
-    one = CyclotomicNumber.one()
-    entries = {}
-
-    def add(name, order, auto):
-        entries[name] = CatalogEntry(name, order, auto)
-
-    add("id", 1, FiniteAutomorphism.identity(g))
-    # tau = Ad diag(1,-1): e -> -e, h -> h, f -> -f
-    add("tau", 2, _diag_auto(g, [-one, one, -one]))
-    # mu: A -> -A^t, i.e. e -> -f, h -> -h, f -> -e
-    add("mu", 2, _images_auto(g, [("f", -1), ("h", -1), ("e", -1)]))
-    for n in (3, 4, 6):
-        z = zeta_power(n, 1)
-        add(f"r{n}", n, _diag_auto(g, [z, one.lift(z.level), z.inverse()]))
-    return entries
-
-
-@functools.cache
-def _catalog_a2():
-    g = builtin_algebra("sl3C")
-    one = CyclotomicNumber.one()
-    entries = {}
-
-    def add(name, order, auto):
-        entries[name] = CatalogEntry(name, order, auto)
-
-    def ad_diag(dvals):
-        # basis order: e12 e13 e23 e21 e31 e32 h1 h2
-        pairs = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
-        scal = [dvals[i] * dvals[j].inverse() for (i, j) in pairs] + [one.lift(dvals[0].level)] * 2
-        return _diag_auto(g, scal)
-
-    add("id", 1, FiniteAutomorphism.identity(g))
-    add("theta", 2, ad_diag([one, one, -one]))
-    # mu: A -> -A^t swaps e_ij with -e_ji and negates the Cartan
-    add("mu", 2, _images_auto(
-        g,
-        [("e21", -1), ("e31", -1), ("e32", -1), ("e12", -1), ("e13", -1), ("e23", -1),
-         ("h1", -1), ("h2", -1)]))
-    z3 = zeta_power(3, 1)
-    add("r3", 3, ad_diag([one.lift(z3.level), z3, z3 * z3]))
-    # rot: Ad of the 3-cycle permutation matrix (0 -> 1 -> 2 -> 0)
-    add("rot", 3, _perm_ad(g, {0: 1, 1: 2, 2: 0}))
-    return entries
-
-
-def _perm_ad(g, perm):
-    """Ad of a permutation matrix on the rank-2 table."""
-    cols = {name: idx for idx, name in enumerate(g.basis_names)}
-    name_of = {(0, 1): "e12", (0, 2): "e13", (1, 2): "e23",
-               (1, 0): "e21", (2, 0): "e31", (2, 1): "e32"}
-    diag_diff = {  # E_aa - E_bb in the (h1, h2) coordinates
-        (0, 1): (1, 0), (1, 2): (0, 1), (0, 2): (1, 1),
-        (1, 0): (-1, 0), (2, 1): (0, -1), (2, 0): (-1, -1),
-    }
-    rows = [[CyclotomicNumber.zero() for _ in range(8)] for _ in range(8)]
-    for src, (i, j) in enumerate(_A2_ROOT_PAIRS):
-        rows[cols[name_of[(perm[i], perm[j])]]][src] = CyclotomicNumber.one()
-    for src, (i, j) in ((6, (0, 1)), (7, (1, 2))):
-        c1, c2 = diag_diff[(perm[i], perm[j])]
-        rows[6][src] = CyclotomicNumber.from_rational(c1)
-        rows[7][src] = CyclotomicNumber.from_rational(c2)
-    return FiniteAutomorphism(g, rows)
-
-
-def _gl2_ad(gmat):
-    """Ad of an invertible 2x2 matrix on the (e, h, f) basis of sl2C."""
-    g = builtin_algebra("sl2C")
-    inv = linalg.invert(gmat)
-    basis = {
-        "e": [[CyclotomicNumber.zero(), CyclotomicNumber.one()],
-              [CyclotomicNumber.zero(), CyclotomicNumber.zero()]],
-        "h": [[CyclotomicNumber.one(), CyclotomicNumber.zero()],
-              [CyclotomicNumber.zero(), CyclotomicNumber.from_rational(-1)]],
-        "f": [[CyclotomicNumber.zero(), CyclotomicNumber.zero()],
-              [CyclotomicNumber.one(), CyclotomicNumber.zero()]],
-    }
-    cols = []
-    for name in ("e", "h", "f"):
-        m = linalg.mat_mul(linalg.mat_mul(gmat, basis[name]), inv)
-        # traceless [[p, q], [r, -p]] has coordinates (q, p, r) in (e, h, f)
-        cols.append((m[0][1], m[0][0], m[1][0]))
-    rows = [[cols[j][i] for j in range(3)] for i in range(3)]
-    return FiniteAutomorphism(g, rows)
+def _entries(table):
+    """The catalog of a built-in table, each entry from its defining matrix."""
+    if table == "sl2C":
+        specs = [("id", 1, _ad_diag(1, 1)), ("tau", 2, _ad_diag(1, -1)),
+                 ("mu", 2, _minus_transpose)]
+        specs += [(f"r{n}", n, _ad_diag(zeta_power(n, 1), 1)) for n in (3, 4, 6)]
+    else:
+        z3 = zeta_power(3, 1)
+        specs = [("id", 1, _ad_diag(1, 1, 1)), ("theta", 2, _ad_diag(1, 1, -1)),
+                 ("mu", 2, _minus_transpose), ("r3", 3, _ad_diag(1, z3, z3 * z3)),
+                 ("rot", 3, _ad_perm(1, 2, 0))]  # the 3-cycle 0 -> 1 -> 2 -> 0
+    return {name: CatalogEntry(name, order, _auto(table, image)) for name, order, image in specs}
 
 
 _A2_ROOT_PAIRS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
@@ -147,15 +97,14 @@ class Catalog:
 
     def __init__(self, algebra_name):
         if algebra_name == "sl2C":
-            self.entries = _catalog_a1()
             self.rank = 1
             self.rho_rep_names = ("id", "mu", "r3", "r4", "r6")
         elif algebra_name == "sl3C":
-            self.entries = _catalog_a2()
             self.rank = 2
             self.rho_rep_names = ("id", "theta", "mu", "r3")
         else:
             raise UnknownAlgebraError(f"no catalog for {algebra_name!r}")
+        self.entries = _entries(algebra_name)
         self.algebra_name = algebra_name
         self.algebra = builtin_algebra(algebra_name)
 
@@ -300,9 +249,11 @@ class Catalog:
     # -- conjugacy at catalog scope ------------------------------------------
 
     def eigen_signature(self, auto, bound=48):
+        """(order, eigenspace dimensions by exponent); raises CatalogMissError
+        when the map has no finite order within the bound."""
         order = automorphism_order(auto, bound)
         if order is None:
-            return None
+            raise CatalogMissError("map has no finite order within the bound")
         eig = eigenspace_decomposition(auto, order=order)
         return (order, tuple((k, len(basis)) for k, basis in eig.items()))
 
@@ -328,8 +279,6 @@ class Catalog:
             if self.entries[name].auto == auto:
                 return self.entries[name], FiniteAutomorphism.identity(self.algebra)
         sig = self.eigen_signature(auto, bound)
-        if sig is None:
-            raise CatalogMissError("map has no finite order within the bound")
         for name in self.rho_rep_names:
             entry = self.entries[name]
             if entry.order != sig[0] or self.eigen_signature(entry.auto, bound) != sig:
@@ -343,15 +292,14 @@ class Catalog:
     def _conjugators(self):
         base = [e.auto for e in self.entries.values()]
         if self.rank == 1:
-            i = zeta_power(4, 1)
-            one = CyclotomicNumber.one()
             # Ad of the eigenvector matrix of the rotation picture: carries
             # the diagonal involution to the rotation involution
-            bridge = _gl2_ad([[one, one], [i, -i]])
+            i = imaginary_unit()
+            p = [[_ONE, _ONE], [i, -i]]
+            bridge = _auto("sl2C", _ad(p, linalg.invert(p)))
             base += [bridge, bridge.inverse()]
         else:
-            for perm in itertools.permutations(range(3)):
-                base.append(_perm_ad(self.algebra, dict(enumerate(perm))))
+            base += [_auto("sl3C", _ad_perm(*perm)) for perm in itertools.permutations(range(3))]
         out = list(base)
         for a, b in itertools.product(base, base):
             out.append(a.compose(b))

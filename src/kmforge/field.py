@@ -19,8 +19,7 @@ not contain its own raise LevelMismatchError.
 Level 4 (the Gaussian rationals, degree 2) multiplies and inverts in closed
 form.  Other levels multiply schoolbook and reduce with a per-level table of
 reduced powers of z, built on first use, and invert by the extended Euclidean
-algorithm.  Everything is immutable and exact; there is no floating point
-outside the debug helper ``to_complex``.
+algorithm.  Everything is immutable and exact; there is no floating point.
 """
 
 from __future__ import annotations
@@ -344,19 +343,6 @@ class CyclotomicNumber:
 
     __hash__ = None
 
-    def is_rational(self):
-        return not any(self.nums[1:])
-
-    # -- debug -------------------------------------------------------------
-
-    def to_complex(self):
-        """Floating-point embedding at the primitive root; debugging only."""
-        z = complex(math.cos(2 * math.pi / self.level), math.sin(2 * math.pi / self.level))
-        acc = 0j
-        for c in reversed(self.nums):
-            acc = acc * z + c
-        return acc / self.den
-
     def __repr__(self):
         terms = []
         for j, c in enumerate(self.coords):
@@ -477,6 +463,3 @@ def imaginary_unit(level=4):
     """i = zeta_L^{L/4}; requires 4 | level, which all levels satisfy."""
     return zeta_power(level, level // 4)
 
-
-def conj(a):
-    return a.conj()

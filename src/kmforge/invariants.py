@@ -193,17 +193,15 @@ def invariants_equal_second(a, b, bound=48):
     if a.algebra != b.algebra or a.q != b.q:
         return False
     cat = catalog_for(a.algebra)
-    square = a.plus.power(2)
-    for c_plus, c_minus in ((b.plus, b.minus), (b.minus, b.plus)):
-        if a.plus == c_plus and a.minus == c_minus:
-            return True
-        if square.is_identity():
-            # for both built-ins the involution centralizers meet every
-            # component, so coupled conjugation reduces to factorwise conjugacy
-            if (cat.conjugate_in_aut(a.plus, c_plus, bound)
-                    and cat.conjugate_in_aut(a.minus, c_minus, bound)):
-                return True
-    if not square.is_identity():
+    pairs = ((b.plus, b.minus), (b.minus, b.plus))
+    # equality first: a conjugacy test raises CatalogMissError when an order
+    # is not found within the bound
+    if any(a.plus == c_plus and a.minus == c_minus for c_plus, c_minus in pairs):
+        return True
+    if not a.plus.power(2).is_identity():
         raise ClassifierUnavailableError(
             "second-kind coupling beyond involution pairs is decided only by equality")
-    return False
+    # for both built-ins the involution centralizers meet every component, so
+    # coupled conjugation reduces to factorwise conjugacy
+    return any(cat.conjugate_in_aut(a.plus, c_plus, bound)
+               and cat.conjugate_in_aut(a.minus, c_minus, bound) for c_plus, c_minus in pairs)

@@ -461,19 +461,54 @@ def exp_ad(data, s):
 
 # -- built-in tables --------------------------------------------------------
 
+# name -> (basis names, base field tag, compact flag)
+_BUILTINS = {
+    "sl2C": (("e", "h", "f"), "complex", False),
+    "sl3C": (("e12", "e13", "e23", "e21", "e31", "e32", "h1", "h2"), "complex", False),
+    "su2": (("u1", "u2", "u3"), "real", True),
+    "su3": (("a12", "a13", "a23", "b12", "b13", "b23", "c1", "c2"), "real", True),
+}
 
-def _mat(rows, level=4):
-    return tuple(tuple(_entry(x, level) for x in row) for row in rows)
+
+def _m(n, *terms):
+    """The n x n matrix sum of c * E_rs over the terms (c, r, s), at level 4."""
+    rows = [[CyclotomicNumber.zero()] * n for _ in range(n)]
+    for c, r, s in terms:
+        rows[r][s] = rows[r][s] + c
+    return tuple(map(tuple, rows))
 
 
-def _entry(x, level):
-    if isinstance(x, CyclotomicNumber):
-        return x.lift(level)
-    if x == "i":
-        return imaginary_unit(level)
-    if x == "-i":
-        return -imaginary_unit(level)
-    return CyclotomicNumber.from_rational(Fraction(x), level)
+@functools.cache
+def builtin_matrices(name):
+    """The basis matrices of a built-in table, in its basis order, at level 4:
+    sl(n) is spanned by E_rs (r != s) and the h_k = E_kk - E_(k+1)(k+1), su(n)
+    by E_rs - E_sr, i(E_rs + E_sr) for r < s, and the i h_k."""
+    if name not in _BUILTINS:
+        raise UnknownAlgebraError(f"unknown algebra {name!r}; built-ins: {BUILTIN_NAMES}")
+    n = 2 if name in ("sl2C", "su2") else 3
+    upper = [(r, s) for r in range(n) for s in range(r + 1, n)]
+    if name.startswith("su"):
+        i = imaginary_unit()
+        return tuple([_m(n, (1, r, s), (-1, s, r)) for r, s in upper]
+                     + [_m(n, (i, r, s), (i, s, r)) for r, s in upper]
+                     + [_m(n, (i, k, k), (-i, k + 1, k + 1)) for k in range(n - 1)])
+    e = [_m(n, (1, r, s)) for r, s in upper]
+    f = [_m(n, (1, s, r)) for r, s in upper]
+    h = [_m(n, (1, k, k), (-1, k + 1, k + 1)) for k in range(n - 1)]
+    return tuple(e + h + f if n == 2 else e + f + h)
+
+
+def matrix_coordinates(basis, mats):
+    """Coordinates of each matrix of ``mats`` in the independent matrices
+    ``basis``, from one elimination of the basis columns beside the target
+    columns: the first d pivots are 0..d-1, and a pivot past them is a target
+    outside the span, which raises ValueError (nothing is projected)."""
+    d = len(basis)
+    columns = [[x for row in m for x in row] for m in (*basis, *mats)]
+    rows, pivots = linalg.rref([list(r) for r in zip(*columns)])
+    if pivots != list(range(d)):
+        raise ValueError("matrix outside the span of the basis")
+    return [tuple(rows[k][t] for k in range(d)) for t in range(d, len(columns))]
 
 
 def _commutator(a, b):
@@ -481,77 +516,20 @@ def _commutator(a, b):
             for r1, r2 in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
 
 
-def _flatten_matrix(mat):
-    return rational_coords([x for row in mat for x in row], 4)
-
-
-def _structure_from_matrices(basis_mats):
-    """Coordinates of every commutator [m_i, m_j] in the basis matrices, from
-    one elimination of the basis columns beside all d^2 commutator columns:
-    the basis is independent, so the first d pivots are 0..d-1, and a pivot
-    past them is a commutator outside the span."""
-    d = len(basis_mats)
-    columns = [_flatten_matrix(m) for m in basis_mats]
-    columns += [_flatten_matrix(_commutator(a, b)) for a in basis_mats for b in basis_mats]
-    rows, pivots = linalg.rref([list(r) for r in zip(*columns)])
-    if pivots != list(range(d)):
-        raise ValueError("commutator leaves the span of the basis")
-    return tuple(tuple(tuple(rows[k][d + i * d + j] for k in range(d)) for j in range(d))
-                 for i in range(d))
-
-
-def _e(m, i, j):
-    return [[1 if (r, c) == (i, j) else 0 for c in range(m)] for r in range(m)]
-
-
-def _mat_sum(*pairs):
-    """Linear combination of matrices given as (coeff, matrix) pairs."""
-    m = len(pairs[0][1])
-    acc = [[CyclotomicNumber.zero() for _ in range(m)] for _ in range(m)]
-    for coeff, mat in pairs:
-        c = _entry(coeff, 4)
-        for r in range(m):
-            for s in range(m):
-                acc[r][s] = acc[r][s] + c * _entry(mat[r][s], 4)
-    return tuple(tuple(row) for row in acc)
+def _rational(c):
+    """A level-4 structure constant as a Fraction; it must be rational."""
+    if c.nums[1]:
+        raise ValueError("structure constant is not rational")
+    return Fraction(c.nums[0], c.den)
 
 
 @functools.cache
 def builtin_algebra(name):
-    """Validated built-in table; names: sl2C, sl3C, su2, su3."""
-    if name == "sl2C":
-        e, h, f = _e(2, 0, 1), [[1, 0], [0, -1]], _e(2, 1, 0)
-        mats = [_mat(e), _mat(h), _mat(f)]
-        return LieAlgebraTable("sl2C", _structure_from_matrices(mats),
-                               ("e", "h", "f"), "complex", False)
-    if name == "su2":
-        e, f, h = _e(2, 0, 1), _e(2, 1, 0), [[1, 0], [0, -1]]
-        mats = [
-            _mat_sum((1, e), (-1, f)),          # e - f
-            _mat_sum(("i", e), ("i", f)),       # i(e + f)
-            _mat_sum(("i", h)),                 # i h
-        ]
-        return LieAlgebraTable("su2", _structure_from_matrices(mats),
-                               ("u1", "u2", "u3"), "real", True)
-    if name == "sl3C":
-        names = ("e12", "e13", "e23", "e21", "e31", "e32", "h1", "h2")
-        mats = [
-            _mat(_e(3, 0, 1)), _mat(_e(3, 0, 2)), _mat(_e(3, 1, 2)),
-            _mat(_e(3, 1, 0)), _mat(_e(3, 2, 0)), _mat(_e(3, 2, 1)),
-            _mat_sum((1, _e(3, 0, 0)), (-1, _e(3, 1, 1))),
-            _mat_sum((1, _e(3, 1, 1)), (-1, _e(3, 2, 2))),
-        ]
-        return LieAlgebraTable("sl3C", _structure_from_matrices(mats),
-                               names, "complex", False)
-    if name == "su3":
-        names = ("a12", "a13", "a23", "b12", "b13", "b23", "c1", "c2")
-        mats = []
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            mats.append(_mat_sum((1, _e(3, i, j)), (-1, _e(3, j, i))))
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            mats.append(_mat_sum(("i", _e(3, i, j)), ("i", _e(3, j, i))))
-        mats.append(_mat_sum(("i", _e(3, 0, 0)), ("-i", _e(3, 1, 1))))
-        mats.append(_mat_sum(("i", _e(3, 1, 1)), ("-i", _e(3, 2, 2))))
-        return LieAlgebraTable("su3", _structure_from_matrices(mats),
-                               names, "real", True)
-    raise UnknownAlgebraError(f"unknown algebra {name!r}; built-ins: {BUILTIN_NAMES}")
+    """Validated built-in table; names: sl2C, sl3C, su2, su3.  The structure
+    constants are the coordinates of the commutators of the basis matrices."""
+    mats = builtin_matrices(name)
+    d = len(mats)
+    coords = matrix_coordinates(mats, [_commutator(a, b) for a in mats for b in mats])
+    structure = tuple(tuple(tuple(map(_rational, coords[i * d + j])) for j in range(d))
+                      for i in range(d))
+    return LieAlgebraTable(name, structure, *_BUILTINS[name])

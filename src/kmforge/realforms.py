@@ -50,10 +50,6 @@ class InvolutionDescriptor:
         """The resulting twist."""
         return self.psi.source.sigma
 
-    @property
-    def antilinear(self):
-        return self.psi.antilinear
-
 
 @dataclass(frozen=True)
 class RealFormDescriptor:
@@ -183,15 +179,6 @@ def fixed_point_basis(desc, N):
             for k, b in slice_terms(ctx, N) for j in range(field_degree(lev))]
     return rational_fixed_span(gens, [apply(theta, g) for g in gens],
                                lambda u: _coordinates_in_slice(u, N, lev))
-
-
-def real_dimension(desc, N):
-    """Real dimension of the truncated slice of the form: the rational kernel
-    has dimension (real dimension) * [real subfield : Q]."""
-    ctx = desc.conjugation.source
-    lev = _slice_level(ctx)
-    basis = fixed_point_basis(desc, N)
-    return len(basis) * 2 // field_degree(lev)
 
 
 def verify_real_form(desc, N):

@@ -169,11 +169,11 @@ def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=48):
     for q in qs:
         for p, rho, label in cat.first_kind_triples(q):
             sigma, phi = realize_first(algebra, p, rho, label, q)
-            closed = standard_order(phi, bound)
+            # the invariant carries the map's closed-form order
+            inv = extract_invariant_first(phi, bound=bound)
+            closed = inv.q
             brute = loop_map_order(phi.apply, phi.source, bound)
-            inv = extract_invariant_first(phi, q)
-            ok = (closed == q and brute == q
-                  and inv.as_tuple() == (p, rho, label) and inv.q == q)
+            ok = closed == q and brute == q and inv.as_tuple() == (p, rho, label)
             checks.append({
                 "name": f"first:{algebra}:q={q}:p={p}:rho={rho}:beta={label}",
                 "pass": ok,
@@ -192,11 +192,11 @@ def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=48):
         sigma, phi = realize_second(algebra, pn, mn)
         plus = cat.named(pn)
         expected = 2 * automorphism_order(plus.power(2))
-        order = standard_order(phi, bound)
+        inv = extract_invariant_second(phi, bound=bound)
+        order = inv.q
         brute = loop_map_order(phi.apply, phi.source, bound)
-        inv = extract_invariant_second(phi, order)
         _swap_sigma, swap_phi = realize_second(algebra, mn, pn)
-        swap_inv = extract_invariant_second(swap_phi, order)
+        swap_inv = extract_invariant_second(swap_phi, bound=bound)
         ok = (order == expected and brute == expected
               and inv.plus == plus and inv.minus == cat.named(mn)
               and invariants_equal_second(inv, swap_inv))

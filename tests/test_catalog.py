@@ -103,6 +103,19 @@ def test_conjugacy_by_signature():
     assert A2.conjugate_in_aut(A2.named("r3"), A2.named("rot"))
 
 
+def test_an_order_beyond_the_bound_is_a_catalog_miss():
+    # theta is inner and mu outer; with no order found neither has a
+    # signature, so conjugacy must not be decided by comparing two misses
+    for bound in (2, 48):
+        assert not A2.conjugate_in_aut(A2.named("theta"), A2.named("mu"), bound)
+    with pytest.raises(CatalogMissError):
+        A2.eigen_signature(A2.named("theta"), bound=1)
+    with pytest.raises(CatalogMissError):
+        A2.conjugate_in_aut(A2.named("theta"), A2.named("mu"), bound=1)
+    with pytest.raises(CatalogMissError):
+        A2.match(A2.named("mu").compose(A2.named("theta")), bound=1)
+
+
 def test_omega_is_antilinear_involution():
     for cat in (A1, A2):
         om = cat.omega()

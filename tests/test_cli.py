@@ -114,6 +114,46 @@ def test_equivalent_command(tmp_path, capsys):
     assert doc["equal"] is False
 
 
+def test_equivalent_with_no_order_within_the_bound_exits_3(tmp_path, capsys):
+    # theta is inner and mu is outer: no bound may make the invariants equal
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps({"kind": "second", "algebra": "sl3C", "q": 2,
+                             "plus": "theta", "minus": "id"}))
+    b.write_text(json.dumps({"kind": "second", "algebra": "sl3C", "q": 2,
+                             "plus": "mu", "minus": "id"}))
+    for bound in ("48", "2"):
+        code, doc = run_cli(capsys, "auto", "equivalent", "--a", str(a), "--b", str(b),
+                            "--bound", bound)
+        assert (code, doc) == (0, {"equal": False})
+    code, doc = run_cli(capsys, "auto", "equivalent", "--a", str(a), "--b", str(b),
+                        "--bound", "1")
+    assert code == 3
+    assert doc["error"]["type"] == "CatalogMissError"
+    # a pair equal to the other after the swap needs no order
+    b.write_text(json.dumps({"kind": "second", "algebra": "sl3C", "q": 2,
+                             "plus": "id", "minus": "theta"}))
+    code, doc = run_cli(capsys, "auto", "equivalent", "--a", str(a), "--b", str(b),
+                        "--bound", "1")
+    assert (code, doc) == (0, {"equal": True})
+
+
+def test_roundtrip_reports_a_wrong_order_map_as_a_failing_check(capsys, monkeypatch):
+    # realize hands back an order-2 map when order 4 is asked for
+    real = verify.realize_first
+
+    def wrong_order(algebra, p, rho, beta, q):
+        return real(algebra, 0, "mu", "id", 2) if q == 4 else real(algebra, p, rho, beta, q)
+
+    monkeypatch.setattr(verify, "realize_first", wrong_order)
+    code, doc = run_cli(capsys, "verify", "roundtrip", "--q", "4")
+    assert code == 1 and doc["ok"] is False
+    first = [c for c in doc["checks"] if c["name"].startswith("first:")]
+    assert len(first) == 4
+    assert [c for c in doc["checks"] if not c["pass"]] == first
+    assert all(c["order_closed_form"] == c["order_bruteforce"] == 2 for c in first)
+
+
 def test_catalog_miss_exits_3(tmp_path, capsys):
     # a pointwise order-5 torus automorphism has no catalog representative
     sl2 = builtin_algebra("sl2C")

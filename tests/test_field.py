@@ -152,18 +152,6 @@ def test_power_and_division():
     assert (z / z) == 1
 
 
-def test_rational_detection():
-    assert rat(Fraction(3, 2)).is_rational()
-    assert not zeta_power(8, 1).is_rational()
-
-
-def test_debug_embedding_close():
-    a = 2 + 3 * zeta_power(8, 1)
-    z = a.to_complex()
-    w = 2 + 3 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    assert abs(z - w) < 1e-12
-
-
 def test_constructor_rejects_bad_levels():
     with pytest.raises(ValueError):
         CyclotomicNumber(6, [Fraction(0)] * 2)
