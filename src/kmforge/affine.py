@@ -17,7 +17,7 @@ from fractions import Fraction
 from .element import _as_scalar
 from .errors import ContextMismatchError, NotFiniteOrderError, OrderMismatchError
 from .field import CyclotomicNumber
-from .liealg import rational_coords
+from .liealg import ORDER_BOUND, rational_coords
 from .linalg import in_span, rref
 from .loop import (
     LoopElement,
@@ -147,7 +147,7 @@ def extend_to_hat(phi, nu=0):
     return HatExtensionData(phi, shadow, _as_scalar(nu))
 
 
-def finite_order_extension(phi, bound=48):
+def finite_order_extension(phi, bound=ORDER_BOUND):
     """The unique finite-order hat extension: nu = -eps*|shadow|^2/2.
 
     The order of the extension is verified by iterating the hat action on c,
@@ -171,7 +171,7 @@ def _hat_slice(context, N):
         AffineElement(LoopElement(context, {k: b})) for k, b in slice_terms(context, N)]
 
 
-def hat_order(data, bound=48):
+def hat_order(data, bound=ORDER_BOUND):
     """Order of the hat action on {c, d} + the degree <= 2D slice, or None."""
     ctx = data.phi.source
     if ctx != data.phi.target:

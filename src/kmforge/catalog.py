@@ -20,6 +20,7 @@ from . import linalg
 from .errors import CatalogMissError, ClassifierUnavailableError, UnknownAlgebraError
 from .field import CyclotomicNumber, imaginary_unit, zeta_power
 from .liealg import (
+    ORDER_BOUND,
     FiniteAutomorphism,
     automorphism_order,
     builtin_algebra,
@@ -248,7 +249,7 @@ class Catalog:
 
     # -- conjugacy at catalog scope ------------------------------------------
 
-    def eigen_signature(self, auto, bound=48):
+    def eigen_signature(self, auto, bound=ORDER_BOUND):
         """(order, eigenspace dimensions by exponent); raises CatalogMissError
         when the map has no finite order within the bound."""
         order = automorphism_order(auto, bound)
@@ -257,7 +258,7 @@ class Catalog:
         eig = eigenspace_decomposition(auto, order=order)
         return (order, tuple((k, len(basis)) for k, basis in eig.items()))
 
-    def conjugate_in_aut(self, a, b, bound=48):
+    def conjugate_in_aut(self, a, b, bound=ORDER_BOUND):
         """Conjugacy test, complete for the finite orders in the catalog."""
         if a == b:
             return True
@@ -267,7 +268,7 @@ class Catalog:
             raise ClassifierUnavailableError("antilinear conjugacy is decided only by equality")
         return self.eigen_signature(a, bound) == self.eigen_signature(b, bound)
 
-    def match(self, auto, bound=48):
+    def match(self, auto, bound=ORDER_BOUND):
         """(entry, conjugator) with conjugator * entry * conjugator^{-1} = auto.
 
         Exact matches against the designated representatives come first; the

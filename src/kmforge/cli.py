@@ -26,7 +26,7 @@ from .invariants import (
     realize_first,
     realize_second,
 )
-from .liealg import BUILTIN_NAMES, builtin_algebra
+from .liealg import BUILTIN_NAMES, ORDER_BOUND, builtin_algebra
 from .realforms import enumerate_involutions, enumerate_real_forms
 from .standard import StandardAutomorphism, loop_map_order, standard_order
 from .verify import SUITES
@@ -36,6 +36,9 @@ LEVEL_ENV = "KMFORGE_LEVEL"
 # the flags of ``verify``; --q is passed to a suite as qs=(q,)
 _VERIFY_FLAGS = {"algebra": str, "N": int, "bound": int, "seed": int, "trials": int, "q": int}
 
+# the least value of each numeric flag, on every subcommand that takes it
+_LEAST = {"N": 0, "bound": 1, "trials": 0, "q": 1}
+
 
 class _CliError(Exception):
     def __init__(self, code, message):
@@ -43,10 +46,9 @@ class _CliError(Exception):
         self.code = code
 
 
-def _session_level(D=None):
+def _session_level():
     """The forced field level from KMFORGE_LEVEL, or None.  It must be a valid
-    cyclotomic level (see ``field.check_level``) and a multiple of the exponent
-    denominator D."""
+    cyclotomic level (see ``field.check_level``)."""
     raw = os.environ.get(LEVEL_ENV)
     if raw is None:
         return None
@@ -58,9 +60,14 @@ def _session_level(D=None):
         check_level(level)
     except InvalidLevelError as exc:
         raise _CliError(2, f"{LEVEL_ENV}: {exc}")
-    if D is not None and level % D:
-        raise _CliError(2, f"{LEVEL_ENV}={level} must be a multiple of D={D}")
     return level
+
+
+def _check_multiple(level, D):
+    """A forced level must be a multiple of the exponent denominator D; a D
+    below 1 is left to the realization, which refuses it."""
+    if level and D is not None and D >= 1 and level % D:
+        raise _CliError(2, f"{LEVEL_ENV}={level} must be a multiple of D={D}")
 
 
 def _emit(payload, out_path):
@@ -85,41 +92,33 @@ def _read_json(path):
 def _cmd_algebra(args):
     if args.action == "list":
         return {"algebras": list(BUILTIN_NAMES)}
-    table = builtin_algebra(args.algebra)
-    return jsonio.enc_table(table)
+    return jsonio.enc_table(builtin_algebra(args.algebra))
 
 
 def _cmd_auto_realize(args):
-    level = _session_level(args.D)
+    _check_multiple(args.level, args.D)
     if args.kind == "first":
         if args.q is None or args.p is None or not args.rho or not args.beta:
             raise _CliError(2, "first-kind realization needs --q --p --rho --beta")
         _sigma, phi = realize_first(args.algebra, args.p, args.rho, args.beta, args.q, D=args.D)
-    elif args.kind == "second":
+    else:
         if not args.plus or not args.minus:
             raise _CliError(2, "second-kind realization needs --plus --minus")
         _sigma, phi = realize_second(args.algebra, args.plus, args.minus, D=args.D)
-    else:
-        raise _CliError(2, f"unknown kind {args.kind!r}")
-    return jsonio.enc_standard(phi, min_level=level)
+    return jsonio.enc_standard(phi)
 
 
 def _cmd_auto_invariant(args):
-    obj = _read_json(args.infile)
-    phi = jsonio.dec_loop_map(obj)
+    phi = jsonio.dec_loop_map(_read_json(args.infile))
     if not isinstance(phi, StandardAutomorphism):
         raise _CliError(2, "scaling-composed maps carry no classification invariant")
-    level = _session_level(phi.source.D)
-    if phi.epsilon == 1:
-        inv = extract_invariant_first(phi, bound=args.bound)
-    else:
-        inv = extract_invariant_second(phi, bound=args.bound)
-    return jsonio.enc_invariant(inv, min_level=level)
+    _check_multiple(args.level, phi.source.D)
+    extract = extract_invariant_first if phi.epsilon == 1 else extract_invariant_second
+    return jsonio.enc_invariant(extract(phi, bound=args.bound))
 
 
 def _cmd_auto_order(args):
-    obj = _read_json(args.infile)
-    phi = jsonio.dec_loop_map(obj)
+    phi = jsonio.dec_loop_map(_read_json(args.infile))
     if isinstance(phi, StandardAutomorphism):
         order = standard_order(phi, args.bound)
     else:
@@ -139,33 +138,15 @@ def _cmd_auto_equivalent(args):
 
 
 def _cmd_classify(args):
-    level = _session_level()
-    if args.what == "involutions":
-        kinds = [args.kind] if args.kind else ["1a", "1b", "2"]
-        out = []
-        for kind in kinds:
-            for desc in enumerate_involutions(args.algebra, kind):
-                out.append(jsonio.enc_involution_descriptor(desc, min_level=level))
-        return out
     if args.what == "realforms":
-        return [jsonio.enc_real_form(f, min_level=level)
-                for f in enumerate_real_forms(args.algebra)]
-    raise _CliError(2, f"unknown classification target {args.what!r}")
+        return [jsonio.enc_real_form(f) for f in enumerate_real_forms(args.algebra)]
+    kinds = [args.kind] if args.kind else ["1a", "1b", "2"]
+    return [jsonio.enc_involution_descriptor(desc)
+            for kind in kinds for desc in enumerate_involutions(args.algebra, kind)]
 
 
 def _cmd_verify(args):
-    fn = SUITES.get(args.suite)
-    if fn is None:
-        raise _CliError(2, f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    _session_level()
-    if args.N is not None and args.N < 0:
-        raise _CliError(2, "N must be >= 0")
-    if args.bound is not None and args.bound < 1:
-        raise _CliError(2, "bound must be >= 1")
-    if args.trials is not None and args.trials < 0:
-        raise _CliError(2, "trials must be >= 0")
-    if args.q is not None and args.q < 1:
-        raise _CliError(2, "q must be >= 1")
+    fn = SUITES[args.suite]
     # each suite's signature holds its defaults; only flags the user set are passed
     params = inspect.signature(fn).parameters
     kwargs = {}
@@ -186,11 +167,14 @@ def build_parser():
         description="Exact twisted loop algebras and affine Kac-Moody classification.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write JSON output to this file instead of stdout")
+    bounded = argparse.ArgumentParser(add_help=False, parents=[common])
+    bounded.add_argument("--bound", type=int, default=ORDER_BOUND)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_alg = sub.add_parser("algebra", help="built-in Lie algebra tables", parents=[common])
     p_alg.add_argument("action", choices=["list", "show"])
     p_alg.add_argument("--algebra", default="sl2C")
+    p_alg.set_defaults(run=_cmd_algebra)
 
     p_auto = sub.add_parser("auto", help="automorphisms and their invariants")
     auto_sub = p_auto.add_subparsers(dest="auto_command", required=True)
@@ -206,27 +190,29 @@ def build_parser():
     p_real.add_argument("--plus")
     p_real.add_argument("--minus")
     p_real.add_argument("--D", type=int)
+    p_real.set_defaults(run=_cmd_auto_realize)
 
-    p_inv = auto_sub.add_parser("invariant", parents=[common],
+    p_inv = auto_sub.add_parser("invariant", parents=[bounded],
                                 help="classification invariant of a map")
     p_inv.add_argument("--in", dest="infile")
-    p_inv.add_argument("--bound", type=int, default=48)
+    p_inv.set_defaults(run=_cmd_auto_invariant)
 
-    p_ord = auto_sub.add_parser("order", parents=[common],
+    p_ord = auto_sub.add_parser("order", parents=[bounded],
                                 help="order of a map up to a bound")
     p_ord.add_argument("--in", dest="infile")
-    p_ord.add_argument("--bound", type=int, default=48)
+    p_ord.set_defaults(run=_cmd_auto_order)
 
-    p_eq = auto_sub.add_parser("equivalent", parents=[common],
+    p_eq = auto_sub.add_parser("equivalent", parents=[bounded],
                                help="compare two invariants")
     p_eq.add_argument("--a", required=True)
     p_eq.add_argument("--b", required=True)
-    p_eq.add_argument("--bound", type=int, default=48)
+    p_eq.set_defaults(run=_cmd_auto_equivalent)
 
     p_cls = sub.add_parser("classify", help="catalog enumerations", parents=[common])
     p_cls.add_argument("what", choices=["involutions", "realforms"])
     p_cls.add_argument("--algebra", default="sl2C")
     p_cls.add_argument("--kind", choices=["1a", "1b", "2"])
+    p_cls.set_defaults(run=_cmd_classify)
 
     p_ver = sub.add_parser(
         "verify", help="run a verification suite", parents=[common],
@@ -235,32 +221,22 @@ def build_parser():
     p_ver.add_argument("suite", choices=sorted(SUITES))
     for flag, kind in _VERIFY_FLAGS.items():
         p_ver.add_argument(f"--{flag}", type=kind)
+    p_ver.set_defaults(run=_cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "algebra":
-            payload = _cmd_algebra(args)
-        elif args.command == "auto":
-            if args.auto_command != "realize" and args.bound < 1:
-                raise _CliError(2, "bound must be >= 1")
-            handler = {
-                "realize": _cmd_auto_realize,
-                "invariant": _cmd_auto_invariant,
-                "order": _cmd_auto_order,
-                "equivalent": _cmd_auto_equivalent,
-            }[args.auto_command]
-            payload = handler(args)
-        elif args.command == "classify":
-            payload = _cmd_classify(args)
-        elif args.command == "verify":
-            payload = _cmd_verify(args)
-        else:
-            raise _CliError(2, f"unknown command {args.command!r}")
+        for flag, least in _LEAST.items():
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise _CliError(2, f"{flag} must be >= {least}")
+        args.level = _session_level()
+        payload = args.run(args)
+        if args.level:
+            payload = jsonio.lift_scalars(payload, args.level)
     except _CliError as exc:
         _emit({"error": {"code": exc.code, "message": str(exc)}}, args.out)
         return exc.code
@@ -274,9 +250,8 @@ def main(argv=None):
         _emit({"error": {"code": 1, "type": type(exc).__name__, "message": str(exc)}}, args.out)
         return 1
     _emit(payload, args.out)
-    if args.command == "verify" and not payload.get("ok", False):
-        return 1
-    return 0
+    # only a verification report carries "ok"
+    return 1 if isinstance(payload, dict) and payload.get("ok") is False else 0
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .errors import (
     OrderMismatchError,
     SquareMismatchError,
 )
-from .liealg import FiniteAutomorphism, automorphism_order, builtin_algebra
+from .liealg import ORDER_BOUND, FiniteAutomorphism, automorphism_order, builtin_algebra
 from .loop import TwistContext
 from .standard import (
     conjugate,
@@ -74,7 +74,7 @@ def _bezout(p1, q1):
     return l, m
 
 
-def extract_invariant_first(phi, q=None, bound=48):
+def extract_invariant_first(phi, q=None, bound=ORDER_BOUND):
     """Invariant (p, rho, [beta]) of a first-kind constant-curve map."""
     if phi.epsilon != 1:
         raise NotFirstKindError("map is of the second kind")
@@ -136,7 +136,7 @@ def realize_first(algebra_name, p, rho, beta, q, D=None):
     return sigma, phi
 
 
-def extract_invariant_second(phi, q=None, bound=48):
+def extract_invariant_second(phi, q=None, bound=ORDER_BOUND):
     """Invariant [phi_plus, phi_minus] of a second-kind constant-curve map."""
     if phi.epsilon != -1:
         raise NotSecondKindError("map is of the first kind")
@@ -186,7 +186,7 @@ def invariants_equal_first(a, b):
     return a == b
 
 
-def invariants_equal_second(a, b, bound=48):
+def invariants_equal_second(a, b, bound=ORDER_BOUND):
     """Equality modulo the generated relation (swap, coupled conjugation)."""
     if not isinstance(a, SecondKindInvariant) or not isinstance(b, SecondKindInvariant):
         raise InvalidInputError("second-kind invariants expected")

@@ -3,7 +3,8 @@
 All arbitrary-precision integers travel as decimal strings (rationals as
 ["num", "den"] pairs); structural integers (levels, exponents, orders) stay
 native.  Encoders are deterministic: combined with sorted keys this makes
-identical inputs produce byte-identical documents.
+identical inputs produce byte-identical documents.  ``lift_scalars``
+re-expresses every scalar of a finished document at a forced minimum level.
 """
 
 from __future__ import annotations
@@ -89,10 +90,21 @@ def dec_rational(obj):
     raise InvalidInputError(f"bad rational encoding: {obj!r}")
 
 
-def enc_cyclo(x, min_level=None):
-    if min_level:
-        x = x.lift(math.lcm(x.level, min_level))
+def enc_cyclo(x):
     return {"level": x.level, "coords": [enc_rational(c) for c in x.coords]}
+
+
+def lift_scalars(doc, level):
+    """``doc`` with every encoded scalar (a ``{"level", "coords"}`` object)
+    re-expressed at lcm(its level, ``level``); everything else is kept."""
+    if isinstance(doc, list):
+        return [lift_scalars(v, level) for v in doc]
+    if not isinstance(doc, dict):
+        return doc
+    if doc.keys() == {"level", "coords"}:
+        x = dec_cyclo(doc)
+        return enc_cyclo(x.lift(math.lcm(x.level, level)))
+    return {k: lift_scalars(v, level) for k, v in doc.items()}
 
 
 def dec_cyclo(obj):
@@ -107,9 +119,8 @@ def dec_cyclo(obj):
     return CyclotomicNumber(level, coords)
 
 
-def enc_element(x, min_level=None):
-    return {"algebra": x.algebra.name,
-            "coords": [enc_cyclo(c, min_level) for c in x.coords]}
+def enc_element(x):
+    return {"algebra": x.algebra.name, "coords": [enc_cyclo(c) for c in x.coords]}
 
 
 def dec_element(obj):
@@ -120,10 +131,10 @@ def dec_element(obj):
     return AlgebraElement(algebra, tuple(coords))
 
 
-def enc_automorphism(a, min_level=None):
+def enc_automorphism(a):
     out = {
         "algebra": a.algebra.name,
-        "matrix": [[enc_cyclo(x, min_level) for x in row] for row in a.matrix],
+        "matrix": [[enc_cyclo(x) for x in row] for row in a.matrix],
         "antilinear": a.antilinear,
     }
     name = _catalog_name(a)
@@ -161,10 +172,8 @@ def dec_automorphism(obj):
     return auto
 
 
-def enc_context(ctx, min_level=None):
-    return {"algebra": ctx.algebra.name,
-            "sigma": enc_automorphism(ctx.sigma, min_level),
-            "D": ctx.D}
+def enc_context(ctx):
+    return {"algebra": ctx.algebra.name, "sigma": enc_automorphism(ctx.sigma), "D": ctx.D}
 
 
 def dec_context(obj):
@@ -173,10 +182,10 @@ def dec_context(obj):
     return TwistContext(algebra, sigma, D=_integer(obj["D"], "D"))
 
 
-def enc_loop(u, min_level=None):
+def enc_loop(u):
     return {
-        "context": enc_context(u.context, min_level),
-        "terms": [{"k": k, "coeff": enc_element(x, min_level)} for k, x in u.terms],
+        "context": enc_context(u.context),
+        "terms": [{"k": k, "coeff": enc_element(x)} for k, x in u.terms],
     }
 
 
@@ -186,33 +195,31 @@ def dec_loop(obj):
     return LoopElement(ctx, terms)
 
 
-def enc_affine(x, min_level=None):
-    return {"loop": enc_loop(x.loop, min_level),
-            "c": enc_cyclo(x.c_coef, min_level),
-            "d": enc_cyclo(x.d_coef, min_level)}
+def enc_affine(x):
+    return {"loop": enc_loop(x.loop), "c": enc_cyclo(x.c_coef), "d": enc_cyclo(x.d_coef)}
 
 
 def dec_affine(obj):
     return AffineElement(dec_loop(obj["loop"]), dec_cyclo(obj["c"]), dec_cyclo(obj["d"]))
 
 
-def enc_standard(phi, min_level=None):
+def enc_standard(phi):
     curve = {"kind": "constant"}
     if phi.exp is not None:
         curve = {
             "kind": "exp",
-            "generator": enc_element(phi.exp.generator, min_level),
+            "generator": enc_element(phi.exp.generator),
             "eigenvalues": [enc_rational(q) for q, _ in phi.exp.eigenpairs],
         }
-    curve["base"] = enc_automorphism(phi.base, min_level)
+    curve["base"] = enc_automorphism(phi.base)
     return {
         "type": "standard",
         "epsilon": phi.epsilon,
         "shift": enc_rational(phi.shift),
         "antilinear": phi.antilinear,
         "curve": curve,
-        "source": enc_context(phi.source, min_level),
-        "target": enc_context(phi.target, min_level),
+        "source": enc_context(phi.source),
+        "target": enc_context(phi.target),
     }
 
 
@@ -247,7 +254,7 @@ def dec_loop_map(obj):
     return phi
 
 
-def enc_invariant(inv, min_level=None):
+def enc_invariant(inv):
     if isinstance(inv, FirstKindInvariant):
         return {"kind": "first", "algebra": inv.algebra, "q": inv.q,
                 "p": inv.p, "rho": inv.rho, "beta_class": inv.beta_class}
@@ -257,8 +264,8 @@ def enc_invariant(inv, min_level=None):
             out["plus"] = inv.plus_name
             out["minus"] = inv.minus_name
         else:
-            out["plus_matrix"] = enc_automorphism(inv.plus, min_level)
-            out["minus_matrix"] = enc_automorphism(inv.minus, min_level)
+            out["plus_matrix"] = enc_automorphism(inv.plus)
+            out["minus_matrix"] = enc_automorphism(inv.minus)
         return out
     raise InvalidInputError(f"cannot encode invariant {inv!r}")
 
@@ -303,23 +310,23 @@ def dec_invariant(obj):
     raise InvalidInputError(f"unknown invariant kind {obj.get('kind')!r}")
 
 
-def enc_involution_descriptor(desc, min_level=None):
+def enc_involution_descriptor(desc):
     return {
         "kind": desc.kind,
         "algebra": desc.algebra,
         "data": dict(desc.data),
         "order": 2,
-        "twist": enc_automorphism(desc.sigma, min_level),
-        "invariant": enc_invariant(desc.invariant, min_level),
+        "twist": enc_automorphism(desc.sigma),
+        "invariant": enc_invariant(desc.invariant),
     }
 
 
-def enc_real_form(desc, min_level=None):
+def enc_real_form(desc):
     out = {
         "kind": desc.kind,
         "algebra": desc.algebra,
         "label": desc.label,
-        "invariant": enc_invariant(desc.invariant, min_level),
+        "invariant": enc_invariant(desc.invariant),
         "hat_adjoin": desc.hat_adjoin,
         "split_tag": desc.split_tag,
         "twist_order": desc.context.twist_order,

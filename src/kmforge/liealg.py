@@ -253,6 +253,10 @@ def check_automorphism(auto):
     return True
 
 
+# the default bound of every order search
+ORDER_BOUND = 48
+
+
 def order_by_iteration(first, step, is_identity, bound):
     """Least n <= bound with is_identity(x_n), else None, where x_1 = first
     and x_(n+1) = step(x_n).  Every order in the package is found here."""
@@ -266,7 +270,7 @@ def order_by_iteration(first, step, is_identity, bound):
     return None
 
 
-def automorphism_order(auto, bound=48):
+def automorphism_order(auto, bound=ORDER_BOUND):
     """Least n <= bound with auto^n = id, else None."""
     return order_by_iteration(auto, auto.compose, FiniteAutomorphism.is_identity, bound)
 
@@ -297,7 +301,7 @@ def eigenspace_decomposition(auto, order):
     return out
 
 
-def fixed_subalgebra(auto, bound=48):
+def fixed_subalgebra(auto, bound=ORDER_BOUND):
     """Basis of the fixed-point set; rational-span basis for antilinear maps."""
     if automorphism_order(auto, bound) is None:
         raise NotFiniteOrderError(f"no order within bound {bound}")

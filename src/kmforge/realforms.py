@@ -24,7 +24,7 @@ from .invariants import (
     realize_first,
     realize_second,
 )
-from .liealg import automorphism_order, rational_fixed_span
+from .liealg import ORDER_BOUND, automorphism_order, rational_fixed_span
 from .loop import (
     LoopElement,
     TwistContext,
@@ -310,7 +310,7 @@ def hat_adjunction_check(desc, N):
     }
 
 
-def finite_order_product_check(g_plus, g_minus, h, bound=48):
+def finite_order_product_check(g_plus, g_minus, h, bound=ORDER_BOUND):
     """Order of (h g_minus h^{-1})^{-1} g_plus, or None beyond the bound."""
     if g_plus.power(2) != g_minus.power(2):
         raise InvalidInputError("inputs must share a common square")

@@ -26,7 +26,7 @@ from .errors import (
     TwistMismatchError,
 )
 from .field import zeta_of
-from .liealg import FiniteAutomorphism, exp_ad, exp_curve, order_by_iteration
+from .liealg import ORDER_BOUND, FiniteAutomorphism, exp_ad, exp_curve, order_by_iteration
 from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply, validate
 
 
@@ -207,7 +207,7 @@ def is_identity_standard(phi):
             and phi.base.is_identity())
 
 
-def standard_order(phi, bound=48):
+def standard_order(phi, bound=ORDER_BOUND):
     """Least n <= bound with phi^n the identity map, else None.
 
     Powers are composed symbolically, so the identity test is the canonical
@@ -224,7 +224,7 @@ def standard_order(phi, bound=48):
         return loop_map_order(phi.apply, phi.source, bound)
 
 
-def loop_map_order(apply_fn, context, bound=48, test_elements=None):
+def loop_map_order(apply_fn, context, bound=ORDER_BOUND, test_elements=None):
     """Least n <= bound with apply_fn^n fixing every test element, else None.
 
     The default test elements span the degree <= 2D slice of the loop algebra.

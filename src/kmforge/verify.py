@@ -30,7 +30,13 @@ from .invariants import (
     realize_first,
     realize_second,
 )
-from .liealg import FiniteAutomorphism, automorphism_order, builtin_algebra, exp_curve
+from .liealg import (
+    ORDER_BOUND,
+    FiniteAutomorphism,
+    automorphism_order,
+    builtin_algebra,
+    exp_curve,
+)
 from .loop import LoopElement, TwistContext, loop_bracket, cocycle, tau_r_apply, validate
 from .realforms import (
     cartan_decomposition,
@@ -162,9 +168,24 @@ def verify_cocycle(algebra="sl2C", N=6, trials=100, seed=7):
     return _twist_suite("cocycle", algebra, N, trials, seed, random_loop, _cocycle_witness)
 
 
-def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=48):
+def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=ORDER_BOUND):
     """Realize/extract round trips with a brute-force order oracle."""
     cat = catalog_for(algebra)
+    pairs = list(cat.second_kind_pairs())
+    if algebra == "sl2C":
+        pairs += [("tau", "tau"), ("tau", "id")]
+    # an order past the bound makes an extraction raise mid-run, so every order
+    # the suite checks is held against the bound before the first check
+    orders = {f"the first-kind maps with q={q}": q for q in qs}
+    second_orders = {}
+    for pn, mn in pairs:
+        half = automorphism_order(cat.named(pn).power(2), bound)
+        second_orders[pn, mn] = 2 * half if half else None
+        orders[f"the second-kind pair plus={pn}, minus={mn}"] = second_orders[pn, mn]
+    for what, order in orders.items():
+        if order is None or order > bound:
+            shown = order if order else f"> {2 * bound}"
+            raise InvalidInputError(f"bound={bound} is below the order {shown} of {what}")
     checks = []
     for q in qs:
         for p, rho, label in cat.first_kind_triples(q):
@@ -185,27 +206,23 @@ def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=48):
         checks += [{"name": f"first:{algebra}:q={q}:p={p}:rho_order={m}", "pass": False,
                     "error": "no catalog rho of this order"}
                    for p in range(q // 2 + 1) if not cat.rho_reps(m := math.gcd(p, q))]
-    pairs = list(cat.second_kind_pairs())
-    if algebra == "sl2C":
-        pairs += [("tau", "tau"), ("tau", "id")]
     for pn, mn in pairs:
         sigma, phi = realize_second(algebra, pn, mn)
-        plus = cat.named(pn)
-        expected = 2 * automorphism_order(plus.power(2))
+        expected = second_orders[pn, mn]
         inv = extract_invariant_second(phi, bound=bound)
         order = inv.q
         brute = loop_map_order(phi.apply, phi.source, bound)
         _swap_sigma, swap_phi = realize_second(algebra, mn, pn)
         swap_inv = extract_invariant_second(swap_phi, bound=bound)
+        swap_equivalent = invariants_equal_second(inv, swap_inv)
         ok = (order == expected and brute == expected
-              and inv.plus == plus and inv.minus == cat.named(mn)
-              and invariants_equal_second(inv, swap_inv))
+              and inv.plus == cat.named(pn) and inv.minus == cat.named(mn) and swap_equivalent)
         checks.append({
             "name": f"second:{algebra}:plus={pn}:minus={mn}",
             "pass": ok,
             "order": order,
             "order_bruteforce": brute,
-            "swap_equivalent": invariants_equal_second(inv, swap_inv),
+            "swap_equivalent": swap_equivalent,
         })
     return _report("roundtrip", {"algebra": algebra, "qs": list(qs), "bound": bound}, checks)
 
@@ -316,7 +333,7 @@ def verify_hat(algebra="sl2C", seed=7, trials=10):
     return _report("hat", {"algebra": algebra, "seed": seed, "trials": trials}, checks)
 
 
-def verify_tau_r(algebra="sl2C", r=Fraction(2), trials=50, seed=17, bound=48):
+def verify_tau_r(algebra="sl2C", r=Fraction(2), trials=50, seed=17, bound=ORDER_BOUND):
     """Scaling maps: exact bracket homomorphism and unbounded order."""
     rng = random.Random(seed)
     cat = catalog_for(algebra)

@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -671,3 +672,123 @@ def test_every_second_kind_chain_still_decodes(tmp_path, capsys, algebra):
         code, doc = run_cli(capsys, "auto", "equivalent", "--a", str(inv_path),
                             "--b", str(inv_path))
         assert code == 0 and doc == {"equal": True}
+
+
+with open(os.path.join(os.path.dirname(__file__), "golden_cli_level.json")) as fh:
+    GOLDEN_LEVEL = json.load(fh)
+
+
+@pytest.mark.parametrize("entry", GOLDEN_LEVEL["documents"], ids=lambda e: " ".join(e["argv"][:2]))
+def test_forced_level_documents_are_pinned_byte_for_byte(capsys, monkeypatch, entry):
+    # the realized map's target twist has level-12 entries, lifted to 24
+    monkeypatch.setenv("KMFORGE_LEVEL", GOLDEN_LEVEL["KMFORGE_LEVEL"])
+    assert main(entry["argv"]) == 0
+    assert capsys.readouterr().out == entry["text"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "list"],
+    ["algebra", "show"],
+    ["auto", "realize", "--kind", "first", "--q", "2", "--p", "0", "--rho", "mu", "--beta", "id"],
+    ["auto", "invariant", "--in", "MISSING"],
+    ["auto", "order", "--in", "MISSING"],
+    ["auto", "equivalent", "--a", "MISSING", "--b", "MISSING"],
+    ["classify", "involutions"],
+    ["classify", "realforms"],
+    *(["verify", suite] for suite in sorted(verify.SUITES)),
+], ids=" ".join)
+def test_a_level_that_is_no_integer_exits_2_on_every_subcommand(tmp_path, capsys, monkeypatch,
+                                                                argv):
+    # the level is checked before any work: the input files are never opened
+    monkeypatch.setenv("KMFORGE_LEVEL", "abc")
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc == {"error": {"code": 2, "message": "KMFORGE_LEVEL must be an integer, got 'abc'"}}
+
+
+def test_a_level_that_is_no_multiple_of_D_exits_2(tmp_path, capsys, monkeypatch):
+    phi_path = tmp_path / "phi.json"
+    realize = ["auto", "realize", "--kind", "first", "--q", "2", "--p", "0", "--rho", "mu",
+               "--beta", "id", "--D", "8"]
+    assert main([*realize, "--out", str(phi_path)]) == 0
+    monkeypatch.setenv("KMFORGE_LEVEL", "12")
+    for argv in (realize, ["auto", "invariant", "--in", str(phi_path)]):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["message"] == "KMFORGE_LEVEL=12 must be a multiple of D=8"
+    code, doc = run_cli(capsys, *realize[:-1], "0")
+    assert code == 2 and doc["error"]["message"] == "D=0 must be >= 1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "first", "--q", "2", "--p", "0", "--rho", "mu"],
+     "first-kind realization needs --q --p --rho --beta"),
+    (["--kind", "second", "--plus", "mu"], "second-kind realization needs --plus --minus"),
+])
+def test_realize_without_its_flags_exits_2(capsys, argv, message):
+    code, doc = run_cli(capsys, "auto", "realize", *argv)
+    assert code == 2 and doc == {"error": {"code": 2, "message": message}}
+
+
+def test_invariant_of_a_scaled_map_exits_2(tmp_path, capsys):
+    phi, _ = _realized_documents(tmp_path, capsys)
+    phi["tau_r"] = ["2", "1"]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(phi))
+    code, doc = run_cli(capsys, "auto", "invariant", "--in", str(path))
+    assert code == 2
+    assert doc["error"]["message"] == "scaling-composed maps carry no classification invariant"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "cartan", "--N", "-1"], "N must be >= 0"),
+    (["verify", "roundtrip", "--bound", "0"], "bound must be >= 1"),
+    (["auto", "realize", "--kind", "first", "--q", "0", "--p", "0", "--rho", "id",
+      "--beta", "id"], "q must be >= 1"),
+])
+def test_a_flag_below_its_least_value_exits_2(capsys, argv, message):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2 and doc == {"error": {"code": 2, "message": message}}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--q", "6", "--bound", "3"], "bound=3 is below the order 6 of the first-kind maps with q=6"),
+    # every second-kind pair has order 2
+    (["--q", "1", "--bound", "1"],
+     "bound=1 is below the order 2 of the second-kind pair plus=id, minus=id"),
+])
+def test_roundtrip_rejects_a_bound_below_a_checked_order(capsys, monkeypatch, argv, message):
+    def realized_too_early(*args, **kwargs):
+        raise AssertionError("a map was realized before the bound was checked")
+
+    monkeypatch.setattr(verify, "realize_first", realized_too_early)
+    monkeypatch.setattr(verify, "realize_second", realized_too_early)
+    code, doc = run_cli(capsys, "verify", "roundtrip", *argv)
+    assert code == 2 and doc["error"]["message"] == message
+
+
+def test_roundtrip_at_a_bound_equal_to_every_checked_order_passes(capsys):
+    code, doc = run_cli(capsys, "verify", "roundtrip", "--q", "2", "--bound", "2")
+    assert code == 0 and doc["ok"] is True
+
+
+def test_a_failing_trial_fails_its_check_with_the_first_witness(capsys, monkeypatch):
+    draws = iter(range(1, 4))
+    assert verify._seeded_trials(3, lambda: (next(draws),),
+                                 lambda n: f"trial {n}" if n >= 2 else None) == (2, "trial 2")
+
+    calls = []
+
+    def fails_from_the_second_call(x, y, z):
+        calls.append(None)
+        return f"call {len(calls)}" if len(calls) >= 2 else None
+
+    monkeypatch.setattr(verify, "_jacobi_witness", fails_from_the_second_call)
+    report = verify.verify_jacobi(N=2, trials=3)
+    # the id twist makes calls 1 to 3, of which 2 and 3 fail; the tau twist 4 to 6
+    assert report["ok"] is False and report["failed"] == 2
+    assert [c["witness"] for c in report["checks"]] == ["call 2", "call 4"]
+    calls.clear()
+    code, doc = run_cli(capsys, "verify", "jacobi", "--N", "2", "--trials", "3")
+    assert code == 1 and doc == report

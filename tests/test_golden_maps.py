@@ -19,10 +19,12 @@ from kmforge.catalog import catalog_for
 from kmforge.field import imaginary_unit
 from kmforge.invariants import realize_first, realize_second
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra, exp_curve
-from kmforge.loop import TwistContext
+from kmforge.loop import LoopElement, TwistContext, slice_terms
 from kmforge.standard import (
+    apply,
     compose,
     inverse,
+    is_identity_standard,
     pointwise,
     reflection,
     standard_automorphism,
@@ -77,6 +79,17 @@ def test_standard_map_document_is_unchanged(name):
 def test_standard_map_document_round_trips(name):
     back = jsonio.dec_standard(GOLDEN[name])
     assert _canon(jsonio.enc_standard(back)) == _canon(GOLDEN[name])
+
+
+def test_inverse_undoes_a_reflected_exponential_map():
+    # epsilon = -1 with an exponential curve
+    phi = golden_maps()["exp:reflected"]
+    assert phi.epsilon == -1 and phi.exp is not None
+    back = inverse(phi)
+    assert is_identity_standard(compose(back, phi))
+    for k, b in slice_terms(phi.source, 2 * phi.source.D):
+        u = LoopElement(phi.source, {k: b})
+        assert apply(back, apply(phi, u)) == u
 
 
 _NO_INVARIANT = ('{\n  "error": {\n    "code": 2,\n    "message": "extraction needs a '

@@ -28,9 +28,14 @@ def test_cyclo_round_trip():
     x = 2 + 3 * zeta_power(8, 1) - zeta_power(8, 3) * Fraction(1, 2)
     enc = jsonio.enc_cyclo(x)
     assert jsonio.dec_cyclo(enc) == x
-    lifted = jsonio.enc_cyclo(x, min_level=24)
-    assert jsonio.dec_cyclo(lifted) == x
-    assert lifted["level"] == 24
+    # a forced level lifts every nested scalar and leaves the other keys alone
+    doc = {"D": 2, "terms": [{"k": 1, "coeff": enc}], "level": 4}
+    lifted = jsonio.lift_scalars(doc, 24)
+    assert lifted["D"] == 2 and lifted["level"] == 4 and lifted["terms"][0]["k"] == 1
+    assert lifted["terms"][0]["coeff"]["level"] == 24
+    assert jsonio.dec_cyclo(lifted["terms"][0]["coeff"]) == x
+    assert jsonio.lift_scalars(doc, 12)["terms"][0]["coeff"]["level"] == 24
+    assert enc["level"] == 8  # the input document is not changed
 
 
 def test_cyclo_decode_validates():
