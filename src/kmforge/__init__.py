@@ -57,8 +57,7 @@ from .invariants import (
     SecondKindInvariant,
     extract_invariant_first,
     extract_invariant_second,
-    invariants_equal_first,
-    invariants_equal_second,
+    invariants_equal,
     realize_first,
     realize_second,
 )

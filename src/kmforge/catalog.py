@@ -139,51 +139,38 @@ class Catalog:
     def first_kind_triples(self, q):
         """Every first-kind invariant (p, rho, beta label) of order q: p in
         [0, q/2], rho a representative of order gcd(p, q), and the labels of
-        rho's component classes that have a representative."""
+        rho's component classes that name a catalog entry."""
         return [(p, entry.name, label)
                 for p in range(q // 2 + 1)
                 for entry in self.rho_reps(math.gcd(p, q))
-                for label, _rep in self.pi0_class_reps(entry.name)]
+                for label in self.component_labels(entry.name) if label in self.entries]
 
     def second_kind_pairs(self):
-        """Involution pairs (plus, minus) up to the generated relation."""
-        if self.rank == 1:
-            return [("id", "id"), ("mu", "mu"), ("mu", "id")]
-        return [("id", "id"), ("theta", "theta"), ("mu", "mu"),
-                ("theta", "id"), ("mu", "id"), ("mu", "theta")]
+        """Involution pairs (plus, minus) up to the generated relation: every
+        unordered pair of representatives of order <= 2, equal pairs first."""
+        invs = [n for n in self.rho_rep_names if self.entries[n].order <= 2]
+        return [(a, a) for a in invs] + [(b, a) for i, a in enumerate(invs) for b in invs[i + 1:]]
 
     # -- component classifier ----------------------------------------------
 
-    def pi0_class_reps(self, rho_name):
-        """(label, representative) pairs for the component classes of the
-        centralizer of the named catalog automorphism.
+    def component_labels(self, rho_name):
+        """Every label ``component_class`` can return for the named rho.
 
-        The nontrivial component of the centralizer of an order-2 map swaps
-        its two off-axis eigenlines; the map itself sits in the identity
+        Each label but "out" names the catalog entry that represents its
+        class.  The nontrivial component of the centralizer of an order-2 map
+        swaps its two off-axis eigenlines; the map itself sits in the identity
         component, so the swap class is represented by the other involution.
+        On rank 2 the outer class "out" of r3 has no representative.
         """
         if self.rank == 1:
-            if rho_name == "id" or self.entries[rho_name].order >= 3:
-                return [("id", self.named("id"))]
-            if rho_name == "mu":
-                return [("id", self.named("id")), ("tau", self.named("tau"))]
-            if rho_name == "tau":
-                return [("id", self.named("id")), ("mu", self.named("mu"))]
-        else:
-            if rho_name in ("id", "theta", "mu"):
-                return [("id", self.named("id")), ("mu", self.named("mu"))]
-            if rho_name == "r3":
-                return [("id", self.named("id")), ("rot", self.named("rot"))]
+            if self.entries[rho_name].order == 2:
+                return ["id", "tau" if rho_name == "mu" else "mu"]
+            return ["id"]
+        if rho_name in ("id", "theta", "mu"):
+            return ["id", "mu"]
+        if rho_name == "r3":
+            return ["id", "rot", "out"]
         raise ClassifierUnavailableError(f"no pi0 data for rho={rho_name!r}")
-
-    def component_labels(self, rho_name):
-        """Every label ``component_class`` can return for the named rho: the
-        labels of ``pi0_class_reps``, and on rank 2 the outer class "out" of
-        r3, which has no representative there."""
-        labels = [label for label, _rep in self.pi0_class_reps(rho_name)]
-        if self.rank == 2 and rho_name == "r3":
-            labels.append("out")
-        return labels
 
     def component_class(self, rho_name, beta):
         """Label of the component of beta inside the centralizer of rho."""

@@ -21,8 +21,7 @@ from .field import check_level
 from .invariants import (
     extract_invariant_first,
     extract_invariant_second,
-    invariants_equal_first,
-    invariants_equal_second,
+    invariants_equal,
     realize_first,
     realize_second,
 )
@@ -129,12 +128,9 @@ def _cmd_auto_order(args):
 def _cmd_auto_equivalent(args):
     inv_a = jsonio.dec_invariant(_read_json(args.a))
     inv_b = jsonio.dec_invariant(_read_json(args.b))
-    kinds = (type(inv_a).__name__, type(inv_b).__name__)
-    if kinds[0] != kinds[1]:
+    if type(inv_a) is not type(inv_b):
         return {"equal": False, "reason": "different kinds"}
-    if kinds[0] == "FirstKindInvariant":
-        return {"equal": invariants_equal_first(inv_a, inv_b)}
-    return {"equal": invariants_equal_second(inv_a, inv_b, bound=args.bound)}
+    return {"equal": invariants_equal(inv_a, inv_b, bound=args.bound)}
 
 
 def _cmd_classify(args):

@@ -74,12 +74,18 @@ def _bezout(p1, q1):
     return l, m
 
 
+def _check_extractable(phi):
+    if phi.antilinear:
+        raise InvalidInputError("invariants are defined for linear maps only")
+    if phi.exp is not None:
+        raise InvalidInputError("extraction needs a constant curve; quasiconjugate first")
+
+
 def extract_invariant_first(phi, q=None, bound=ORDER_BOUND):
     """Invariant (p, rho, [beta]) of a first-kind constant-curve map."""
     if phi.epsilon != 1:
         raise NotFirstKindError("map is of the second kind")
-    if phi.exp is not None:
-        raise InvalidInputError("extraction needs a constant curve; quasiconjugate first")
+    _check_extractable(phi)
     order = standard_order(phi, bound)
     if order is None:
         raise NotFiniteOrderError(f"no finite order within bound {bound}")
@@ -140,8 +146,7 @@ def extract_invariant_second(phi, q=None, bound=ORDER_BOUND):
     """Invariant [phi_plus, phi_minus] of a second-kind constant-curve map."""
     if phi.epsilon != -1:
         raise NotSecondKindError("map is of the first kind")
-    if phi.exp is not None:
-        raise InvalidInputError("extraction needs a constant curve; quasiconjugate first")
+    _check_extractable(phi)
     if phi.shift:
         rot = rotation(phi.source, phi.shift / 2)
         return extract_invariant_second(conjugate(rot, phi), q, bound)
@@ -180,16 +185,17 @@ def realize_second(algebra_name, plus, minus, D=None):
     return sigma, phi
 
 
-def invariants_equal_first(a, b):
-    if not isinstance(a, FirstKindInvariant) or not isinstance(b, FirstKindInvariant):
-        raise InvalidInputError("first-kind invariants expected")
-    return a == b
-
-
-def invariants_equal_second(a, b, bound=ORDER_BOUND):
-    """Equality modulo the generated relation (swap, coupled conjugation)."""
-    if not isinstance(a, SecondKindInvariant) or not isinstance(b, SecondKindInvariant):
-        raise InvalidInputError("second-kind invariants expected")
+def invariants_equal(a, b, bound=ORDER_BOUND):
+    """Equality of classification invariants: never across kinds, as data for
+    the first kind, and for the second kind modulo the generated relation
+    (swap, coupled conjugation)."""
+    kinds = (FirstKindInvariant, SecondKindInvariant)
+    if not (isinstance(a, kinds) and isinstance(b, kinds)):
+        raise InvalidInputError("classification invariants expected")
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, FirstKindInvariant):
+        return a == b
     if a.algebra != b.algebra or a.q != b.q:
         return False
     cat = catalog_for(a.algebra)

@@ -295,6 +295,8 @@ def dec_invariant(obj):
         else:
             plus = dec_automorphism(obj["plus_matrix"])
             minus = dec_automorphism(obj["minus_matrix"])
+            if plus.antilinear or minus.antilinear:
+                raise InvalidInputError("invariants are defined for linear maps only")
             names = (None, None)
         q = _integer(obj["q"], "q")
         if q < 1:

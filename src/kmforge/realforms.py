@@ -14,13 +14,11 @@ from itertools import combinations
 
 from . import linalg
 from .catalog import catalog_for
-from .errors import InvalidInputError, NotApplicableError, UnknownAlgebraError
+from .errors import InvalidInputError, NotApplicableError
 from .field import field_degree, imaginary_unit, zeta_power
 from .invariants import (
     extract_invariant_first,
     extract_invariant_second,
-    invariants_equal_first,
-    invariants_equal_second,
     realize_first,
     realize_second,
 )
@@ -134,24 +132,11 @@ def compact_real_form(algebra_name):
 
 
 def enumerate_real_forms(algebra_name):
-    if algebra_name not in ("sl2C", "sl3C"):
-        raise UnknownAlgebraError(f"no real-form catalog for {algebra_name!r}")
     out = [compact_real_form(algebra_name)]
     for kind in ("1a", "1b", "2"):
         for desc in enumerate_involutions(algebra_name, kind):
             out.append(real_form_from_involution(desc))
     return out
-
-
-def real_forms_equivalent(a, b):
-    """Equality of the attached classification invariants."""
-    first_a = a.kind in ("compact", "1a", "1b")
-    first_b = b.kind in ("compact", "1a", "1b")
-    if first_a != first_b:
-        return False
-    if first_a:
-        return invariants_equal_first(a.invariant, b.invariant)
-    return invariants_equal_second(a.invariant, b.invariant)
 
 
 # -- truncated fixed-point machinery -----------------------------------------

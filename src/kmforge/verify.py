@@ -26,7 +26,7 @@ from .field import imaginary_unit
 from .invariants import (
     extract_invariant_first,
     extract_invariant_second,
-    invariants_equal_second,
+    invariants_equal,
     realize_first,
     realize_second,
 )
@@ -41,7 +41,6 @@ from .loop import LoopElement, TwistContext, loop_bracket, cocycle, tau_r_apply,
 from .realforms import (
     cartan_decomposition,
     enumerate_real_forms,
-    real_forms_equivalent,
     verify_cartan as verify_cartan_report,
     verify_real_form,
 )
@@ -214,7 +213,7 @@ def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=ORDER_BOUND):
         brute = loop_map_order(phi.apply, phi.source, bound)
         _swap_sigma, swap_phi = realize_second(algebra, mn, pn)
         swap_inv = extract_invariant_second(swap_phi, bound=bound)
-        swap_equivalent = invariants_equal_second(inv, swap_inv)
+        swap_equivalent = invariants_equal(inv, swap_inv)
         ok = (order == expected and brute == expected
               and inv.plus == cat.named(pn) and inv.minus == cat.named(mn) and swap_equivalent)
         checks.append({
@@ -247,7 +246,7 @@ def verify_realforms(algebra="sl2C", N=4):
         checks.append({"name": "golden:second-kind", "pass": second == GOLDEN_SECOND_KIND,
                        "found": sorted(map(list, second))})
     distinct = all(
-        real_forms_equivalent(a, b) == (i == j)
+        invariants_equal(a.invariant, b.invariant) == (i == j)
         for i, a in enumerate(forms) for j, b in enumerate(forms)
     )
     checks.append({"name": "pairwise-distinct", "pass": distinct})

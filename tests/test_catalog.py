@@ -138,6 +138,63 @@ def test_first_kind_triples_of_order_two():
         (1, "id", "id"), (1, "id", "mu")]
 
 
+# The classification data each catalog enumerates: first_kind_triples(q) for
+# q = 1..6, second_kind_pairs(), and component_labels of every rho
+# representative (and of sl2C's tau).
+PINNED = {
+    "sl2C": {
+        "triples": {
+            1: [(0, "id", "id")],
+            2: [(0, "mu", "id"), (0, "mu", "tau"), (1, "id", "id")],
+            3: [(0, "r3", "id"), (1, "id", "id")],
+            4: [(0, "r4", "id"), (1, "id", "id"), (2, "mu", "id"), (2, "mu", "tau")],
+            5: [(1, "id", "id"), (2, "id", "id")],
+            6: [(0, "r6", "id"), (1, "id", "id"), (2, "mu", "id"), (2, "mu", "tau"),
+                (3, "r3", "id")],
+        },
+        "pairs": [("id", "id"), ("mu", "mu"), ("mu", "id")],
+        "labels": {"id": ["id"], "mu": ["id", "tau"], "r3": ["id"], "r4": ["id"],
+                   "r6": ["id"], "tau": ["id", "mu"]},
+    },
+    "sl3C": {
+        "triples": {
+            1: [(0, "id", "id"), (0, "id", "mu")],
+            2: [(0, "theta", "id"), (0, "theta", "mu"), (0, "mu", "id"), (0, "mu", "mu"),
+                (1, "id", "id"), (1, "id", "mu")],
+            3: [(0, "r3", "id"), (0, "r3", "rot"), (1, "id", "id"), (1, "id", "mu")],
+            4: [(1, "id", "id"), (1, "id", "mu"), (2, "theta", "id"), (2, "theta", "mu"),
+                (2, "mu", "id"), (2, "mu", "mu")],
+            5: [(1, "id", "id"), (1, "id", "mu"), (2, "id", "id"), (2, "id", "mu")],
+            6: [(1, "id", "id"), (1, "id", "mu"), (2, "theta", "id"), (2, "theta", "mu"),
+                (2, "mu", "id"), (2, "mu", "mu"), (3, "r3", "id"), (3, "r3", "rot")],
+        },
+        "pairs": [("id", "id"), ("theta", "theta"), ("mu", "mu"),
+                  ("theta", "id"), ("mu", "id"), ("mu", "theta")],
+        "labels": {"id": ["id", "mu"], "theta": ["id", "mu"], "mu": ["id", "mu"],
+                   "r3": ["id", "rot", "out"]},
+    },
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(PINNED))
+def test_first_kind_triples_are_pinned(algebra):
+    cat = catalog_for(algebra)
+    assert {q: cat.first_kind_triples(q) for q in range(1, 7)} == PINNED[algebra]["triples"]
+
+
+@pytest.mark.parametrize("algebra", sorted(PINNED))
+def test_second_kind_pairs_are_pinned(algebra):
+    assert catalog_for(algebra).second_kind_pairs() == PINNED[algebra]["pairs"]
+
+
+@pytest.mark.parametrize("algebra", sorted(PINNED))
+def test_component_labels_are_pinned(algebra):
+    cat = catalog_for(algebra)
+    labels = PINNED[algebra]["labels"]
+    assert set(cat.rho_rep_names) <= set(labels)
+    assert {rho: cat.component_labels(rho) for rho in labels} == labels
+
+
 def test_component_labels_are_exactly_what_the_classifier_returns():
     # the conjugator family holds the outer centralizer elements of r3 on sl3C
     for cat in (A1, A2):

@@ -11,7 +11,7 @@ from kmforge import jsonio, realforms, verify
 from kmforge.catalog import catalog_for
 from kmforge.cli import main
 from kmforge.field import imaginary_unit, zeta_power
-from kmforge.invariants import extract_invariant_second
+from kmforge.invariants import extract_invariant_second, realize_second
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra
 from kmforge.loop import TwistContext
 from kmforge.standard import pointwise
@@ -52,6 +52,13 @@ def test_classify_counts(capsys):
     code, doc = run_cli(capsys, "classify", "involutions", "--algebra", "sl2C", "--kind", "1b")
     assert code == 0
     assert len(doc) == 1
+
+
+@pytest.mark.parametrize("what", ["involutions", "realforms"])
+def test_classify_without_a_catalog_exits_2(capsys, what):
+    code, doc = run_cli(capsys, "classify", what, "--algebra", "su2")
+    assert code == 2
+    assert doc["error"]["message"] == "no catalog for 'su2'"
 
 
 def test_realize_invariant_round_trip(tmp_path, capsys):
@@ -328,21 +335,40 @@ def test_huge_whole_shift_folds_modulo_the_twist_order(tmp_path, capsys):
         assert proc.returncode == 0 and json.loads(proc.stdout) == doc
 
 
-def test_antilinear_second_kind_invariant_round_trips_with_omega_matrices(tmp_path, capsys):
-    # the conjugation of the 2:id,id real form has base omega, which is no
-    # catalog entry: the invariant carries both matrices, each tagged with the
-    # name omega, and compares equal to itself after decoding
-    form = next(f for f in realforms.enumerate_real_forms("sl2C") if f.label == "2:id,id")
-    assert form.conjugation.antilinear
-    phi_path, inv_path = tmp_path / "phi.json", tmp_path / "inv.json"
-    phi_path.write_text(json.dumps(jsonio.enc_standard(form.conjugation)))
-    code, doc = run_cli(capsys, "auto", "invariant", "--in", str(phi_path))
-    assert code == 0
-    assert "plus" not in doc and "minus" not in doc
-    assert doc["plus_matrix"]["name"] == doc["minus_matrix"]["name"] == "omega"
-    inv_path.write_text(json.dumps(doc))
-    code, doc = run_cli(capsys, "auto", "equivalent", "--a", str(inv_path), "--b", str(inv_path))
-    assert code == 0 and doc == {"equal": True}
+def _antilinear_document(tmp_path, *realize):
+    """An ``auto realize`` document on sl2C with its base swapped for the
+    antilinear compact conjugation omega."""
+    path = tmp_path / "phi.json"
+    assert main(["auto", "realize", "--algebra", "sl2C", *realize, "--out", str(path)]) == 0
+    phi = json.loads(path.read_text())
+    del phi["target"]
+    phi["antilinear"] = True
+    phi["curve"]["base"] = {"algebra": "sl2C", "name": "omega"}
+    path.write_text(json.dumps(phi))
+    return path
+
+
+@pytest.mark.parametrize("realize", [
+    ("--kind", "first", "--q", "2", "--p", "0", "--rho", "mu", "--beta", "id"),
+    ("--kind", "second", "--plus", "mu", "--minus", "mu"),
+], ids=["first", "second"])
+def test_an_antilinear_map_has_no_invariant(tmp_path, capsys, realize):
+    # the second-kind map is the conjugation of the 2:id,id real form; both
+    # maps have an order, but invariants are defined for linear maps only
+    path = _antilinear_document(tmp_path, *realize)
+    capsys.readouterr()
+    code, doc = run_cli(capsys, "auto", "order", "--in", str(path))
+    assert code == 0 and doc["order"] == 2
+    code, doc = run_cli(capsys, "auto", "invariant", "--in", str(path))
+    assert code == 2 and doc["error"]["type"] == "InvalidInputError"
+
+
+def test_an_invariant_document_with_an_antilinear_pair_exits_2(tmp_path, capsys):
+    omega = jsonio.enc_automorphism(catalog_for("sl2C").omega())
+    inv = {"kind": "second", "algebra": "sl2C", "q": 2, "plus_matrix": omega, "minus_matrix": omega}
+    code, doc, err = _run_on_document(tmp_path, capsys, "equivalent", inv)
+    assert code == 2 and doc["error"]["type"] == "InvalidInputError"
+    assert err == ""
 
 
 def test_verify_has_no_D_option(capsys):
@@ -620,10 +646,12 @@ def test_a_D_beyond_every_field_level_exits_2(tmp_path, capsys, D, scaled):
     assert err == ""
 
 
-def _omega_pair_invariant():
-    """The matrix invariant omega/omega (q = 2) of the 2:id,id conjugation."""
-    form = next(f for f in realforms.enumerate_real_forms("sl2C") if f.label == "2:id,id")
-    return jsonio.enc_invariant(extract_invariant_second(form.conjugation))
+def _matrix_pair_invariant():
+    """The matrix invariant w/w (q = 2) of u(t) -> w(u(-t)) on sl2C, for w the
+    Weyl swap r4 mu r4^-1, which no catalog entry names."""
+    cat = catalog_for("sl2C")
+    w = cat.named("r4").compose(cat.named("mu")).compose(cat.named("r4").inverse())
+    return jsonio.enc_invariant(extract_invariant_second(realize_second("sl2C", w, w)[1]))
 
 
 @pytest.mark.parametrize("named", [True, False], ids=["named", "matrix"])
@@ -637,12 +665,13 @@ def _omega_pair_invariant():
 ], ids=["negative-q", "zero-q", "odd-q", "q-not-twice-the-square-order", "huge-q",
         "no-common-square"])
 def test_second_kind_invariant_documents_are_validated(tmp_path, capsys, named, edit, error):
-    # the base documents are mu/id and omega/omega, both with q = 2; each edit
+    # the base documents are mu/id and w/w, both with q = 2; each edit
     # used to compare equal to itself
     if named:
         inv = {"kind": "second", "algebra": "sl2C", "q": 2, "plus": "mu", "minus": "id", **edit}
     else:
-        inv = _omega_pair_invariant()
+        inv = _matrix_pair_invariant()
+        assert "plus_matrix" in inv
         if "minus" in edit:
             inv["minus_matrix"] = jsonio.enc_automorphism(catalog_for("sl2C").named("r4"))
         inv.update({k: v for k, v in edit.items() if k == "q"})

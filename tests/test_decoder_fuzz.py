@@ -20,7 +20,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kmforge import cli, jsonio, realforms
+from kmforge import cli, jsonio
+from kmforge.catalog import catalog_for
 from kmforge.invariants import extract_invariant_second, realize_first, realize_second
 
 with open(os.path.join(os.path.dirname(__file__), "golden_maps.json")) as fh:
@@ -35,12 +36,15 @@ def _order_documents():
 
 
 def _invariant_documents():
-    form = next(f for f in realforms.enumerate_real_forms("sl2C") if f.label == "2:id,id")
+    # the Weyl swap w = r4 mu r4^-1 is no catalog entry, so its pair is written as matrices
+    cat = catalog_for("sl2C")
+    w = cat.named("r4").compose(cat.named("mu")).compose(cat.named("r4").inverse())
     return {
         "first": {"kind": "first", "algebra": "sl2C", "q": 2, "p": 0, "rho": "mu",
                   "beta_class": "tau"},
         "second": {"kind": "second", "algebra": "sl2C", "q": 2, "plus": "mu", "minus": "id"},
-        "second-matrix": jsonio.enc_invariant(extract_invariant_second(form.conjugation)),
+        "second-matrix": jsonio.enc_invariant(
+            extract_invariant_second(realize_second("sl2C", w, w)[1])),
     }
 
 

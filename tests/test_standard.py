@@ -17,8 +17,7 @@ from kmforge.invariants import (
     FirstKindInvariant,
     extract_invariant_first,
     extract_invariant_second,
-    invariants_equal_first,
-    invariants_equal_second,
+    invariants_equal,
     realize_first,
     realize_second,
 )
@@ -264,7 +263,7 @@ def test_beta_outside_class_rep_lands_on_class_label():
     inv = extract_invariant_first(phi)
     assert inv.beta_class == "id"
     other = extract_invariant_first(realize_first("sl2C", 1, "id", "id", 2)[1])
-    assert invariants_equal_first(inv, other)
+    assert invariants_equal(inv, other)
 
 
 def test_first_kind_round_trip_all_catalog():
@@ -274,7 +273,7 @@ def test_first_kind_round_trip_all_catalog():
 
             r = math.gcd(p, q)
             for entry in CAT.rho_reps(r):
-                for label, beta in CAT.pi0_class_reps(entry.name):
+                for label in CAT.component_labels(entry.name):
                     sigma, phi = realize_first("sl2C", p, entry.name, label, q)
                     assert standard_order(phi) == q
                     inv = extract_invariant_first(phi, q)
@@ -310,15 +309,50 @@ def test_second_kind_swap_and_conjugation_equivalence():
     _, phi_b = realize_second("sl2C", "id", "tau")
     inv_a = extract_invariant_second(phi_a, 2)
     inv_b = extract_invariant_second(phi_b, 2)
-    assert invariants_equal_second(inv_a, inv_b)
+    assert invariants_equal(inv_a, inv_b)
     # [tau, tau] and [mu, mu] are conjugate pairs
     inv_tt = extract_invariant_second(realize_second("sl2C", "tau", "tau")[1], 2)
     inv_mm = extract_invariant_second(realize_second("sl2C", "mu", "mu")[1], 2)
-    assert invariants_equal_second(inv_tt, inv_mm)
+    assert invariants_equal(inv_tt, inv_mm)
     inv_ii = extract_invariant_second(realize_second("sl2C", "id", "id")[1], 2)
-    assert not invariants_equal_second(inv_tt, inv_ii)
-    assert not invariants_equal_second(inv_mm, extract_invariant_second(
+    assert not invariants_equal(inv_tt, inv_ii)
+    assert not invariants_equal(inv_mm, extract_invariant_second(
         realize_second("sl2C", "mu", "id")[1], 2))
+
+
+def _catalog_invariants():
+    """Invariants of sl2C's catalog triples with q <= 4, of sl3C's with q = 2,
+    and of every second-kind pair, on sl2C also [tau, tau] and [tau, id]."""
+    invs = []
+    for algebra, qs, extra in (("sl2C", (1, 2, 3, 4), [("tau", "tau"), ("tau", "id")]),
+                               ("sl3C", (2,), [])):
+        cat = catalog_for(algebra)
+        invs += [extract_invariant_first(realize_first(algebra, p, rho, beta, q)[1], q)
+                 for q in qs for p, rho, beta in cat.first_kind_triples(q)]
+        invs += [extract_invariant_second(realize_second(algebra, plus, minus)[1], 2)
+                 for plus, minus in cat.second_kind_pairs() + extra]
+    return invs
+
+
+def test_invariants_equal_is_reflexive_symmetric_and_within_kind_and_algebra():
+    invs = _catalog_invariants()
+    assert {type(a).__name__ for a in invs} == {"FirstKindInvariant", "SecondKindInvariant"}
+    assert {a.algebra for a in invs} == {"sl2C", "sl3C"}
+    for a in invs:
+        assert invariants_equal(a, a)
+        for b in invs:
+            equal = invariants_equal(a, b)
+            assert equal == invariants_equal(b, a)
+            if type(a) is not type(b) or a.algebra != b.algebra:
+                assert not equal
+            elif isinstance(a, FirstKindInvariant):
+                assert equal == (a == b)
+
+
+def test_invariants_equal_needs_invariants():
+    inv = extract_invariant_first(identity_automorphism(untwisted()))
+    with pytest.raises(InvalidInputError):
+        invariants_equal(inv, inv.as_tuple())
 
 
 def test_second_kind_conjugated_partner():
@@ -331,7 +365,7 @@ def test_second_kind_conjugated_partner():
     sigma, phi_b = realize_second("sl2C", mu, conj_mu)
     inv_a = extract_invariant_second(phi_a, 2)
     inv_b = extract_invariant_second(phi_b, 2)
-    assert invariants_equal_second(inv_a, inv_b)
+    assert invariants_equal(inv_a, inv_b)
 
 
 def test_extract_errors():
@@ -425,7 +459,7 @@ def test_second_kind_extraction_normalizes_shift():
     assert moved.shift != 0
     inv_moved = extract_invariant_second(moved, 2)
     inv_orig = extract_invariant_second(phi, 2)
-    assert invariants_equal_second(inv_moved, inv_orig)
+    assert invariants_equal(inv_moved, inv_orig)
 
 
 def test_compose_corner_cases_against_pointwise():
