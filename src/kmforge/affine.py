@@ -227,4 +227,9 @@ def center_and_derived_check(context, N):
 
 
 def _flatten_affine(w, support, lev):
-    return loop_coords(w.loop, support, lev) + rational_coords((w.c_coef, w.d_coef), lev)
+    """The integer numerators of w's loop and central coordinates over
+    their common denominator; span membership ignores that denominator."""
+    loop_nums, a = loop_coords(w.loop, support, lev)
+    cd_nums, b = rational_coords((w.c_coef, w.d_coef), lev)
+    den = math.lcm(a, b)
+    return [v * (den // a) for v in loop_nums] + [v * (den // b) for v in cd_nums]

@@ -46,7 +46,6 @@ class LieAlgebraTable:
         self.base_field_tag = base_field_tag
         self.compact_flag = compact_flag
         self.killing = self._killing_matrix()
-        self._validate()
         # for integer blocks: the constants as ints over one denominator s,
         # and the Killing entries, sums of products of two, as ints over s^2
         s = self.scale = math.lcm(*(c.denominator for plane in self.pairs for row in plane
@@ -54,6 +53,7 @@ class LieAlgebraTable:
         self.int_pairs = tuple(tuple(tuple((k, int(c * s)) for k, c in row) for row in plane)
                                 for plane in self.pairs)
         self.int_killing = tuple(tuple(int(c * s * s) for c in row) for row in self.killing)
+        self._validate()
 
     @functools.cached_property
     def identity(self):
@@ -88,10 +88,10 @@ class LieAlgebraTable:
                         raise ValueError(f"{self.name}: Jacobi fails at {i},{j},{k}")
         if any(self.killing[i][j] != self.killing[j][i] for i in range(d) for j in range(d)):
             raise ValueError(f"{self.name}: Killing form not symmetric")
-        kappa = [[Fraction(x) for x in row] for row in self.killing]
-        if linalg.rank(kappa) < d:
+        if linalg.rank(self.int_killing) < d:
             raise ValueError(f"{self.name}: Killing form degenerate")
-        if self.compact_flag and not _negative_definite(kappa):
+        if self.compact_flag and not _negative_definite(
+                [[Fraction(x) for x in row] for row in self.killing]):
             raise ValueError(f"{self.name}: compact table must have negative definite Killing form")
 
     def basis_element(self, i, level=4):
@@ -153,16 +153,18 @@ class FiniteAutomorphism:
     it).  ``_trusted`` is internal only: it takes d x d rows that are already
     CyclotomicNumbers, the results of ``compose`` and ``inverse``, and stores
     them without re-wrapping or checking.  ``apply`` builds the matrix's
-    ``IntRows`` on first use and keeps them.
+    ``IntRows`` on first use and keeps them; ``==`` builds and keeps the
+    entries' levels and (nums, den) pairs.
     """
 
-    __slots__ = ("algebra", "matrix", "antilinear", "_rows")
+    __slots__ = ("algebra", "matrix", "antilinear", "_rows", "_key")
 
     def __init__(self, algebra, matrix, antilinear=False):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "matrix", tuple(tuple(_as_scalar(x) for x in row) for row in matrix))
         object.__setattr__(self, "antilinear", bool(antilinear))
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_key", None)
         if len(self.matrix) != algebra.dim or any(len(r) != algebra.dim for r in self.matrix):
             raise ValueError("matrix shape does not match algebra dimension")
 
@@ -173,6 +175,7 @@ class FiniteAutomorphism:
         object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
         object.__setattr__(self, "antilinear", antilinear)
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_key", None)
         return self
 
     def __setattr__(self, name, value):
@@ -222,11 +225,29 @@ class FiniteAutomorphism:
     def is_identity(self):
         return not self.antilinear and self.matrix == self.algebra.identity.matrix
 
+    def _entry_key(self):
+        """(levels, values): the entries' levels, and their (nums, den) pairs,
+        built on first use and kept.  Values are canonical at each level, so
+        equal keys mean equal matrices, and keys with equal levels but other
+        values mean different ones."""
+        if self._key is None:
+            entries = [x for row in self.matrix for x in row]
+            object.__setattr__(self, "_key", (tuple([x.level for x in entries]),
+                                              tuple([(x.nums, x.den) for x in entries])))
+        return self._key
+
     def __eq__(self, other):
         if not isinstance(other, FiniteAutomorphism):
             return NotImplemented
-        return (self.algebra is other.algebra and self.antilinear == other.antilinear
-                and self.matrix == other.matrix)
+        if self is other:
+            return True
+        if self.algebra is not other.algebra or self.antilinear != other.antilinear:
+            return False
+        a, b = self._entry_key(), other._entry_key()
+        if a == b:
+            return True
+        # only entries at different levels need a comparison of values
+        return a[0] != b[0] and self.matrix == other.matrix
 
     __hash__ = None
 
@@ -319,7 +340,7 @@ def fixed_subalgebra(auto, bound=ORDER_BOUND):
         return rational_coords(x.coords, lev)
 
     basis = rational_fixed_span(gens, [auto.apply(g) for g in gens], flatten)
-    _check_bracket_closed(basis, flatten)
+    _check_bracket_closed(basis, lambda x: flatten(x)[0])
     return basis
 
 
@@ -328,26 +349,34 @@ def rational_fixed_span(gens, images, flatten, sign=1):
 
     ``images`` lists image(g) for each generator, for a map that is additive
     and commutes with rational scalars; ``flatten`` is an injective
-    rational-linear coordinate map.  The result is the rational kernel of the
-    columns flatten(image(g) - sign*g), as combinations of gens.
+    rational-linear coordinate map returning ``(nums, den)``, integer
+    numerators over a positive denominator.  The result is the rational
+    kernel of the columns flatten(image(g) - sign*g), taken on their
+    numerators over the columns' common denominator, as combinations of gens.
     """
     if not gens:
         return []
-    mat = list(zip(*[flatten(img - g * sign) for g, img in zip(gens, images)]))
+    cols = [flatten(img - g * sign) for g, img in zip(gens, images)]
+    den = math.lcm(*(d for _, d in cols))
+    mat = list(zip(*[nums if d == den else [v * (den // d) for v in nums] for nums, d in cols]))
     return [functools.reduce(operator.add, (g * c for g, c in zip(gens, v) if c))
             for v in linalg.kernel_basis(mat, Fraction(0), Fraction(1))]
 
 
 def rational_coords(scalars, lev):
-    """The power-basis rationals at level ``lev`` of each scalar, concatenated:
-    an injective, rational-linear coordinate map."""
-    return [q for c in scalars for q in c.lift(lev).coords]
+    """The power-basis rationals at level ``lev`` of each scalar, concatenated,
+    as ``(nums, den)``: integer numerators over one positive denominator.  An
+    injective, rational-linear coordinate map."""
+    lifted = [c.lift(lev) for c in scalars]
+    den = math.lcm(*(c.den for c in lifted))
+    return [v * (den // c.den) for c in lifted for v in c.nums], den
 
 
 def _check_bracket_closed(basis, flatten):
     """Raise unless every bracket of two basis elements lies in their span;
     ``flatten`` maps an element to the coordinate vector the span is taken in
-    (field coordinates for a linear map, rationals for an antilinear one)."""
+    (field coordinates for a linear map, rational numerators for an
+    antilinear one)."""
     if not basis:
         return
     rr, piv = linalg.rref([flatten(b) for b in basis])

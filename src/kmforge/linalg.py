@@ -21,11 +21,26 @@ Elimination skips structural zeros: a pivot row is normalised as
 whose CyclotomicNumber entries have mixed levels to their lcm level, once;
 every returned entry of such a matrix is at that level.  A single-level
 matrix is not touched.
+
+Rational rows are integer rows.  A caller holding rational vectors, as
+integer numerators over one denominator, passes the numerators: the
+denominator changes no pivot, rank, kernel or span membership.  When every
+entry of a matrix is an ``int``, ``rref`` eliminates fraction-free: a row
+update is ``a * x - b * y`` with the pivot a and the entry b divided by
+their gcd, and every updated row is divided by the gcd of its entries.  Each
+returned row is then primitive, has a positive pivot and zeros in the other
+pivot columns, so it is a positive multiple of the row of the reduced
+echelon form, with the same pivots.  ``in_span`` cross-multiplies on such
+rows, ``rank`` counts their pivots and ``kernel_basis`` divides by the pivot
+only for its output, as ``Fraction``s equal to the field path's, and so
+does ``solve``.  Matrices of Fractions or CyclotomicNumbers take the field
+path, and so does every ``invert``: its identity block holds ``x / x``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .field import CyclotomicNumber
 
@@ -83,8 +98,18 @@ def _one_level(rows):
 
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = _one_level([list(r) for r in matrix])
+    """Reduced row echelon form; returns (rows, pivot column list).  An
+    all-``int`` matrix is eliminated fraction-free (module docstring)."""
+    rows = [list(r) for r in matrix]
+    if {type(x) for row in rows for x in row} <= {int}:
+        return _gauss_jordan(rows, _int_pivot, _int_update)
+    return _gauss_jordan(_one_level(rows), _field_pivot, _field_update)
+
+
+def _gauss_jordan(rows, pivot_row, update):
+    """Gauss-Jordan on ``rows`` in place: each pivot row goes through
+    ``pivot_row(row, c)``, and every other row with an entry in the pivot
+    column c becomes ``update(row, prow, c)``."""
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -99,17 +124,52 @@ def rref(matrix):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        prow = rows[r] = [x / inv if x else x for x in rows[r]]
+        prow = rows[r] = pivot_row(rows[r], c)
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], prow)]
+                rows[i] = update(rows[i], prow, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _field_pivot(row, c):
+    inv = row[c]
+    return [x / inv if x else x for x in row]
+
+
+def _field_update(v, row, p):
+    """v minus v[p] times the normalised row: v with its entry at p cleared."""
+    f = v[p]
+    return [x - f * y if y else x for x, y in zip(v, row)]
+
+
+def _int_pivot(row, c):
+    """The row over the gcd of its entries, with a positive entry at c."""
+    g = math.gcd(*row)
+    if row[c] < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
+
+
+def _int_update(v, row, p):
+    v = _cross(v, row, p)
+    g = math.gcd(*v)
+    return v if g < 2 else [x // g for x in v]
+
+
+def _cross(v, row, p):
+    """a * v - b * row for the integer row's positive pivot a = row[p] and
+    b = v[p], both divided by their gcd: v with its entry at p cleared."""
+    a, b = row[p], v[p]
+    g = math.gcd(a, b)
+    if g > 1:
+        a, b = a // g, b // g
+    if a == 1:
+        return [x - b * y if y else x for x, y in zip(v, row)]
+    return [a * x - b * y if y else a * x for x, y in zip(v, row)]
 
 
 def rank(matrix):
@@ -118,7 +178,8 @@ def rank(matrix):
 
 
 def kernel_basis(matrix, zero, one):
-    """Basis of the right kernel {v : M v = 0}."""
+    """Basis of the right kernel {v : M v = 0}; for an all-``int`` matrix the
+    entries are the ``Fraction``s of the reduced echelon form."""
     if not matrix:
         return []
     ncols = len(matrix[0])
@@ -128,8 +189,12 @@ def kernel_basis(matrix, zero, one):
     for f in free:
         v = [zero] * ncols
         v[f] = one
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+        for row, p in zip(rows, pivots):
+            x = row[f]
+            if type(row[p]) is not int:
+                v[p] = -x
+            elif x:
+                v[p] = Fraction(-x, row[p])
         basis.append(v)
     return basis
 
@@ -146,10 +211,10 @@ def solve(matrix, rhs):
             return None
     zero = rhs[0] * 0
     x = [zero] * ncols
-    for r, p in enumerate(pivots):
+    for row, p in zip(rows, pivots):
         if p == ncols:
             return None
-        x[p] = rows[r][-1]
+        x[p] = Fraction(row[-1], row[p]) if type(row[p]) is int else row[-1]
     return x
 
 
@@ -174,10 +239,10 @@ def invert(matrix):
 
 
 def in_span(rref_rows, pivots, vec):
-    """Membership of vec in the row space given by a precomputed rref."""
+    """Membership of vec in the row space given by a precomputed rref; an
+    integer rref takes an integer vec."""
     v = list(vec)
     for row, p in zip(rref_rows, pivots):
         if v[p]:
-            f = v[p]
-            v = [x - f * y if y else x for x, y in zip(v, row)]
+            v = _cross(v, row, p) if type(row[p]) is int else _field_update(v, row, p)
     return not any(v)

@@ -94,13 +94,15 @@ class LoopElement:
 
     The public constructor cleans what it is given: exponents become ints,
     equal exponents are summed, zero terms dropped and the rest sorted.
-    Internal results come from ``_trusted``, which trusts its terms.
+    Internal results come from ``_trusted``, which trusts its terms.  The
+    twist-condition verdict of ``is_valid`` is computed on first use and kept.
     """
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "_valid")
 
     def __init__(self, context, terms):
         object.__setattr__(self, "context", context)
+        object.__setattr__(self, "_valid", None)
         clean = {}
         for k, x in (terms.items() if isinstance(terms, dict) else terms):
             if x:
@@ -116,10 +118,18 @@ class LoopElement:
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", tuple(sorted([(k, x) for k, x in terms.items() if x])))
+        object.__setattr__(self, "_valid", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LoopElement is immutable")
+
+    def is_valid(self):
+        """``validate(self)``, checked on the first call and kept: the
+        element is immutable, so the verdict cannot change."""
+        if self._valid is None:
+            object.__setattr__(self, "_valid", validate(self))
+        return self._valid
 
     def terms_dict(self):
         return dict(self.terms)
@@ -183,20 +193,24 @@ def zero_loop(context):
 
 
 def loop_coords(u, exponents, lev):
-    """Rational coordinates of u over ``exponents``: for each k, the
-    numerators at level ``lev`` of the k-th term's block over its
-    denominator, with a zero block where the term is missing."""
+    """Rational coordinates of u over ``exponents`` as ``(nums, den)``:
+    integer numerators over one positive denominator, the lcm of the terms'.
+    For each k come the level-``lev`` numerators of the k-th term's block,
+    or a zero block where the term is missing."""
     terms = u.terms_dict()
-    zero = [Fraction(0)] * (u.context.algebra.dim * field_degree(lev))
+    den = math.lcm(*(x.den for _, x in u.terms))
+    zero = [0] * (u.context.algebra.dim * field_degree(lev))
     out = []
     for k in exponents:
         x = terms.get(k)
         if x is None:
             out += zero
+        elif x.den == den:
+            out += x.nums_at(lev)
         else:
-            den = x.den
-            out += [Fraction(v, den) for v in x.nums_at(lev)]
-    return out
+            m = den // x.den
+            out += [v * m for v in x.nums_at(lev)]
+    return out, den
 
 
 def validate(u):

@@ -147,9 +147,10 @@ def _slice_level(context):
 
 
 def _coordinates_in_slice(u, N, lev):
-    """Rational coordinates of a loop of degree <= N: for k = -N..N, the
-    power-basis coordinates at level ``lev`` of every algebra coordinate of the
-    k-th term, with a zero block where the term is missing."""
+    """Rational coordinates of a loop of degree <= N as ``(nums, den)``: for
+    k = -N..N, the power-basis numerators at level ``lev`` of every algebra
+    coordinate of the k-th term, with a zero block where the term is missing,
+    over one denominator."""
     if u.degree() > N:
         raise InvalidInputError("loop leaves the truncation slice")
     return loop_coords(u, range(-N, N + 1), lev)
@@ -173,7 +174,8 @@ def verify_real_form(desc, N):
     lev = _slice_level(ctx)
     basis = fixed_point_basis(desc, N)
     big_basis = fixed_point_basis(desc, 2 * N)
-    rr, piv = linalg.rref([_coordinates_in_slice(b, 2 * N, lev) for b in big_basis])
+    # span and rank do not depend on a row's scale: rows are the numerators
+    rr, piv = linalg.rref([_coordinates_in_slice(b, 2 * N, lev)[0] for b in big_basis])
     closure_ok = True
     closure_witness = None
     for i in range(len(basis)):
@@ -182,13 +184,13 @@ def verify_real_form(desc, N):
             if not w:
                 continue
             fixed = apply(theta, w) == w
-            spanned = linalg.in_span(rr, piv, _coordinates_in_slice(w, 2 * N, lev))
+            spanned = linalg.in_span(rr, piv, _coordinates_in_slice(w, 2 * N, lev)[0])
             if not (fixed and spanned):
                 closure_ok = False
                 closure_witness = (i, j)
     i_unit = imaginary_unit(lev)
-    flat = [_coordinates_in_slice(b, N, lev) for b in basis]
-    flat_i = [_coordinates_in_slice(b * i_unit, N, lev) for b in basis]
+    flat = [_coordinates_in_slice(b, N, lev)[0] for b in basis]
+    flat_i = [_coordinates_in_slice(b * i_unit, N, lev)[0] for b in basis]
     slice_dim = len(slice_terms(ctx, N)) * field_degree(lev)
     stacked = flat + flat_i
     rank = linalg.rank(stacked)

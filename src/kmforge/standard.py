@@ -27,7 +27,7 @@ from .errors import (
 )
 from .field import zeta_of
 from .liealg import ORDER_BOUND, FiniteAutomorphism, exp_ad, exp_curve, order_by_iteration
-from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply, validate
+from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,8 @@ def standard_automorphism(epsilon, shift, base, source, target=None, exp=None):
     e^{2*pi*ad X} composed in front for exponential curves.  A supplied
     target is checked against the computed one.
     """
-    if epsilon not in (1, -1):
-        raise InvalidInputError("epsilon must be +1 or -1")
-    shift = Fraction(shift)
-    whole = math.floor(shift)
-    shift -= whole
-    # sigma^twist_order is the identity, so the whole turns fold modulo the
-    # twist order, keeping their sign: a huge shift costs no more than a small one
-    turns = abs(whole) % source.twist_order
-    whole = turns if whole > 0 else -turns
-    if exp is not None and not exp.generator:
-        exp = None
+    shift, base, exp = _fold(epsilon, shift, base, source, exp)
     sigma = source.sigma
-    if whole:
-        base = base.compose(sigma.power(whole))
     computed = base.compose(sigma.power(epsilon)).compose(base.inverse())
     if exp is not None:
         for q, _ in exp.eigenpairs:
@@ -95,6 +83,25 @@ def standard_automorphism(epsilon, shift, base, source, target=None, exp=None):
           or target.sigma != computed):
         raise TwistMismatchError("supplied target twist disagrees with periodicity")
     return StandardAutomorphism(epsilon, shift, base, exp, source, target)
+
+
+def _fold(epsilon, shift, base, source, exp):
+    """(shift, base, exp) in canonical form: the shift's whole turns folded
+    into the base as base o sigma^whole, and a zero curve generator dropped."""
+    if epsilon not in (1, -1):
+        raise InvalidInputError("epsilon must be +1 or -1")
+    shift = Fraction(shift)
+    whole = math.floor(shift)
+    shift -= whole
+    # sigma^twist_order is the identity, so the whole turns fold modulo the
+    # twist order, keeping their sign: a huge shift costs no more than a small one
+    turns = abs(whole) % source.twist_order
+    whole = turns if whole > 0 else -turns
+    if exp is not None and not exp.generator:
+        exp = None
+    if whole:
+        base = base.compose(source.sigma.power(whole))
+    return shift, base, exp
 
 
 def identity_automorphism(context):
@@ -119,10 +126,9 @@ def pointwise(context, auto, epsilon=1, shift=Fraction(0)):
     return standard_automorphism(epsilon, Fraction(shift), auto, context)
 
 
-def _kernel(phi, k):
+def _kernel(phi, k, s):
     """The integer rows that act on term k: the base matrix times
-    zeta^(k*shift/D), conjugated for an antilinear base."""
-    s = phi.shift / phi.source.D
+    zeta^(k*s) for s = shift/D, conjugated for an antilinear base."""
     r = k % s.denominator
     if r not in phi._kernels:
         fac = zeta_of(-r * s if phi.antilinear else r * s)
@@ -133,20 +139,24 @@ def _kernel(phi, k):
 
 def apply(phi, u):
     """Act on a loop element; output lives in the target context.  Every
-    input is validated; term k is one mat-vec with the kernel cached for k
-    modulo the denominator of shift/D."""
+    input is validated (once per element, ``LoopElement.is_valid``); term k
+    is one mat-vec with the kernel cached for k modulo the denominator of
+    shift/D, written to exponent eps*k for a constant curve."""
     if u.context != phi.source:
         raise TwistMismatchError("loop element is not in the source context")
-    if not validate(u):
+    if not u.is_valid():
         raise InvalidInputError("loop element violates its twist condition")
     D = phi.source.D
+    s = phi.shift / D
     eps_exp = phi.epsilon * (-1 if phi.antilinear else 1)
     exp = phi.exp
     out = {}
     for k, x in u.terms:
-        y = _kernel(phi, k).apply(x.conj() if phi.antilinear else x)
-        pieces = {Fraction(0): y} if exp is None else exp.decompose(y)
-        for q, comp in pieces.items():
+        y = _kernel(phi, k, s).apply(x.conj() if phi.antilinear else x)
+        if exp is None:
+            out[eps_exp * k] = y
+            continue
+        for q, comp in exp.decompose(y).items():
             shift_k = q * D
             if shift_k.denominator != 1:
                 raise IncompatibleDenominatorError(
@@ -182,7 +192,13 @@ def compose(a, b):
             exp = exp_curve(x + z, sorted(qs))
     else:
         exp = a.exp
-    return standard_automorphism(eps, shift, a.base.compose(base), b.source, a.target, exp=exp)
+    base = a.base.compose(base)
+    if exp is None:
+        # periodicity gives a constant composite the twist of a.target, which
+        # the factors were checked against: it is not recomputed here
+        shift, base, _ = _fold(eps, shift, base, b.source, None)
+        return StandardAutomorphism(eps, shift, base, None, b.source, a.target)
+    return standard_automorphism(eps, shift, base, b.source, a.target, exp=exp)
 
 
 def inverse(phi):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -10,6 +12,8 @@ from kmforge import linalg
 from kmforge.catalog import catalog_for
 from kmforge.field import CyclotomicNumber, field_degree, zeta_power
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra
+from kmforge.loop import loop_bracket, loop_coords
+from kmforge.realforms import enumerate_real_forms, fixed_point_basis
 
 
 def _random_fraction_matrix(rng, n, m):
@@ -509,3 +513,145 @@ def test_is_identity_compares_values_at_any_level():
             flipped = FiniteAutomorphism(alg, ident.matrix, antilinear=True)
             assert not flipped.is_identity() and not _old_is_identity(flipped)
             assert flipped != alg.identity
+
+
+def _scaled_levels(f, data):
+    """f's matrix with each entry below level 196 lifted by a drawn factor of
+    1 or 2 (twice 196 would leave MAX_LEVEL behind once compared at level 12)."""
+    return FiniteAutomorphism(f.algebra, [[x.lift(x.level * data.draw(st.sampled_from((1, 2))))
+                                           if x.level < 196 else x for x in row]
+                                          for row in f.matrix], f.antilinear)
+
+
+@settings(deadline=None)
+@given(automorphisms(), st.data())
+def test_equality_matches_the_entrywise_comparison(f, data):
+    """``==`` compares cached (level, nums, den) keys and falls back to values
+    only across levels; the entrywise comparison is the oracle, on a matrix
+    equal to f at other levels and on copies that differ in one entry."""
+    g = _scaled_levels(f, data)
+    assert f == g and g == f and _old_eq(f, g)
+    d = f.algebra.dim
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    delta = data.draw(_scalars(_LEVEL_MIXES[1], True))
+    for other in (f, g):
+        rows = [list(r) for r in other.matrix]
+        rows[i][j] = rows[i][j] + delta
+        h = FiniteAutomorphism(f.algebra, rows, f.antilinear)
+        for a, b in ((f, h), (h, f), (g, h), (h, g)):
+            assert (a == b) == _old_eq(a, b) == (not delta)
+
+
+# -- differential tests of the fraction-free elimination -----------------------
+#
+# An all-int matrix is eliminated fraction-free.  The oracle is _dense_rref on
+# the same matrix as Fractions: each integer row is a positive multiple of the
+# oracle's row, and the kernel, rank and span verdicts are the oracle's.
+
+
+@st.composite
+def int_matrices(draw):
+    """int matrices up to 8 x 10, sparse (at least 70 % zeros) or dense, with
+    entries up to 9 or up to 10**6 in size."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    entries = draw(st.sampled_from((st.integers(-9, 9), st.integers(-10**6, 10**6))))
+    if draw(st.booleans()):
+        flat = [0] * (n * m)
+        for pos in draw(st.lists(st.integers(0, n * m - 1), max_size=(n * m * 3) // 10,
+                                 unique=True)):
+            flat[pos] = draw(entries.filter(bool))
+    else:
+        flat = draw(st.lists(entries, min_size=n * m, max_size=n * m))
+    return [flat[i * m:(i + 1) * m] for i in range(n)]
+
+
+def _cleared(m):
+    """Each Fraction row times the lcm of its denominators, as ints."""
+    out = []
+    for row in m:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def _as_fractions(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+integer_rows = st.one_of(int_matrices(), sparse_fraction_matrices().map(_cleared))
+
+
+@settings(deadline=None)
+@given(integer_rows)
+def test_fraction_free_rref_rank_kernel_match_dense(m):
+    rows, pivots = linalg.rref(m)
+    ref_rows, ref_pivots = _dense_rref(_as_fractions(m))
+    assert pivots == ref_pivots
+    assert all(type(x) is int for row in rows for x in row)
+    for row, ref, p in zip(rows, ref_rows, pivots):
+        assert row[p] > 0 and math.gcd(*row) == 1
+        assert [Fraction(x, row[p]) for x in row] == ref
+    assert not any(x for row in rows[len(pivots):] for x in row)
+    assert linalg.rank(m) == len(ref_pivots)
+    basis = linalg.kernel_basis(m, Fraction(0), Fraction(1))
+    assert _same_entries(basis, _dense(linalg.kernel_basis, _as_fractions(m),
+                                       Fraction(0), Fraction(1)))
+
+
+@settings(deadline=None)
+@given(integer_rows, st.data())
+def test_fraction_free_in_span_matches_dense(m, data):
+    rows, pivots = linalg.rref(m)
+    ref = _dense_rref(_as_fractions(m))
+    ncols = len(m[0])
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+    inside = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(ncols)]
+    assert linalg.in_span(rows, pivots, inside)
+    vec = data.draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+    units = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    for v in [inside, vec] + units:
+        assert linalg.in_span(rows, pivots, v) == _dense_in_span(*ref, _as_fractions([v])[0])
+    # all-int systems M^T x = b; inside = M^T coeffs is consistent
+    mt = [list(col) for col in zip(*m)]
+    assert linalg.solve(mt, inside) is not None
+    for b in (inside, vec):
+        assert linalg.solve(mt, b) == _dense(linalg.solve, _as_fractions(mt),
+                                             _as_fractions([b])[0])
+
+
+def _fraction_loop_coords(u, exponents, lev):
+    """``loop.loop_coords`` before integer rows, kept verbatim as the oracle."""
+    terms = u.terms_dict()
+    zero = [Fraction(0)] * (u.context.algebra.dim * field_degree(lev))
+    out = []
+    for k in exponents:
+        x = terms.get(k)
+        if x is None:
+            out += zero
+        else:
+            den = x.den
+            out += [Fraction(v, den) for v in x.nums_at(lev)]
+    return out
+
+
+@functools.cache
+def _slice_bases(N):
+    """The degree <= N fixed-point basis of every sl2C real form."""
+    return [fixed_point_basis(form, N) for form in enumerate_real_forms("sl2C")]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_loop_coords_match_the_fraction_coordinates_on_realform_slices(data):
+    """On rational combinations of a real form's slice basis (N = 2) and
+    their brackets (degree <= 4), at levels 4 and 8."""
+    basis = data.draw(st.sampled_from(_slice_bases(2)))
+    coeffs = data.draw(st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+                                min_size=len(basis), max_size=len(basis)))
+    u = functools.reduce(operator.add, (b * c for b, c in zip(basis, coeffs)))
+    w = loop_bracket(u, data.draw(st.sampled_from(basis)))
+    lev = data.draw(st.sampled_from((4, 8)))
+    for x in (u, w):
+        nums, den = loop_coords(x, range(-4, 5), lev)
+        assert den > 0 and all(type(v) is int for v in nums)
+        assert [Fraction(v, den) for v in nums] == _fraction_loop_coords(x, range(-4, 5), lev)

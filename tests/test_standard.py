@@ -116,6 +116,46 @@ def test_apply_rejects_invalid_input():
         apply(phi, single_term(ctx, 1, H))  # h is not in the -1 eigenspace
 
 
+def test_twist_condition_is_checked_once_per_element(monkeypatch):
+    # the verdict is kept on the immutable element: an invalid loop fails on
+    # every apply, the first and any later one, and is checked only once
+    from kmforge import loop
+
+    checked = []
+
+    def counting(u):
+        checked.append(u)
+        return validate(u)
+
+    monkeypatch.setattr(loop, "validate", counting)
+    ctx = tau_context()
+    bad, good = single_term(ctx, 1, H), single_term(ctx, 1, E)
+    maps = [identity_automorphism(ctx), pointwise(ctx, CAT.named("tau")), reflection(ctx)]
+    for phi in maps + maps:
+        with pytest.raises(InvalidInputError):
+            apply(phi, bad)
+        apply(phi, good)
+    assert [id(u) for u in checked] == [id(bad), id(good)]
+
+
+def _constant_maps(ctx):
+    return [rotation(ctx, Fraction(1, 3)), reflection(ctx), pointwise(ctx, CAT.named("tau")),
+            pointwise(ctx, CAT.named("mu"), epsilon=-1), pointwise(ctx, CAT.named("r3")),
+            pointwise(ctx, CAT.omega(), shift=Fraction(1, 4))]
+
+
+def test_compose_target_is_the_twist_recomputed_from_periodicity():
+    # compose takes a constant composite's target from its outer factor;
+    # recomputing base o sigma^epsilon o base^-1 gives the same twist
+    for name in CAT.names():
+        for b in _constant_maps(TwistContext(SL2, CAT.named(name))):
+            for a in _constant_maps(b.target):
+                ab = compose(a, b)
+                recomputed = standard_automorphism(ab.epsilon, ab.shift, ab.base, ab.source)
+                assert recomputed.target.sigma == ab.target.sigma
+                assert recomputed.base == ab.base and recomputed.shift == ab.shift
+
+
 def test_compose_matches_pointwise_application():
     rng = random.Random(1)
     ctx = tau_context()
