@@ -75,21 +75,6 @@ def _minus_transpose(m):
     return [[-x for x in col] for col in zip(*m)]
 
 
-@functools.cache
-def _entries(table):
-    """The catalog of a built-in table, each entry from its defining matrix."""
-    if table == "sl2C":
-        specs = [("id", 1, _ad_diag(1, 1)), ("tau", 2, _ad_diag(1, -1)),
-                 ("mu", 2, _minus_transpose)]
-        specs += [(f"r{n}", n, _ad_diag(zeta_power(n, 1), 1)) for n in (3, 4, 6)]
-    else:
-        z3 = zeta_power(3, 1)
-        specs = [("id", 1, _ad_diag(1, 1, 1)), ("theta", 2, _ad_diag(1, 1, -1)),
-                 ("mu", 2, _minus_transpose), ("r3", 3, _ad_diag(1, z3, z3 * z3)),
-                 ("rot", 3, _ad_perm(1, 2, 0))]  # the 3-cycle 0 -> 1 -> 2 -> 0
-    return {name: CatalogEntry(name, order, _auto(table, image)) for name, order, image in specs}
-
-
 _A2_ROOT_PAIRS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
 
 
@@ -99,13 +84,21 @@ class Catalog:
     def __init__(self, algebra_name):
         if algebra_name == "sl2C":
             self.rank = 1
+            specs = [("id", 1, _ad_diag(1, 1)), ("tau", 2, _ad_diag(1, -1)),
+                     ("mu", 2, _minus_transpose)]
+            specs += [(f"r{n}", n, _ad_diag(zeta_power(n, 1), 1)) for n in (3, 4, 6)]
             self.rho_rep_names = ("id", "mu", "r3", "r4", "r6")
         elif algebra_name == "sl3C":
             self.rank = 2
+            z3 = zeta_power(3, 1)
+            specs = [("id", 1, _ad_diag(1, 1, 1)), ("theta", 2, _ad_diag(1, 1, -1)),
+                     ("mu", 2, _minus_transpose), ("r3", 3, _ad_diag(1, z3, z3 * z3)),
+                     ("rot", 3, _ad_perm(1, 2, 0))]  # the 3-cycle 0 -> 1 -> 2 -> 0
             self.rho_rep_names = ("id", "theta", "mu", "r3")
         else:
             raise UnknownAlgebraError(f"no catalog for {algebra_name!r}")
-        self.entries = _entries(algebra_name)
+        self.entries = {name: CatalogEntry(name, order, _auto(algebra_name, image))
+                        for name, order, image in specs}
         self.algebra_name = algebra_name
         self.algebra = builtin_algebra(algebra_name)
 
@@ -132,6 +125,10 @@ class Catalog:
         mu = self.named("mu")
         return FiniteAutomorphism(self.algebra, mu.matrix, antilinear=True)
 
+    def involutions(self):
+        """Names of the order-2 entries, in catalog order."""
+        return [name for name, entry in self.entries.items() if entry.order == 2]
+
     def rho_reps(self, order):
         """Designated conjugacy-class representatives of the given order."""
         return [self.entries[n] for n in self.rho_rep_names if self.entries[n].order == order]
@@ -154,57 +151,58 @@ class Catalog:
     # -- component classifier ----------------------------------------------
 
     def component_labels(self, rho_name):
-        """Every label ``component_class`` can return for the named rho.
+        """Every label ``component_class`` can return for the named rho: the
+        identity component first, an outer class last.
 
-        Each label but "out" names the catalog entry that represents its
-        class.  The nontrivial component of the centralizer of an order-2 map
-        swaps its two off-axis eigenlines; the map itself sits in the identity
-        component, so the swap class is represented by the other involution.
-        On rank 2 the outer class "out" of r3 has no representative.
+        Each label names the catalog entry that represents its class, except
+        the outer class of r3 on rank 2, which has no representative.  On
+        rank 1 the nontrivial component of the centralizer of an involution
+        swaps its two off-axis eigenlines; the involution itself sits in the
+        identity component, so the swap class is represented by the other
+        involution.  On rank 2 the outer involution mu represents the outer
+        class of each order <= 2 representative, and the rotation the inner
+        class of r3 that moves the root lines.
         """
+        if self.rank == 2 and rho_name not in self.rho_rep_names:
+            raise ClassifierUnavailableError(f"no pi0 data for rho={rho_name!r}")
+        order = self.entries[rho_name].order
         if self.rank == 1:
-            if self.entries[rho_name].order == 2:
-                return ["id", "tau" if rho_name == "mu" else "mu"]
-            return ["id"]
-        if rho_name in ("id", "theta", "mu"):
-            return ["id", "mu"]
-        if rho_name == "r3":
-            return ["id", "rot", "out"]
-        raise ClassifierUnavailableError(f"no pi0 data for rho={rho_name!r}")
+            others = [name for name in self.involutions() if name != rho_name] if order == 2 else []
+        else:
+            others = ["mu"] if order <= 2 else ["rot", "out"]
+        return ["id", *others]
 
     def component_class(self, rho_name, beta):
-        """Label of the component of beta inside the centralizer of rho."""
+        """Label of the component of beta inside the centralizer of rho: the
+        element of ``component_labels(rho_name)`` that the closed-form tests
+        pick."""
         if self.rank == 1:
-            rho = self.entries[rho_name]
-            if rho.order == 1 or rho.order >= 3:
-                return "id"
-            swap_label = "tau" if rho_name == "mu" else "mu"
-            return self._a1_sign_label(rho.auto, beta, swap_label)
-        rho = self.entries[rho_name]
-        if beta.compose(rho.auto) != rho.auto.compose(beta):
+            return self._a1_sign_label(rho_name, beta)
+        rho = self.entries[rho_name].auto
+        if beta.compose(rho) != rho.compose(beta):
             raise ClassifierUnavailableError("map does not centralize the representative")
-        inner = self._a2_is_inner(beta)
-        if rho_name in ("id", "theta", "mu"):
-            return "id" if inner else "mu"
-        if rho_name == "r3":
-            if not inner:
-                return "out"
-            perm = self._a2_root_permutation(beta)
-            return "id" if perm == list(range(6)) else "rot"
-        raise ClassifierUnavailableError(f"no classifier for rho={rho_name!r}")
+        perm = self._a2_root_permutation(beta)
+        inner = self._a2_is_inner(perm)
+        labels = self.component_labels(rho_name)
+        if not inner:
+            return labels[-1]
+        return labels[1] if len(labels) == 3 and perm != list(range(6)) else labels[0]
 
-    def _a1_sign_label(self, rho, beta, swap_label):
-        # beta swaps the two off-axis eigenlines of rho exactly when it acts
-        # by -1 on the one-dimensional fixed line
-        fixed = eigenspace_decomposition(rho, order=2).get(0, ())
+    def _a1_sign_label(self, rho_name, beta):
+        labels = self.component_labels(rho_name)
+        if len(labels) == 1:
+            return labels[0]
+        # beta swaps the two off-axis eigenlines of the involution rho exactly
+        # when it acts by -1 on the one-dimensional fixed line
+        fixed = eigenspace_decomposition(self.entries[rho_name].auto, order=2).get(0, ())
         if len(fixed) != 1:
             raise ClassifierUnavailableError("unexpected fixed space for an order-2 map")
         v = fixed[0]
         w = beta.apply(v)
         if w == v:
-            return "id"
+            return labels[0]
         if w == -v:
-            return swap_label
+            return labels[1]
         raise ClassifierUnavailableError("map does not centralize the representative")
 
     def _a2_root_permutation(self, beta):
@@ -222,8 +220,7 @@ class Catalog:
             perm.append(hits[0])
         return perm
 
-    def _a2_is_inner(self, beta):
-        perm = self._a2_root_permutation(beta)
+    def _a2_is_inner(self, perm):
         pair_index = {p: i for i, p in enumerate(_A2_ROOT_PAIRS)}
         for pi in itertools.permutations(range(3)):
             weyl = [pair_index[(pi[i], pi[j])] for (i, j) in _A2_ROOT_PAIRS]

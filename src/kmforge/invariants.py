@@ -81,17 +81,22 @@ def _check_extractable(phi):
         raise InvalidInputError("extraction needs a constant curve; quasiconjugate first")
 
 
-def extract_invariant_first(phi, q=None, bound=ORDER_BOUND):
-    """Invariant (p, rho, [beta]) of a first-kind constant-curve map."""
-    if phi.epsilon != 1:
-        raise NotFirstKindError("map is of the second kind")
-    _check_extractable(phi)
+def _checked_order(phi, q, bound):
+    """The order of phi within the bound, which a declared q must equal."""
     order = standard_order(phi, bound)
     if order is None:
         raise NotFiniteOrderError(f"no finite order within bound {bound}")
     if q is not None and q != order:
         raise OrderMismatchError(f"declared order {q} but computed {order}")
-    q = order
+    return order
+
+
+def extract_invariant_first(phi, q=None, bound=ORDER_BOUND):
+    """Invariant (p, rho, [beta]) of a first-kind constant-curve map."""
+    if phi.epsilon != 1:
+        raise NotFirstKindError("map is of the second kind")
+    _check_extractable(phi)
+    q = _checked_order(phi, q, bound)
     p = phi.shift * q
     if p.denominator != 1:
         raise InvalidInputError("shift is not a multiple of 2*pi/q")
@@ -150,12 +155,7 @@ def extract_invariant_second(phi, q=None, bound=ORDER_BOUND):
     if phi.shift:
         rot = rotation(phi.source, phi.shift / 2)
         return extract_invariant_second(conjugate(rot, phi), q, bound)
-    order = standard_order(phi, bound)
-    if order is None:
-        raise NotFiniteOrderError(f"no finite order within bound {bound}")
-    if q is not None and q != order:
-        raise OrderMismatchError(f"declared order {q} but computed {order}")
-    q = order
+    q = _checked_order(phi, q, bound)
     base = phi.base
     sigma = phi.source.sigma
     plus = base

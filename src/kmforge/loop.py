@@ -184,10 +184,6 @@ def constant_loop(context, x):
     return LoopElement(context, {0: x})
 
 
-def single_term(context, k, x):
-    return LoopElement(context, {k: x})
-
-
 def zero_loop(context):
     return LoopElement(context, {})
 

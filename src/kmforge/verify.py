@@ -57,8 +57,10 @@ from .standard import (
 
 
 def _twists_for(algebra_name):
+    """(name, sigma, D) of the identity twist and of the catalog's first
+    involution."""
     cat = catalog_for(algebra_name)
-    second = "tau" if algebra_name == "sl2C" else "theta"
+    second = cat.involutions()[0]
     return [("id", cat.named("id"), 1), (second, cat.named(second), 2)]
 
 
@@ -170,9 +172,10 @@ def verify_cocycle(algebra="sl2C", N=6, trials=100, seed=7):
 def verify_roundtrip(algebra="sl2C", qs=(2, 3, 4, 6), bound=ORDER_BOUND):
     """Realize/extract round trips with a brute-force order oracle."""
     cat = catalog_for(algebra)
-    pairs = list(cat.second_kind_pairs())
-    if algebra == "sl2C":
-        pairs += [("tau", "tau"), ("tau", "id")]
+    # an involution that is no representative is also paired with itself and id
+    pairs = cat.second_kind_pairs() + [pair for name in cat.involutions()
+                                       if name not in cat.rho_rep_names
+                                       for pair in ((name, name), (name, "id"))]
     # an order past the bound makes an extraction raise mid-run, so every order
     # the suite checks is held against the bound before the first check
     orders = {f"the first-kind maps with q={q}": q for q in qs}
@@ -279,17 +282,14 @@ def verify_cartan(algebra="sl2C", N=3):
 
 
 def _exp_conjugator(ctx):
-    i = imaginary_unit()
+    """The standard map with curve exp(t ad X), X = (i/2) h for h the first
+    basis element whose ad is diagonal in the table basis; the candidate
+    eigenvalues are half those diagonal entries."""
     alg = ctx.algebra
-    h_idx = 1 if alg.name == "sl2C" else 6
-    coords = [0] * alg.dim
-    coords[h_idx] = 1
-    x = alg.element(coords) * (i * Fraction(1, 2))
-    if alg.name == "sl2C":
-        curve = exp_curve(x, [Fraction(1), Fraction(0), Fraction(-1)])
-    else:
-        curve = exp_curve(x, [Fraction(1), Fraction(-1), Fraction(1, 2),
-                              Fraction(-1, 2), Fraction(0)])
+    h, plane = next((h, plane) for h, plane in enumerate(alg.pairs)
+                    if all(k == j for j, row in enumerate(plane) for k, _ in row))
+    x = alg.basis_element(h) * (imaginary_unit() * Fraction(1, 2))
+    curve = exp_curve(x, [Fraction(dict(row).get(j, 0), 2) for j, row in enumerate(plane)])
     return standard_automorphism(1, Fraction(0), FiniteAutomorphism.identity(alg), ctx, exp=curve)
 
 
@@ -299,8 +299,7 @@ def verify_hat(algebra="sl2C", seed=7, trials=10):
     rng = random.Random(seed)
     cat = catalog_for(algebra)
     checks = []
-    involutions = ["tau", "mu"] if algebra == "sl2C" else ["theta", "mu"]
-    for name in involutions:
+    for name in cat.involutions():
         ctx = TwistContext(builtin_algebra(algebra), cat.named("id"), D=2)
         psi = _exp_conjugator(ctx)
         phi = conjugate(psi, pointwise(ctx, cat.named(name)))

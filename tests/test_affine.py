@@ -16,7 +16,7 @@ from kmforge.catalog import catalog_for
 from kmforge.field import imaginary_unit
 from kmforge.invariants import realize_first
 from kmforge.liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra, exp_curve
-from kmforge.loop import LoopElement, TwistContext, constant_loop, single_term
+from kmforge.loop import LoopElement, TwistContext, constant_loop
 from kmforge.standard import (
     apply,
     conjugate,
@@ -56,10 +56,10 @@ def random_affine(rng, ctx, max_degree=4):
 
 def test_d_acts_as_derivative():
     ctx = untwisted()
-    u = AffineElement(single_term(ctx, 1, H))
+    u = AffineElement(LoopElement(ctx, {1: H}))
     i = imaginary_unit()
     out = affine_bracket(d_element(ctx), u)
-    assert out.loop == single_term(ctx, 1, i * H)
+    assert out.loop == LoopElement(ctx, {1: i * H})
     assert not out.c_coef and not out.d_coef
 
 
@@ -75,8 +75,8 @@ def test_c_is_central():
 def test_cocycle_term():
     ctx = untwisted()
     i = imaginary_unit()
-    x = AffineElement(single_term(ctx, 1, H))
-    y = AffineElement(single_term(ctx, -1, H))
+    x = AffineElement(LoopElement(ctx, {1: H}))
+    y = AffineElement(LoopElement(ctx, {-1: H}))
     out = affine_bracket(x, y)
     assert not out.loop
     assert out.c_coef == 8 * i

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -315,6 +316,56 @@ def test_verify_hat_sl3C_succeeds(capsys):
     code, doc = run_cli(capsys, "verify", "hat", "--algebra", "sl3C")
     assert code == 0
     assert doc["ok"] is True and doc["passed"] == 4 and doc["failed"] == 0
+
+
+# The check names of the suites that read their involutions from the catalog:
+# the hat suite runs every involution and twists by the first one, and the
+# round trip pairs an involution that is no representative (sl2C's tau) with
+# itself and with id.
+HAT_CHECKS = {
+    "sl2C": ["hat-extension:sl2C:tau", "hat-extension:sl2C:mu",
+             "center-derived:sl2C:id", "center-derived:sl2C:tau"],
+    "sl3C": ["hat-extension:sl3C:theta", "hat-extension:sl3C:mu",
+             "center-derived:sl3C:id", "center-derived:sl3C:theta"],
+}
+ROUNDTRIP_Q2_CHECKS = {
+    "sl2C": ["first:sl2C:q=2:p=0:rho=mu:beta=id", "first:sl2C:q=2:p=0:rho=mu:beta=tau",
+             "first:sl2C:q=2:p=1:rho=id:beta=id",
+             "second:sl2C:plus=id:minus=id", "second:sl2C:plus=mu:minus=mu",
+             "second:sl2C:plus=mu:minus=id", "second:sl2C:plus=tau:minus=tau",
+             "second:sl2C:plus=tau:minus=id"],
+    "sl3C": ["first:sl3C:q=2:p=0:rho=theta:beta=id", "first:sl3C:q=2:p=0:rho=theta:beta=mu",
+             "first:sl3C:q=2:p=0:rho=mu:beta=id", "first:sl3C:q=2:p=0:rho=mu:beta=mu",
+             "first:sl3C:q=2:p=1:rho=id:beta=id", "first:sl3C:q=2:p=1:rho=id:beta=mu",
+             "second:sl3C:plus=id:minus=id", "second:sl3C:plus=theta:minus=theta",
+             "second:sl3C:plus=mu:minus=mu", "second:sl3C:plus=theta:minus=id",
+             "second:sl3C:plus=mu:minus=id", "second:sl3C:plus=mu:minus=theta"],
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(HAT_CHECKS))
+def test_verify_hat_check_names_are_pinned(capsys, algebra):
+    code, doc = run_cli(capsys, "verify", "hat", "--algebra", algebra)
+    assert code == 0
+    assert [c["name"] for c in doc["checks"]] == HAT_CHECKS[algebra]
+
+
+@pytest.mark.parametrize("algebra", sorted(ROUNDTRIP_Q2_CHECKS))
+def test_verify_roundtrip_check_names_are_pinned(capsys, algebra):
+    code, doc = run_cli(capsys, "verify", "roundtrip", "--algebra", algebra, "--q", "2")
+    assert code == 0
+    assert [c["name"] for c in doc["checks"]] == ROUNDTRIP_Q2_CHECKS[algebra]
+
+
+@pytest.mark.parametrize("algebra, eigenvalues", [
+    ("sl2C", {Fraction(-1), Fraction(0), Fraction(1)}),
+    ("sl3C", {Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)}),
+])
+def test_exp_conjugator_eigenvalues_are_pinned(algebra, eigenvalues):
+    cat = catalog_for(algebra)
+    ctx = TwistContext(builtin_algebra(algebra), cat.named("id"), D=2)
+    psi = verify._exp_conjugator(ctx)
+    assert {q for q, _ in psi.exp.eigenpairs} == eigenvalues
 
 
 def test_huge_whole_shift_folds_modulo_the_twist_order(tmp_path, capsys):

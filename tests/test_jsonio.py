@@ -11,7 +11,7 @@ from kmforge.errors import InvalidInputError
 from kmforge.field import imaginary_unit, zeta_power
 from kmforge.invariants import extract_invariant_second, realize_first, realize_second
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra
-from kmforge.loop import TwistContext, single_term
+from kmforge.loop import LoopElement, TwistContext
 from kmforge.standard import apply, standard_order
 
 SL2 = builtin_algebra("sl2C")
@@ -60,7 +60,7 @@ def test_element_and_automorphism_round_trip():
 
 def test_loop_and_affine_round_trip():
     ctx = TwistContext(SL2, CAT.named("tau"), D=2)
-    u = single_term(ctx, 1, SL2.basis_element(0)) + single_term(ctx, -2, SL2.basis_element(1))
+    u = LoopElement(ctx, {1: SL2.basis_element(0)}) + LoopElement(ctx, {-2: SL2.basis_element(1)})
     enc = jsonio.enc_loop(u)
     assert jsonio.dec_loop(enc) == u
     x = AffineElement(u, Fraction(1, 2), -3)
@@ -96,7 +96,7 @@ def test_standard_round_trip_exp_curve():
                                 FiniteAutomorphism.identity(SL2), ctx, exp=curve)
     back = jsonio.dec_standard(jsonio.enc_standard(psi))
     rng = random.Random(3)
-    u = single_term(ctx, 1, SL2.basis_element(0) * Fraction(rng.randint(1, 5)))
+    u = LoopElement(ctx, {1: SL2.basis_element(0) * Fraction(rng.randint(1, 5))})
     assert apply(back, u) == apply(psi, u)
 
 

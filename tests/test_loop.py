@@ -15,7 +15,6 @@ from kmforge.loop import (
     loop_bracket,
     loop_derivative,
     loop_inner,
-    single_term,
     slice_terms,
     tau_r_apply,
     validate,
@@ -58,7 +57,7 @@ def test_slice_terms_counts_and_order():
     twisted = slice_terms(ctx, 4)
     # even exponents -4..4 carry the 1-dim tau-fixed space, odd ones the 2-dim rest
     assert len(twisted) == 5 * 1 + 4 * 2
-    assert all(validate(single_term(ctx, k, b)) for k, b in twisted)
+    assert all(validate(LoopElement(ctx, {k: b})) for k, b in twisted)
     plain = slice_terms(untwisted(), 2)
     assert len(plain) == 5 * 3
     for terms in (twisted, plain):
@@ -69,8 +68,8 @@ def test_slice_terms_counts_and_order():
 def test_validate_examples():
     assert validate(constant_loop(untwisted(), H))
     ctx = tau_context()
-    assert validate(single_term(ctx, 1, E))  # tau(e) = -e = zeta_2^1 e
-    assert not validate(single_term(ctx, 1, H))  # tau(h) = h != -h
+    assert validate(LoopElement(ctx, {1: E}))  # tau(e) = -e = zeta_2^1 e
+    assert not validate(LoopElement(ctx, {1: H}))  # tau(h) = h != -h
 
 
 def test_validate_random_constructions():
@@ -82,8 +81,10 @@ def test_validate_random_constructions():
 
 def test_loop_bracket_examples():
     ctx = untwisted()
-    assert loop_bracket(single_term(ctx, 1, H), single_term(ctx, 1, E)) == single_term(ctx, 2, 2 * E)
-    assert loop_bracket(single_term(ctx, 1, E), single_term(ctx, -1, F)) == constant_loop(ctx, H)
+    assert (loop_bracket(LoopElement(ctx, {1: H}), LoopElement(ctx, {1: E}))
+            == LoopElement(ctx, {2: 2 * E}))
+    assert (loop_bracket(LoopElement(ctx, {1: E}), LoopElement(ctx, {-1: F}))
+            == constant_loop(ctx, H))
     rng = random.Random(5)
     u = random_loop(rng, ctx)
     assert not loop_bracket(u, u)
@@ -111,9 +112,10 @@ def test_loop_derivative_examples():
     ctx = untwisted()
     i = imaginary_unit()
     assert not loop_derivative(constant_loop(ctx, H))
-    assert loop_derivative(single_term(ctx, 1, H)) == single_term(ctx, 1, i * H)
+    assert loop_derivative(LoopElement(ctx, {1: H})) == LoopElement(ctx, {1: i * H})
     ctx2 = tau_context()
-    assert loop_derivative(single_term(ctx2, 1, E)) == single_term(ctx2, 1, (i * Fraction(1, 2)) * E)
+    assert (loop_derivative(LoopElement(ctx2, {1: E}))
+            == LoopElement(ctx2, {1: (i * Fraction(1, 2)) * E}))
 
 
 def test_derivative_is_a_derivation():
@@ -129,15 +131,15 @@ def test_derivative_is_a_derivation():
 def test_loop_inner_examples():
     ctx = untwisted()
     assert loop_inner(constant_loop(ctx, H), constant_loop(ctx, H)) == 8
-    assert loop_inner(single_term(ctx, 1, H), constant_loop(ctx, H)) == 0
-    assert loop_inner(single_term(ctx, 1, H), single_term(ctx, -1, H)) == 8
+    assert loop_inner(LoopElement(ctx, {1: H}), constant_loop(ctx, H)) == 0
+    assert loop_inner(LoopElement(ctx, {1: H}), LoopElement(ctx, {-1: H})) == 8
 
 
 def test_cocycle_examples():
     ctx = untwisted()
     i = imaginary_unit()
-    u = single_term(ctx, 1, H)
-    v = single_term(ctx, -1, H)
+    u = LoopElement(ctx, {1: H})
+    v = LoopElement(ctx, {-1: H})
     assert cocycle(u, v) == 8 * i
     assert cocycle(u, u) == 0
     assert cocycle(constant_loop(ctx, H), constant_loop(ctx, E)) == 0
@@ -159,10 +161,11 @@ def test_cocycle_antisymmetry_and_identity():
 
 def test_tau_r_examples():
     ctx = untwisted()
-    u = single_term(ctx, 1, H)
+    u = LoopElement(ctx, {1: H})
     assert tau_r_apply(Fraction(1), u) == u
-    assert tau_r_apply(Fraction(2), u) == single_term(ctx, 1, 2 * H)
-    assert tau_r_apply(Fraction(2), single_term(ctx, -1, H)) == single_term(ctx, -1, Fraction(1, 2) * H)
+    assert tau_r_apply(Fraction(2), u) == LoopElement(ctx, {1: 2 * H})
+    assert (tau_r_apply(Fraction(2), LoopElement(ctx, {-1: H}))
+            == LoopElement(ctx, {-1: Fraction(1, 2) * H}))
     with pytest.raises(InvalidInputError):
         tau_r_apply(Fraction(-1), u)
 
@@ -228,19 +231,19 @@ def _lifted(u, level):
 
 def test_equality_compares_values_across_levels():
     ctx = untwisted()
-    u = single_term(ctx, 1, imaginary_unit() * E) + constant_loop(ctx, H)
+    u = LoopElement(ctx, {1: imaginary_unit() * E}) + constant_loop(ctx, H)
     e8 = imaginary_unit(8) * SL2.basis_element(0, 8)
-    v = single_term(ctx, 1, e8) + constant_loop(ctx, SL2.basis_element(1, 12))
+    v = LoopElement(ctx, {1: e8}) + constant_loop(ctx, SL2.basis_element(1, 12))
     assert {c.level for _, x in v.terms for c in x.coords} == {8, 12}
     assert u == v and v == u
-    assert u != single_term(ctx, 1, e8)
+    assert u != LoopElement(ctx, {1: e8})
 
 
 def test_equal_contexts_that_are_distinct_objects():
     a, b = tau_context(), tau_context()
     assert a is not b
     assert a == b and a == a
-    assert single_term(a, 1, E) == single_term(b, 1, E)
+    assert LoopElement(a, {1: E}) == LoopElement(b, {1: E})
     assert untwisted() != untwisted(D=2)
 
 
@@ -257,7 +260,7 @@ def test_equality_agrees_with_a_zero_difference():
     for ctx in (untwisted(), tau_context()):
         for _ in range(20):
             u, w = random_loop(rng, ctx), random_loop(rng, ctx)
-            candidates = [w, (u + w) - w, _lifted(u, 8), u + single_term(ctx, 0, 0 * H), u * 2]
+            candidates = [w, (u + w) - w, _lifted(u, 8), u + LoopElement(ctx, {0: 0 * H}), u * 2]
             for v in candidates:
                 assert (u == v) == (not (u - v))
             assert u == (u + w) - w == _lifted(u, 24)

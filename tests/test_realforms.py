@@ -7,7 +7,7 @@ from kmforge.errors import NotApplicableError
 from kmforge.field import imaginary_unit
 from kmforge.invariants import FirstKindInvariant, invariants_equal
 from kmforge.liealg import builtin_algebra
-from kmforge.loop import TwistContext, single_term, validate
+from kmforge.loop import LoopElement, TwistContext, validate
 from kmforge.realforms import (
     CartanDecomposition,
     cartan_decomposition,
@@ -145,7 +145,7 @@ def test_corrupted_condition_fails_twist_validation():
     # su(2)-valued coefficients on the mu-twisted lattice break the twist:
     # e - f spans the +1 eigenspace of mu but is attached to an odd exponent
     ctx = TwistContext(SL2, CAT.named("mu"), D=2)
-    bad = single_term(ctx, 1, E - F)
+    bad = LoopElement(ctx, {1: E - F})
     assert not validate(bad)
 
 

@@ -23,10 +23,10 @@ from kmforge.invariants import (
 )
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra, exp_ad, exp_curve
 from kmforge.loop import (
+    LoopElement,
     TwistContext,
     constant_loop,
     loop_bracket,
-    single_term,
     validate,
 )
 from kmforge.standard import (
@@ -80,7 +80,7 @@ def half_h_exp_curve(scale=Fraction(1, 2)):
 def test_apply_shift_example():
     ctx = untwisted()
     phi = rotation(ctx, Fraction(1, 2))
-    assert apply(phi, single_term(ctx, 1, H)) == single_term(ctx, 1, -1 * H)
+    assert apply(phi, LoopElement(ctx, {1: H})) == LoopElement(ctx, {1: -1 * H})
 
 
 def test_whole_shift_folds_modulo_the_twist_order_with_its_sign():
@@ -106,14 +106,14 @@ def test_apply_identity():
 def test_apply_reflection():
     ctx = untwisted()
     phi = reflection(ctx)
-    assert apply(phi, single_term(ctx, 1, H)) == single_term(phi.target, -1, H)
+    assert apply(phi, LoopElement(ctx, {1: H})) == LoopElement(phi.target, {-1: H})
 
 
 def test_apply_rejects_invalid_input():
     ctx = tau_context()
     phi = identity_automorphism(ctx)
     with pytest.raises(InvalidInputError):
-        apply(phi, single_term(ctx, 1, H))  # h is not in the -1 eigenspace
+        apply(phi, LoopElement(ctx, {1: H}))  # h is not in the -1 eigenspace
 
 
 def test_twist_condition_is_checked_once_per_element(monkeypatch):
@@ -129,7 +129,7 @@ def test_twist_condition_is_checked_once_per_element(monkeypatch):
 
     monkeypatch.setattr(loop, "validate", counting)
     ctx = tau_context()
-    bad, good = single_term(ctx, 1, H), single_term(ctx, 1, E)
+    bad, good = LoopElement(ctx, {1: H}), LoopElement(ctx, {1: E})
     maps = [identity_automorphism(ctx), pointwise(ctx, CAT.named("tau")), reflection(ctx)]
     for phi in maps + maps:
         with pytest.raises(InvalidInputError):
@@ -474,7 +474,7 @@ def test_antilinear_standard_json_round_trip():
     theta = pointwise(ctx, CAT.omega())
     back = jsonio.dec_standard(jsonio.enc_standard(theta))
     assert back.antilinear
-    u = single_term(ctx, 1, E)
+    u = LoopElement(ctx, {1: E})
     assert apply(back, u) == apply(theta, u)
 
 
