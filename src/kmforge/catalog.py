@@ -101,6 +101,7 @@ class Catalog:
                         for name, order, image in specs}
         self.algebra_name = algebra_name
         self.algebra = builtin_algebra(algebra_name)
+        self._omega = FiniteAutomorphism(self.algebra, self.named("mu").matrix, antilinear=True)
 
     # -- plain lookups -----------------------------------------------------
 
@@ -122,8 +123,7 @@ class Catalog:
 
     def omega(self):
         """Conjugation with respect to the standard compact real form."""
-        mu = self.named("mu")
-        return FiniteAutomorphism(self.algebra, mu.matrix, antilinear=True)
+        return self._omega
 
     def involutions(self):
         """Names of the order-2 entries, in catalog order."""

@@ -28,16 +28,17 @@ products (``_contract``) and is reduced once with ``field``'s power table.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import AlgebraMismatchError, LevelMismatchError
-from .field import CyclotomicNumber, _canon, _poly_mul, _ratio, _reduce, check_level
+from .field import CyclotomicNumber, _canon, _poly_mul, _ratio, _rational, _reduce, check_level
 
 
 def _as_scalar(c):
+    """A CyclotomicNumber from an int, a Fraction or a CyclotomicNumber;
+    anything else raises InvalidInputError."""
     if isinstance(c, CyclotomicNumber):
         return c
-    return CyclotomicNumber.from_rational(Fraction(c))
+    return CyclotomicNumber.from_rational(c)
 
 
 class AlgebraElement:
@@ -106,7 +107,7 @@ class AlgebraElement:
     def __mul__(self, scalar):
         alg, den = self.algebra, self.den
         if type(scalar) is not CyclotomicNumber:
-            p, q = _ratio(scalar) or _ratio(Fraction(scalar))
+            p, q = _ratio(scalar) or _ratio(_rational(scalar))
             return _canonical(alg, self.level, [v * p for v in self.nums], den * q)
         level = math.lcm(self.level, scalar.level)
         nums = self.nums_at(level)

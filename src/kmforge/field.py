@@ -29,7 +29,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import InvalidLevelError, LevelMismatchError
+from .errors import InvalidInputError, InvalidLevelError, LevelMismatchError
 
 # Largest accepted level.  Building Phi_L costs about L^2 and the power table
 # L * phi(L) integers; at 1024 either takes well under a second.
@@ -160,6 +160,15 @@ def _ratio(x):
     return None
 
 
+def _rational(c):
+    """``c`` as a Fraction when it is an int or a Fraction; a float or a
+    string is refused, so no inexact or parsed value enters the field."""
+    if not isinstance(c, (int, Fraction)):
+        raise InvalidInputError(f"a rational scalar must be an int or a Fraction, "
+                                f"got {type(c).__name__}")
+    return Fraction(c)
+
+
 def _split(coords):
     """Fractions as integer numerators over their least common denominator;
     the pair is in lowest terms."""
@@ -175,7 +184,7 @@ class CyclotomicNumber:
 
     def __init__(self, level, coords):
         n = check_level(level)
-        coords = [Fraction(c) for c in coords]
+        coords = [_rational(c) for c in coords]
         if len(coords) != n:
             raise ValueError(f"expected {n} coordinates at level {level}, got {len(coords)}")
         nums, den = _split(coords)
@@ -196,7 +205,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, value, level=4):
-        q = Fraction(value)
+        q = _rational(value)
         n = check_level(level)
         return _make(level, (q.numerator,) + (0,) * (n - 1), q.denominator)
 

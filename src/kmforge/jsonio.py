@@ -191,7 +191,12 @@ def enc_loop(u):
 
 def dec_loop(obj):
     ctx = dec_context(obj["context"])
-    terms = {_integer(t["k"], "k"): dec_element(t["coeff"]) for t in obj["terms"]}
+    terms = {}
+    for t in obj["terms"]:
+        k = _integer(t["k"], "k")
+        if k in terms:
+            raise InvalidInputError(f"loop exponent {k} is repeated")
+        terms[k] = dec_element(t["coeff"])
     return LoopElement(ctx, terms)
 
 

@@ -90,46 +90,45 @@ def slice_terms(context, N):
 
 
 class LoopElement:
-    """Finite Laurent element of a twisted loop algebra.
+    """Finite Laurent element of a twisted loop algebra: every element
+    satisfies the twist condition of its context.
 
-    The public constructor cleans what it is given: exponents become ints,
-    equal exponents are summed, zero terms dropped and the rest sorted.
-    Internal results come from ``_trusted``, which trusts its terms.  The
-    twist-condition verdict of ``is_valid`` is computed on first use and kept.
+    The public constructor cleans what it is given (exponents must be ints;
+    equal exponents are summed, zero terms dropped and the rest sorted) and
+    then checks the twist condition once.  Internal results come from
+    ``_trusted``, which checks nothing.
     """
 
-    __slots__ = ("context", "terms", "_valid")
+    __slots__ = ("context", "terms")
 
     def __init__(self, context, terms):
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "_valid", None)
         clean = {}
         for k, x in (terms.items() if isinstance(terms, dict) else terms):
+            if type(k) is not int:
+                raise InvalidInputError(f"loop exponent must be an int, got {k!r}")
             if x:
-                clean[int(k)] = clean[int(k)] + x if int(k) in clean else x
+                clean[k] = clean[k] + x if k in clean else x
         clean = {k: x for k, x in clean.items() if x}
         object.__setattr__(self, "terms", tuple(sorted(clean.items())))
+        if not validate(self):
+            raise InvalidInputError("loop element violates its twist condition")
 
     @classmethod
     def _trusted(cls, context, terms):
-        """Internal results only: ``terms`` maps int exponents of ``context``
-        to its elements; zero terms are dropped and the rest sorted (the
-        exponents are distinct, so no element is ever compared)."""
+        """Internal results only: ``terms`` maps distinct int exponents of
+        ``context`` to its elements; zero terms are dropped and the rest
+        sorted.  The caller guarantees the twist condition: sums and scalar
+        multiples of valid terms keep it, so does a bracket (sigma[x, y] =
+        [sigma x, sigma y]) and a rescaling of each term, and a standard map
+        lands in the target twist derived from periodicity."""
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", tuple(sorted([(k, x) for k, x in terms.items() if x])))
-        object.__setattr__(self, "_valid", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LoopElement is immutable")
-
-    def is_valid(self):
-        """``validate(self)``, checked on the first call and kept: the
-        element is immutable, so the verdict cannot change."""
-        if self._valid is None:
-            object.__setattr__(self, "_valid", validate(self))
-        return self._valid
 
     def terms_dict(self):
         return dict(self.terms)

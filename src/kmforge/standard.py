@@ -138,14 +138,13 @@ def _kernel(phi, k, s):
 
 
 def apply(phi, u):
-    """Act on a loop element; output lives in the target context.  Every
-    input is validated (once per element, ``LoopElement.is_valid``); term k
-    is one mat-vec with the kernel cached for k modulo the denominator of
-    shift/D, written to exponent eps*k for a constant curve."""
+    """Act on a loop element of the source context; the output lives in
+    the target context and keeps the twist condition, since the target twist
+    is derived from periodicity.  Term k is one mat-vec with the kernel
+    cached for k modulo the denominator of shift/D, written to exponent eps*k
+    for a constant curve."""
     if u.context != phi.source:
         raise TwistMismatchError("loop element is not in the source context")
-    if not u.is_valid():
-        raise InvalidInputError("loop element violates its twist condition")
     D = phi.source.D
     s = phi.shift / D
     eps_exp = phi.epsilon * (-1 if phi.antilinear else 1)

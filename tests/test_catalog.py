@@ -119,7 +119,8 @@ def test_an_order_beyond_the_bound_is_a_catalog_miss():
 def test_omega_is_antilinear_involution():
     for cat in (A1, A2):
         om = cat.omega()
-        assert om.antilinear
+        assert om.antilinear and om.matrix == cat.named("mu").matrix
+        assert cat.omega() is om  # built once, with the catalog
         assert automorphism_order(om) == 2
         assert check_automorphism(om)
 

@@ -20,6 +20,9 @@ from kmforge.field import (
     zeta_of,
     zeta_power,
 )
+from kmforge.liealg import builtin_algebra
+
+SL2 = builtin_algebra("sl2C")
 
 
 def rat(x, level=4):
@@ -155,6 +158,22 @@ def test_power_and_division():
 def test_constructor_rejects_bad_levels():
     with pytest.raises(ValueError):
         CyclotomicNumber(6, [Fraction(0)] * 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CyclotomicNumber(4, [0.5, 0]),
+    lambda: CyclotomicNumber(4, ["1/3", 0]),
+    lambda: CyclotomicNumber.from_rational(0.1),
+    lambda: SL2.element([0.1, 0, 0]),
+    lambda: SL2.element(["1/3", 0, 0]),
+    lambda: SL2.basis_element(0) * 0.5,
+    lambda: 0.5 * SL2.basis_element(0),
+], ids=["cyclo-float", "cyclo-string", "rational-float", "element-float", "element-string",
+        "mul-float", "rmul-float"])
+def test_scalar_entry_points_refuse_floats_and_strings(build):
+    # Fraction(0.1) would hold 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(InvalidInputError, match="int or a Fraction"):
+        build()
 
 
 @pytest.mark.parametrize("level", [0, -4, 2, 6, 77, MAX_LEVEL + 4, 40000])

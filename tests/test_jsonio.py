@@ -67,6 +67,18 @@ def test_loop_and_affine_round_trip():
     assert jsonio.dec_affine(jsonio.enc_affine(x)) == x
 
 
+def test_loop_decode_rejects_a_repeated_exponent():
+    # a dict of terms would keep only the last of two terms at k = 1
+    ctx = TwistContext(SL2, CAT.named("tau"), D=2)
+    enc = jsonio.enc_loop(LoopElement(ctx, {1: SL2.basis_element(0)}))
+    enc["terms"].append({"k": 1, "coeff": jsonio.enc_element(SL2.basis_element(2))})
+    with pytest.raises(InvalidInputError, match="repeated"):
+        jsonio.dec_loop(enc)
+    enc["terms"][1]["k"] = -1
+    assert jsonio.dec_loop(enc) == LoopElement(
+        ctx, {1: SL2.basis_element(0), -1: SL2.basis_element(2)})
+
+
 def test_standard_round_trip_constant():
     _, phi = realize_first("sl2C", 1, "id", "id", 2)
     enc = jsonio.enc_standard(phi)

@@ -14,7 +14,7 @@ from kmforge.field import CyclotomicNumber, field_degree, imaginary_unit, zeta_o
 from kmforge.liealg import FiniteAutomorphism, exp_curve
 from kmforge.loop import LoopElement, TwistContext
 from kmforge.realforms import enumerate_real_forms
-from kmforge.standard import apply, identity_automorphism, pointwise, standard_automorphism
+from kmforge.standard import apply, pointwise, standard_automorphism
 
 LEVELS = (4, 8, 12)
 KERNEL_SETTINGS = settings(max_examples=12, deadline=None,
@@ -145,8 +145,8 @@ def test_apply_matches_the_per_term_path(index, data):
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_term_ok_matches_sigma_apply(index, data):
-    """Terms from k's own eigenspace, from k + 1's, or arbitrary; a term
-    that breaks the twist is refused by ``apply``."""
+    """Terms from k's own eigenspace, from k + 1's, or arbitrary; the
+    ``LoopElement`` constructor takes exactly the terms that keep the twist."""
     ctx = _contexts()[index]
     k = data.draw(st.integers(-9, 9))
     source = data.draw(st.sampled_from(["own", "next", "any"]))
@@ -158,9 +158,11 @@ def test_term_ok_matches_sigma_apply(index, data):
         x = x + b * data.draw(scalars())
     ok = _term_ok_per_term(ctx, k, x)
     assert ctx.term_ok(k, x) == ok
-    if not ok:
-        with pytest.raises(InvalidInputError):
-            apply(identity_automorphism(ctx), LoopElement(ctx, {k: x}))
+    if ok:
+        LoopElement(ctx, {k: x})
+    else:
+        with pytest.raises(InvalidInputError, match="twist condition"):
+            LoopElement(ctx, {k: x})
 
 
 def test_context_inventory():

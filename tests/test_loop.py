@@ -69,7 +69,19 @@ def test_validate_examples():
     assert validate(constant_loop(untwisted(), H))
     ctx = tau_context()
     assert validate(LoopElement(ctx, {1: E}))  # tau(e) = -e = zeta_2^1 e
-    assert not validate(LoopElement(ctx, {1: H}))  # tau(h) = h != -h
+    # tau(h) = h != -h: the constructor refuses the term; built unchecked,
+    # the element fails validate
+    with pytest.raises(InvalidInputError, match="twist condition"):
+        LoopElement(ctx, {1: H})
+    assert not validate(LoopElement._trusted(ctx, {1: H}))
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, Fraction(1), True, "1", None])
+def test_constructor_rejects_non_integer_exponents(k):
+    # int(k) would store 1.5 and 1.0 at exponent 1 and True at exponent 1
+    for terms in ({k: H}, [(k, H)]):
+        with pytest.raises(InvalidInputError, match="exponent"):
+            LoopElement(untwisted(), terms)
 
 
 def test_validate_random_constructions():
@@ -183,6 +195,8 @@ def test_twist_preserved_by_operations():
     ctx = tau_context()
     for _ in range(5):
         u, v = random_loop(rng, ctx), random_loop(rng, ctx)
+        assert validate(u + v) and validate(u - v) and validate(-u)
+        assert validate(u * Fraction(-3, 2)) and validate(imaginary_unit() * u)
         assert validate(loop_bracket(u, v))
         assert validate(loop_derivative(u))
         assert validate(tau_r_apply(Fraction(3, 2), u))

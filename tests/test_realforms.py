@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kmforge.catalog import catalog_for
-from kmforge.errors import NotApplicableError
+from kmforge.errors import InvalidInputError, NotApplicableError
 from kmforge.field import imaginary_unit
 from kmforge.invariants import FirstKindInvariant, invariants_equal
 from kmforge.liealg import builtin_algebra
@@ -145,8 +145,9 @@ def test_corrupted_condition_fails_twist_validation():
     # su(2)-valued coefficients on the mu-twisted lattice break the twist:
     # e - f spans the +1 eigenspace of mu but is attached to an odd exponent
     ctx = TwistContext(SL2, CAT.named("mu"), D=2)
-    bad = LoopElement(ctx, {1: E - F})
-    assert not validate(bad)
+    with pytest.raises(InvalidInputError, match="twist condition"):
+        LoopElement(ctx, {1: E - F})
+    assert not validate(LoopElement._trusted(ctx, {1: E - F}))
 
 
 def test_cartan_split_of_split_form_constants():

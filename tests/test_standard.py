@@ -110,32 +110,35 @@ def test_apply_reflection():
 
 
 def test_apply_rejects_invalid_input():
+    # h is not in the -1 eigenspace: the constructor refuses the element, so
+    # no map is applied to it; apply still refuses a loop of another context
     ctx = tau_context()
-    phi = identity_automorphism(ctx)
-    with pytest.raises(InvalidInputError):
-        apply(phi, LoopElement(ctx, {1: H}))  # h is not in the -1 eigenspace
+    with pytest.raises(InvalidInputError, match="twist condition"):
+        LoopElement(ctx, {1: H})
+    with pytest.raises(TwistMismatchError):
+        apply(identity_automorphism(ctx), LoopElement(untwisted(), {1: H}))
 
 
 def test_twist_condition_is_checked_once_per_element(monkeypatch):
-    # the verdict is kept on the immutable element: an invalid loop fails on
-    # every apply, the first and any later one, and is checked only once
+    # the constructor checks each element once; apply checks neither its
+    # input nor its result, however often a map is applied
     from kmforge import loop
 
     checked = []
 
     def counting(u):
-        checked.append(u)
+        checked.append(u.terms)
         return validate(u)
 
     monkeypatch.setattr(loop, "validate", counting)
     ctx = tau_context()
-    bad, good = LoopElement(ctx, {1: H}), LoopElement(ctx, {1: E})
+    with pytest.raises(InvalidInputError, match="twist condition"):
+        LoopElement(ctx, {1: H})
+    good = LoopElement(ctx, {1: E})
     maps = [identity_automorphism(ctx), pointwise(ctx, CAT.named("tau")), reflection(ctx)]
     for phi in maps + maps:
-        with pytest.raises(InvalidInputError):
-            apply(phi, bad)
         apply(phi, good)
-    assert [id(u) for u in checked] == [id(bad), id(good)]
+    assert checked == [((1, H),), ((1, E),)]
 
 
 def _constant_maps(ctx):
