@@ -17,7 +17,7 @@ from fractions import Fraction
 from .element import _as_scalar
 from .errors import ContextMismatchError, NotFiniteOrderError, OrderMismatchError
 from .field import CyclotomicNumber
-from .liealg import ORDER_BOUND, rational_coords
+from .liealg import ORDER_BOUND
 from .linalg import in_span, rref
 from .loop import (
     LoopElement,
@@ -230,6 +230,6 @@ def _flatten_affine(w, support, lev):
     """The integer numerators of w's loop and central coordinates over
     their common denominator; span membership ignores that denominator."""
     loop_nums, a = loop_coords(w.loop, support, lev)
-    cd_nums, b = rational_coords((w.c_coef, w.d_coef), lev)
-    den = math.lcm(a, b)
-    return [v * (den // a) for v in loop_nums] + [v * (den // b) for v in cd_nums]
+    cd = [w.c_coef.lift(lev), w.d_coef.lift(lev)]
+    den = math.lcm(a, *(c.den for c in cd))
+    return [v * (den // a) for v in loop_nums] + [v * (den // c.den) for c in cd for v in c.nums]

@@ -5,7 +5,11 @@ layout of ``field``'s scalars widened to a vector: a ``level`` L, a flat tuple
 ``nums`` of d segments of phi(L) power-basis numerators (segment i is
 coordinate i), and one positive ``den``, with gcd(*nums, den) == 1.
 ``coords`` builds the d CyclotomicNumbers on demand, every one at the
-element's level.  The level rule:
+element's level.  As the block is in lowest terms, ``den`` is the lcm of the
+coordinates' denominators, so ``(nums_at(L), den)`` are the element's
+rational coordinates at level L.  ``nums_at`` and ``conj`` apply ``field``'s
+numerator kernels ``_lift_nums`` and ``_conj_nums`` segment by segment, and
+``IntRows.apply`` lifts its rows with ``_lift_nums``.  The level rule:
 
 * an element built from coordinates is at lcm(4, their levels), zero
   coordinates included;
@@ -30,7 +34,8 @@ from __future__ import annotations
 import math
 
 from .errors import AlgebraMismatchError, LevelMismatchError
-from .field import CyclotomicNumber, _canon, _poly_mul, _ratio, _rational, _reduce, check_level
+from .field import (CyclotomicNumber, _canon, _conj_nums, _lift_nums, _poly_mul, _ratio, _rational,
+                    _reduce, check_level)
 
 
 def _as_scalar(c):
@@ -87,9 +92,8 @@ class AlgebraElement:
         nums = self.nums
         n = len(nums) // self.algebra.dim
         step = level // self.level
-        # Z[zeta_M] is Z[zeta_L] cut down to Q(zeta_M): lowest terms survive
         return tuple(v for i in range(0, len(nums), n)
-                     for v in _lift_segment(nums[i:i + n], step, level))
+                     for v in _lift_nums(nums[i:i + n], step, level))
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -148,14 +152,9 @@ class AlgebraElement:
             out[1::2] = [-v for v in nums[1::2]]
             return _element(self.algebra, 4, tuple(out), self.den)
         n = len(nums) // self.algebra.dim
-        out = []
-        raw = [0] * level
-        for i in range(0, len(nums), n):
-            for j in range(n):
-                raw[-j] = nums[i + j]  # z^j -> z^{L-j}
-            out.extend(_reduce(level, raw))
-        # an automorphism of Z[zeta_L], so lowest terms survive
-        return _element(self.algebra, level, tuple(out), self.den)
+        out = tuple(v for i in range(0, len(nums), n)
+                    for v in _conj_nums(nums[i:i + n], level))
+        return _element(self.algebra, level, out, self.den)
 
     def __repr__(self):
         names = self.algebra.basis_names
@@ -203,13 +202,6 @@ def _add(x, y, sign):
     da, db = x.den, y.den
     fa, fb, den = (1, sign, da) if da == db else (db, sign * da, da * db)
     return _canonical(x.algebra, level, [p * fa + q * fb for p, q in zip(a, b)], den)
-
-
-def _lift_segment(seg, step, level):
-    """Numerators of one coordinate, given at level // step, at ``level``."""
-    raw = [0] * (len(seg) * step)
-    raw[::step] = seg
-    return _reduce(level, raw)
 
 
 def _segments(nums, n):
@@ -283,10 +275,10 @@ class IntRows:
     blocks: one ``level``, lcm(4, the levels of the nonzero entries), one
     positive ``den``, the lcm of their denominators, and ``rows``, where an
     entry is its numerators at that level over ``den``, or None when it is
-    zero.  Owners build it once and cache it; lifts of the rows to higher
-    levels are cached here, per level."""
+    zero.  Owners build it once and cache it; an apply to an element of a
+    higher level lifts the rows for that call only."""
 
-    __slots__ = ("level", "den", "rows", "_lifted")
+    __slots__ = ("level", "den", "rows")
 
     def __init__(self, matrix):
         nonzero = [a for row in matrix for a in row if a]
@@ -295,23 +287,17 @@ class IntRows:
         self.rows = tuple(tuple(None if not a else tuple(
             v * (den // a.den) for v in (a.nums if a.level == level else a.lift(level).nums))
             for a in row) for row in matrix)
-        self._lifted = {level: self.rows}
-
-    def _at(self, level):
-        rows = self._lifted.get(level)
-        if rows is None:
-            step = level // self.level
-            rows = self._lifted[level] = tuple(
-                tuple(None if e is None else _lift_segment(e, step, level) for e in row)
-                for row in self.rows)
-        return rows
 
     def apply(self, x):
         """The matrix times the coordinate vector of x, as an element at
         lcm(self.level, x.level)."""
         level = self.level if x.level == self.level else math.lcm(self.level, x.level)
         nums = x.nums_at(level)  # checks the level before any table is built
-        rows = self._at(level)
+        rows = self.rows
+        if level != self.level:
+            step = level // self.level
+            rows = [[None if e is None else _lift_nums(e, step, level) for e in row]
+                    for row in rows]
         alg = x.algebra
         den = self.den * x.den
         if level == 4:

@@ -19,7 +19,11 @@ not contain its own raise LevelMismatchError.
 Level 4 (the Gaussian rationals, degree 2) multiplies and inverts in closed
 form.  Other levels multiply schoolbook and reduce with a per-level table of
 reduced powers of z, built on first use, and invert by the extended Euclidean
-algorithm.  Everything is immutable and exact; there is no floating point.
+algorithm.  The two ring maps on numerators, the embedding Q(zeta_M) in
+Q(zeta_L) (``_lift_nums``) and conjugation (``_conj_nums``), are stated once
+here: ``element`` applies them to each segment of an element block and to
+the integer rows of a matrix.  Everything is immutable and exact; there is
+no floating point.
 """
 
 from __future__ import annotations
@@ -151,6 +155,26 @@ def _reduce(L, raw):
     return tuple(out)
 
 
+def _lift_nums(nums, step, level):
+    """The power-basis numerators ``nums`` of a value of level ``level //
+    step``, re-expressed at ``level``: z_M^j is z_L^(j*step).  Z[zeta_M] is
+    Z[zeta_L] cut down to Q(zeta_M), so numerators in lowest terms over a
+    denominator stay so."""
+    raw = [0] * (len(nums) * step)
+    raw[::step] = nums
+    return _reduce(level, raw)
+
+
+def _conj_nums(nums, level):
+    """The numerators ``nums`` of a level-``level`` value under complex
+    conjugation z -> z^{-1}, i.e. z^j -> z^(L-j).  It is an automorphism of
+    Z[zeta_L], so numerators in lowest terms over a denominator stay so."""
+    raw = [0] * level
+    for j, c in enumerate(nums):
+        raw[-j] = c
+    return _reduce(level, raw)
+
+
 def _ratio(x):
     """(numerator, positive denominator) of an int or Fraction, else None."""
     if isinstance(x, int):
@@ -226,11 +250,7 @@ class CyclotomicNumber:
         if level % self.level:
             raise LevelMismatchError(f"cannot lift level {self.level} into {level}")
         check_level(level)
-        step = level // self.level
-        raw = [0] * (len(self.nums) * step)
-        raw[::step] = self.nums
-        # Z[zeta_M] is Z[zeta_L] cut down to Q(zeta_M), so lowest terms survive.
-        return _make(level, _reduce(level, raw), self.den)
+        return _make(level, _lift_nums(self.nums, level // self.level, level), self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -330,11 +350,7 @@ class CyclotomicNumber:
         if L == 4:
             x0, x1 = self.nums
             return _make(4, (x0, -x1), self.den)
-        raw = [0] * L
-        for j, c in enumerate(self.nums):
-            raw[-j] = c  # z^j -> z^{L-j}
-        # an automorphism of Z[zeta_L], so lowest terms survive
-        return _make(L, _reduce(L, raw), self.den)
+        return _make(L, _conj_nums(self.nums, L), self.den)
 
     # -- predicates --------------------------------------------------------
 
@@ -462,8 +478,9 @@ def zeta_power(L, k):
 
 
 def zeta_of(r):
-    """e^{2*pi*i*r} for rational r, as an exact root of unity."""
-    r = Fraction(r)
+    """e^{2*pi*i*r} for rational r (an int or a Fraction), as an exact root
+    of unity."""
+    r = _rational(r)
     b = r.denominator
     return zeta_power(b, r.numerator % b)
 

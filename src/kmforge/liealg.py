@@ -21,7 +21,8 @@ from . import linalg
 from .element import AlgebraElement, IntRows, _as_scalar, _element, bracket
 from .element import killing_form  # noqa: F401  (re-exported: part of liealg's API)
 from .errors import AlgebraMismatchError, NotFiniteOrderError, UnknownAlgebraError
-from .field import CyclotomicNumber, check_level, field_degree, imaginary_unit, zeta_of, zeta_power
+from .field import (CyclotomicNumber, _rational, check_level, field_degree, imaginary_unit, zeta_of,
+                    zeta_power)
 
 BUILTIN_NAMES = ("sl2C", "sl3C", "su2", "su3")
 
@@ -223,7 +224,7 @@ class FiniteAutomorphism:
         return acc
 
     def is_identity(self):
-        return not self.antilinear and self.matrix == self.algebra.identity.matrix
+        return not self.antilinear and self == self.algebra.identity
 
     def _entry_key(self):
         """(levels, values): the entries' levels, and their (nums, den) pairs,
@@ -297,8 +298,9 @@ def automorphism_order(auto, bound=ORDER_BOUND):
 
 
 def _eigenvectors(alg, matrix, lam):
-    """Basis of the kernel of M - lam*I as elements; every entry of
-    ``matrix`` must already be at lam's level."""
+    """Basis of the kernel of M - lam*I as elements.  ``lam``'s level must be
+    a multiple of every entry's: ``linalg.rref`` lifts the shifted matrix to
+    it, and the basis is at that level."""
     shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
                for i, row in enumerate(matrix)]
     zero, one = CyclotomicNumber.zero(lam.level), CyclotomicNumber.one(lam.level)
@@ -311,10 +313,9 @@ def eigenspace_decomposition(auto, order):
     if auto.antilinear:
         raise NotFiniteOrderError("eigenspace decomposition needs a linear map")
     lev = math.lcm(4, order, *[x.level for row in auto.matrix for x in row])
-    matrix = [[x.lift(lev) for x in row] for row in auto.matrix]
     out = {}
     for k in range(order):
-        basis = _eigenvectors(auto.algebra, matrix, zeta_power(order, k).lift(lev))
+        basis = _eigenvectors(auto.algebra, auto.matrix, zeta_power(order, k).lift(lev))
         if basis:
             out[k] = tuple(basis)
     if sum(map(len, out.values())) != auto.algebra.dim:
@@ -329,15 +330,14 @@ def fixed_subalgebra(auto, bound=ORDER_BOUND):
     alg = auto.algebra
     lev = math.lcm(4, *[x.level for row in auto.matrix for x in row])
     if not auto.antilinear:
-        matrix = [[x.lift(lev) for x in row] for row in auto.matrix]
-        basis = _eigenvectors(alg, matrix, CyclotomicNumber.one(lev))
+        basis = _eigenvectors(alg, auto.matrix, CyclotomicNumber.one(lev))
         _check_bracket_closed(basis, lambda x: list(x.coords))
         return basis
     gens = [alg.basis_element(i, lev) * zeta_power(lev, j)
             for i in range(alg.dim) for j in range(field_degree(lev))]
 
     def flatten(x):
-        return rational_coords(x.coords, lev)
+        return x.nums_at(lev), x.den
 
     basis = rational_fixed_span(gens, [auto.apply(g) for g in gens], flatten)
     _check_bracket_closed(basis, lambda x: flatten(x)[0])
@@ -361,15 +361,6 @@ def rational_fixed_span(gens, images, flatten, sign=1):
     mat = list(zip(*[nums if d == den else [v * (den // d) for v in nums] for nums, d in cols]))
     return [functools.reduce(operator.add, (g * c for g, c in zip(gens, v) if c))
             for v in linalg.kernel_basis(mat, Fraction(0), Fraction(1))]
-
-
-def rational_coords(scalars, lev):
-    """The power-basis rationals at level ``lev`` of each scalar, concatenated,
-    as ``(nums, den)``: integer numerators over one positive denominator.  An
-    injective, rational-linear coordinate map."""
-    lifted = [c.lift(lev) for c in scalars]
-    den = math.lcm(*(c.den for c in lifted))
-    return [v * (den // c.den) for c in lifted for v in c.nums], den
 
 
 def _check_bracket_closed(basis, flatten):
@@ -396,7 +387,7 @@ class ExpCurveData:
 
     def __init__(self, generator, eigenpairs):
         self.generator = generator
-        self.eigenpairs = tuple((Fraction(q), tuple(vs)) for q, vs in eigenpairs)
+        self.eigenpairs = tuple((_rational(q), tuple(vs)) for q, vs in eigenpairs)
         alg = generator.algebra
         d = alg.dim
         cols = []
@@ -445,7 +436,7 @@ class ExpCurveData:
         return parts
 
     def scaled(self, c):
-        c = Fraction(c)
+        c = _rational(c)
         return ExpCurveData(self.generator * c, [(q * c, vs) for q, vs in self.eigenpairs])
 
     def transformed(self, auto):
@@ -463,12 +454,11 @@ def exp_curve(x, candidate_qs):
     """Eigenspace data for ad(x) computed from candidate rational eigenvalues."""
     adX = ad_matrix(x)
     lev = math.lcm(4, *[c.level for row in adX for c in row])
-    adX = [[c.lift(lev) for c in row] for row in adX]
     i_unit = imaginary_unit(lev)
     pairs = []
     seen = set()
     for q in candidate_qs:
-        q = Fraction(q)
+        q = _rational(q)
         if q in seen:
             continue
         seen.add(q)
@@ -480,7 +470,7 @@ def exp_curve(x, candidate_qs):
 
 def exp_ad(data, s):
     """The automorphism e^{ad tX} at t = 2*pi*s, evaluated exactly."""
-    s = Fraction(s)
+    s = _rational(s)
     alg = data.generator.algebra
     d = alg.dim
     scaled_cols = []
@@ -549,7 +539,7 @@ def _commutator(a, b):
             for r1, r2 in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
 
 
-def _rational(c):
+def _structure_constant(c):
     """A level-4 structure constant as a Fraction; it must be rational."""
     if c.nums[1]:
         raise ValueError("structure constant is not rational")
@@ -563,6 +553,6 @@ def builtin_algebra(name):
     mats = builtin_matrices(name)
     d = len(mats)
     coords = matrix_coordinates(mats, [_commutator(a, b) for a in mats for b in mats])
-    structure = tuple(tuple(tuple(map(_rational, coords[i * d + j])) for j in range(d))
+    structure = tuple(tuple(tuple(map(_structure_constant, coords[i * d + j])) for j in range(d))
                       for i in range(d))
     return LieAlgebraTable(name, structure, *_BUILTINS[name])

@@ -14,13 +14,13 @@ through here: an element is one integer block at one level, and matrices
 act on it as ``element.IntRows``; ``mat_vec`` serves scalar vectors such as
 the eigencoordinates of ``liealg.ExpCurveData``.
 
-Elimination skips structural zeros: a pivot row is normalised as
-``x / inv if x else x`` and a row update (in ``rref`` and ``in_span``) is
-``x - f * y if y else x``.  A skipped CyclotomicNumber operation does not lift
-``x`` to the lcm of the operands' levels, so ``rref`` first lifts a matrix
-whose CyclotomicNumber entries have mixed levels to their lcm level, once;
-every returned entry of such a matrix is at that level.  A single-level
-matrix is not touched.
+Elimination skips structural zeros: a pivot row is multiplied by the
+pivot's reciprocal r, computed once, as ``x * r if x else x``, and a row
+update (in ``rref`` and ``in_span``) is ``x - f * y if y else x``.  A
+skipped CyclotomicNumber operation does not lift ``x`` to the lcm of the
+operands' levels, so ``rref`` first lifts a matrix whose CyclotomicNumber
+entries have mixed levels to their lcm level, once; every returned entry of
+such a matrix is at that level.  A single-level matrix is not touched.
 
 Rational rows are integer rows.  A caller holding rational vectors, as
 integer numerators over one denominator, passes the numerators: the
@@ -136,8 +136,8 @@ def _gauss_jordan(rows, pivot_row, update):
 
 
 def _field_pivot(row, c):
-    inv = row[c]
-    return [x / inv if x else x for x in row]
+    r = Fraction(1) / row[c]
+    return [x * r if x else x for x in row]
 
 
 def _field_update(v, row, p):
@@ -221,17 +221,11 @@ def solve(matrix, rhs):
 def invert(matrix):
     """Exact inverse; raises ValueError on singular input."""
     n = len(matrix)
-    one = None
-    for row in matrix:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
+    first = next((x for row in matrix for x in row if x), None)
+    if first is None:
         raise ValueError("singular matrix")
-    aug = [list(row) + ident_row for row, ident_row in zip(matrix, identity_like(n, one))]
+    aug = [list(row) + ident_row
+           for row, ident_row in zip(matrix, identity_like(n, first / first))]
     rows, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .element import IntRows, bracket, killing_form
 from .errors import ContextMismatchError, InvalidInputError, NotFiniteOrderError
-from .field import CyclotomicNumber, check_level, field_degree, imaginary_unit, zeta_power
+from .field import CyclotomicNumber, _rational, check_level, field_degree, imaginary_unit, zeta_power
 from .liealg import automorphism_order, eigenspace_decomposition
 
 
@@ -31,7 +31,9 @@ class TwistContext:
         self.algebra = algebra
         self.sigma = sigma
         self.twist_order = order
-        self.D = order if D is None else int(D)
+        if D is not None and type(D) is not int:
+            raise InvalidInputError(f"D must be an int, got {type(D).__name__}")
+        self.D = order if D is None else D
         if self.D < 1:
             raise InvalidInputError(f"D={self.D} must be >= 1")
         if self.D % order:
@@ -255,7 +257,7 @@ def cocycle(u, v):
 
 def tau_r_apply(r, u):
     """Scaling map of the algebraic category: term k picks up r^k."""
-    r = Fraction(r)
+    r = _rational(r)
     if r <= 0:
         raise InvalidInputError("scaling parameter must be positive")
     return LoopElement._trusted(u.context, {k: x * (r ** k) for k, x in u.terms})

@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
     TwistMismatchError,
 )
-from .field import zeta_of
+from .field import _rational, zeta_of
 from .liealg import ORDER_BOUND, FiniteAutomorphism, exp_ad, exp_curve, order_by_iteration
 from .loop import LoopElement, TwistContext, slice_terms, tau_r_apply
 
@@ -88,9 +88,9 @@ def standard_automorphism(epsilon, shift, base, source, target=None, exp=None):
 def _fold(epsilon, shift, base, source, exp):
     """(shift, base, exp) in canonical form: the shift's whole turns folded
     into the base as base o sigma^whole, and a zero curve generator dropped."""
-    if epsilon not in (1, -1):
-        raise InvalidInputError("epsilon must be +1 or -1")
-    shift = Fraction(shift)
+    if type(epsilon) is not int or epsilon not in (1, -1):
+        raise InvalidInputError(f"epsilon must be the int +1 or -1, got {epsilon!r}")
+    shift = _rational(shift)
     whole = math.floor(shift)
     shift -= whole
     # sigma^twist_order is the identity, so the whole turns fold modulo the
@@ -112,7 +112,7 @@ def identity_automorphism(context):
 def rotation(context, shift):
     """u(t) -> u(t + 2*pi*shift); twist-preserving."""
     return standard_automorphism(
-        1, Fraction(shift), FiniteAutomorphism.identity(context.algebra), context)
+        1, shift, FiniteAutomorphism.identity(context.algebra), context)
 
 
 def reflection(context):
@@ -123,7 +123,7 @@ def reflection(context):
 
 def pointwise(context, auto, epsilon=1, shift=Fraction(0)):
     """u(t) -> auto(u(epsilon*t + 2*pi*shift)) with a constant curve."""
-    return standard_automorphism(epsilon, Fraction(shift), auto, context)
+    return standard_automorphism(epsilon, shift, auto, context)
 
 
 def _kernel(phi, k, s):

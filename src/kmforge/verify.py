@@ -22,7 +22,7 @@ from .affine import (
 )
 from .catalog import catalog_for
 from .errors import InvalidInputError
-from .field import imaginary_unit
+from .field import _rational, imaginary_unit
 from .invariants import (
     extract_invariant_first,
     extract_invariant_second,
@@ -333,6 +333,7 @@ def verify_hat(algebra="sl2C", seed=7, trials=10):
 
 def verify_tau_r(algebra="sl2C", r=Fraction(2), trials=50, seed=17, bound=ORDER_BOUND):
     """Scaling maps: exact bracket homomorphism and unbounded order."""
+    r = _rational(r)
     rng = random.Random(seed)
     cat = catalog_for(algebra)
     ctx = TwistContext(builtin_algebra(algebra), cat.named("id"), D=1)
@@ -343,7 +344,7 @@ def verify_tau_r(algebra="sl2C", r=Fraction(2), trials=50, seed=17, bound=ORDER_
 
     bad, _ = _seeded_trials(trials, lambda: (random_loop(rng, ctx), random_loop(rng, ctx)),
                             broken)
-    scaled = ScaledMap(Fraction(r), identity_automorphism(ctx))
+    scaled = ScaledMap(r, identity_automorphism(ctx))
     order = loop_map_order(scaled.apply, ctx, bound)
     checks = [
         {"name": f"tau_r:homomorphism:r={r}", "pass": bad == 0, "trials": trials},

@@ -321,8 +321,10 @@ def test_catalog_maps_apply_as_the_scalar_code(data):
 @pytest.mark.parametrize("name", ("sl2C", "sl3C"))
 @given(data=st.data())
 def test_sparse_mixed_level_matrices_apply_as_the_scalar_code(name, data):
-    """Arbitrary matrices, mostly zero, entries at levels 4, 8 and 12; the
-    same matrix applied twice reuses its cached rows, lifted or not."""
+    """Arbitrary matrices, mostly zero, entries at levels 4, 8 and 12,
+    applied twice to elements at those levels and twice at each of two
+    higher levels: the same rows serve every apply, lifted for that call
+    when the element's level is higher."""
     alg = builtin_algebra(name)
     entry = st.one_of(st.just(CyclotomicNumber.zero()), LEVEL.flatmap(_scalars))
     rows = data.draw(st.lists(st.lists(entry, min_size=alg.dim, max_size=alg.dim),
@@ -331,3 +333,31 @@ def test_sparse_mixed_level_matrices_apply_as_the_scalar_code(name, data):
     for _ in range(2):
         x, ox = _pair(alg, data.draw(coordinate_lists(alg.dim)))
         _agree(auto.apply(x), scalar_apply(auto, ox), _level(_rows_level(auto), x.level))
+    # multiples of 24, the lcm of every level the rows and x can have
+    for up in (48, 72):
+        for _ in range(2):
+            coords = [c.lift(up) for c in data.draw(coordinate_lists(alg.dim))]
+            x, ox = _pair(alg, coords)
+            _agree(auto.apply(x), scalar_apply(auto, ox), up)
+
+
+def rational_coords(scalars, lev):
+    """The power-basis rationals at level ``lev`` of each scalar, concatenated,
+    as ``(nums, den)``: integer numerators over one positive denominator.  An
+    injective, rational-linear coordinate map."""
+    lifted = [c.lift(lev) for c in scalars]
+    den = math.lcm(*(c.den for c in lifted))
+    return [v * (den // c.den) for c in lifted for v in c.nums], den
+
+
+@pytest.mark.parametrize("name", ("sl2C", "sl3C"))
+@given(data=st.data())
+def test_a_block_is_its_rational_coordinates(name, data):
+    """``fixed_subalgebra``'s antilinear flatten, ``(x.nums_at(lev), x.den)``,
+    against a verbatim copy of the ``liealg.rational_coords`` it replaced:
+    the block's denominator is the lcm of its coordinates'."""
+    alg = builtin_algebra(name)
+    x = AlgebraElement(alg, data.draw(coordinate_lists(alg.dim)))
+    for lev in (x.level, 24, 48):
+        nums, den = rational_coords(x.coords, lev)
+        assert (list(x.nums_at(lev)), x.den) == (nums, den)

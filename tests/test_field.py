@@ -228,7 +228,8 @@ def _values_at(level):
 
 
 values = st.sampled_from(LEVELS).flatmap(_values_at)
-differential = settings(max_examples=60, deadline=None)
+# 60 examples under the default profile, ten times as many under ci
+differential = settings(max_examples=settings().max_examples * 12 // 5, deadline=None)
 
 
 def _poly_at(x, level):

@@ -102,6 +102,19 @@ def test_invert_singular_raises():
         linalg.invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 
 
+def test_field_rref_inverts_each_pivot_once(monkeypatch):
+    # a pivot row is multiplied by the pivot's reciprocal, not divided by
+    # the pivot entry by entry
+    m = _random_cyclo_matrix(random.Random(5), 4, 6)
+    calls = []
+    inverse = CyclotomicNumber.inverse
+    monkeypatch.setattr(CyclotomicNumber, "inverse", lambda x: calls.append(x) or inverse(x))
+    rows, pivots = linalg.rref(m)
+    assert len(calls) == len(pivots) == 4
+    monkeypatch.undo()
+    assert (rows, pivots) == _dense_rref(m)
+
+
 # -- differential tests of the zero-skipping elimination ----------------------
 #
 # _dense_rref and _dense_in_span are the elimination before zero skipping,

@@ -119,6 +119,69 @@ def test_apply_rejects_invalid_input():
         apply(identity_automorphism(ctx), LoopElement(untwisted(), {1: H}))
 
 
+def _rational_entry_points():
+    """Every public entry point that takes a rational parameter, as a
+    function of that parameter."""
+    from kmforge.field import zeta_of
+    from kmforge.liealg import ExpCurveData
+    from kmforge.loop import tau_r_apply
+    from kmforge.verify import verify_tau_r
+
+    ctx = untwisted()
+    curve = half_h_exp_curve()
+    pairs = [(q, vs) for q, vs in curve.eigenpairs]
+    identity = FiniteAutomorphism.identity(SL2)
+    return {
+        "tau_r_apply": lambda r: tau_r_apply(r, LoopElement(ctx, {1: H})),
+        "standard_automorphism": lambda r: standard_automorphism(1, r, identity, ctx),
+        "rotation": lambda r: rotation(ctx, r),
+        "pointwise": lambda r: pointwise(ctx, CAT.named("mu"), shift=r),
+        "eigenvalues": lambda r: ExpCurveData(curve.generator, [(r, pairs[0][1])] + pairs[1:]),
+        "scaled": lambda r: curve.scaled(r),
+        "exp_curve": lambda r: exp_curve(curve.generator, [r]),
+        "exp_ad": lambda r: exp_ad(curve, r),
+        "zeta_of": zeta_of,
+        "verify_tau_r": lambda r: verify_tau_r(r=r, trials=1),
+    }
+
+
+@pytest.mark.parametrize("value", [0.1, "1/3"], ids=["float", "string"])
+@pytest.mark.parametrize("entry", sorted(_rational_entry_points()))
+def test_rational_parameters_refuse_floats_and_strings(entry, value):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, and
+    # Fraction("1/3") a parsed string
+    with pytest.raises(InvalidInputError, match="int or a Fraction"):
+        _rational_entry_points()[entry](value)
+
+
+@pytest.mark.parametrize("D", [2.7, 2.0, True], ids=["float", "whole-float", "bool"])
+def test_twist_context_refuses_a_D_that_is_not_an_int(D):
+    # int(D) would make 2.7 a 2 and True a 1
+    with pytest.raises(InvalidInputError, match="D must be an int"):
+        TwistContext(SL2, FiniteAutomorphism.identity(SL2), D=D)
+
+
+@pytest.mark.parametrize("epsilon", [True, 1.0, -1.0, 2, 0], ids=str)
+def test_epsilon_is_the_int_one_or_minus_one(epsilon):
+    # True would be stored and encoded as "epsilon": true, and 1.0 would fail
+    # with a TypeError in FiniteAutomorphism.power
+    ctx = untwisted()
+    with pytest.raises(InvalidInputError, match="epsilon"):
+        standard_automorphism(epsilon, 0, FiniteAutomorphism.identity(SL2), ctx)
+    with pytest.raises(InvalidInputError, match="epsilon"):
+        pointwise(ctx, CAT.named("mu"), epsilon=epsilon)
+
+
+def test_int_and_fraction_parameters_are_unchanged():
+    ctx = untwisted()
+    assert rotation(ctx, 1).shift == rotation(ctx, Fraction(0)).shift == 0
+    assert pointwise(ctx, CAT.named("mu"), epsilon=-1, shift=Fraction(5, 4)).shift == Fraction(1, 4)
+    assert TwistContext(SL2, FiniteAutomorphism.identity(SL2), D=3).D == 3
+    curve = half_h_exp_curve()
+    assert curve.scaled(2).eigenpairs == curve.scaled(Fraction(2)).eigenpairs
+    assert exp_ad(curve, 1) == exp_ad(curve, Fraction(1))
+
+
 def test_twist_condition_is_checked_once_per_element(monkeypatch):
     # the constructor checks each element once; apply checks neither its
     # input nor its result, however often a map is applied
