@@ -4,21 +4,23 @@ Built-ins cover the rank-1 and rank-2 special linear algebras.  Catalog
 representatives are the automorphisms that may appear in classification
 invariants.  Each is stated by its defining map on matrices (Ad of a diagonal
 or permutation matrix, or m -> -m^T) and read back in the table's basis by
-``_auto``.  The classifier assigns component labels inside centralizer
-groups, using closed-form tests (sign on a fixed line for rank 1, root-line
-permutations for rank 2) instead of any Lie-group topology.
+``_auto``.  The class of a map is the representative with the same eigen
+signature (``match``).  The classifier assigns component labels inside
+centralizer groups by closed-form tests that conjugation does not change
+(sign on the fixed line for rank 1; the cubic invariant tr(X^3) and the
+action on the fixed Cartan subalgebra for rank 2), instead of any
+Lie-group topology, so every conjugate of a catalog map has its invariant.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import CatalogMissError, ClassifierUnavailableError, UnknownAlgebraError
-from .field import CyclotomicNumber, imaginary_unit, zeta_power
+from .field import CyclotomicNumber, zeta_power
 from .liealg import (
     ORDER_BOUND,
     FiniteAutomorphism,
@@ -75,7 +77,12 @@ def _minus_transpose(m):
     return [[-x for x in col] for col in zip(*m)]
 
 
-_A2_ROOT_PAIRS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
+def _cubic_trace(x):
+    """tr(M^3) for the matrix M of the sl3C element x."""
+    terms = [(c, b) for c, b in zip(x.coords, builtin_matrices("sl3C")) if c]
+    m = [[sum((c * b[r][s] for c, b in terms), _ZERO) for s in range(3)] for r in range(3)]
+    cube = linalg.mat_mul(linalg.mat_mul(m, m), m)
+    return cube[0][0] + cube[1][1] + cube[2][2]
 
 
 class Catalog:
@@ -161,7 +168,7 @@ class Catalog:
         identity component, so the swap class is represented by the other
         involution.  On rank 2 the outer involution mu represents the outer
         class of each order <= 2 representative, and the rotation the inner
-        class of r3 that moves the root lines.
+        class of r3 that moves its fixed Cartan subalgebra.
         """
         if self.rank == 2 and rho_name not in self.rho_rep_names:
             raise ClassifierUnavailableError(f"no pi0 data for rho={rho_name!r}")
@@ -172,64 +179,49 @@ class Catalog:
             others = ["mu"] if order <= 2 else ["rot", "out"]
         return ["id", *others]
 
-    def component_class(self, rho_name, beta):
+    def component_class(self, rho, beta):
         """Label of the component of beta inside the centralizer of rho: the
-        element of ``component_labels(rho_name)`` that the closed-form tests
-        pick."""
+        element of ``component_labels`` that the closed-form tests pick.
+
+        ``rho`` is a catalog name, or a map whose class ``match`` finds; the
+        tests read rho itself and never a representative, so conjugating rho
+        and beta together keeps the label.  Rank 1: beta's sign on the fixed
+        line of an involution rho.  Rank 2: beta is inner exactly when
+        tr(beta(X)^3) = tr(X^3) for X = diag(1, 1, -2), outer maps negating
+        this cubic invariant; an inner beta centralizing an order-3 rho is in
+        the identity component exactly when it fixes the fixed subalgebra of
+        rho (a Cartan subalgebra) pointwise.
+        """
+        if isinstance(rho, str):
+            labels, rho = self.component_labels(rho), self.named(rho)
+        else:
+            labels = self.component_labels(self.match(rho).name)
         if self.rank == 1:
-            return self._a1_sign_label(rho_name, beta)
-        rho = self.entries[rho_name].auto
+            if len(labels) == 1:
+                return labels[0]
+            # beta swaps the two off-axis eigenlines of the involution rho
+            # exactly when it acts by -1 on the one-dimensional fixed line
+            fixed = eigenspace_decomposition(rho, order=2).get(0, ())
+            if len(fixed) != 1:
+                raise ClassifierUnavailableError("unexpected fixed space for an order-2 map")
+            w = beta.apply(fixed[0])
+            if w == fixed[0]:
+                return labels[0]
+            if w == -fixed[0]:
+                return labels[1]
+            raise ClassifierUnavailableError("map does not centralize the representative")
         if beta.compose(rho) != rho.compose(beta):
             raise ClassifierUnavailableError("map does not centralize the representative")
-        perm = self._a2_root_permutation(beta)
-        inner = self._a2_is_inner(perm)
-        labels = self.component_labels(rho_name)
-        if not inner:
+        x = self.algebra.element([0] * 6 + [1, 2])  # diag(1, 1, -2) = h_0 + 2 h_1
+        cubic, image = _cubic_trace(x), _cubic_trace(beta.apply(x))
+        if image == -cubic:
             return labels[-1]
-        return labels[1] if len(labels) == 3 and perm != list(range(6)) else labels[0]
-
-    def _a1_sign_label(self, rho_name, beta):
-        labels = self.component_labels(rho_name)
-        if len(labels) == 1:
-            return labels[0]
-        # beta swaps the two off-axis eigenlines of the involution rho exactly
-        # when it acts by -1 on the one-dimensional fixed line
-        fixed = eigenspace_decomposition(self.entries[rho_name].auto, order=2).get(0, ())
-        if len(fixed) != 1:
-            raise ClassifierUnavailableError("unexpected fixed space for an order-2 map")
-        v = fixed[0]
-        w = beta.apply(v)
-        if w == v:
-            return labels[0]
-        if w == -v:
+        if image != cubic:
+            raise ClassifierUnavailableError("map does not preserve the cubic invariant up to sign")
+        if len(labels) == 3 and any(beta.apply(v) != v
+                                    for v in eigenspace_decomposition(rho, order=3)[0]):
             return labels[1]
-        raise ClassifierUnavailableError("map does not centralize the representative")
-
-    def _a2_root_permutation(self, beta):
-        g = self.algebra
-        for idx in (6, 7):
-            img = beta.apply(g.basis_element(idx))
-            if any(img.coords[r] for r in range(6)):
-                raise ClassifierUnavailableError("map does not preserve the diagonal Cartan")
-        perm = []
-        for r in range(6):
-            img = beta.apply(g.basis_element(r))
-            hits = [k for k in range(8) if img.coords[k]]
-            if len(hits) != 1 or hits[0] > 5:
-                raise ClassifierUnavailableError("map does not permute the root lines")
-            perm.append(hits[0])
-        return perm
-
-    def _a2_is_inner(self, perm):
-        pair_index = {p: i for i, p in enumerate(_A2_ROOT_PAIRS)}
-        for pi in itertools.permutations(range(3)):
-            weyl = [pair_index[(pi[i], pi[j])] for (i, j) in _A2_ROOT_PAIRS]
-            if perm == weyl:
-                return True
-            negated = [pair_index[(pi[j], pi[i])] for (i, j) in _A2_ROOT_PAIRS]
-            if perm == negated:
-                return False
-        raise ClassifierUnavailableError("root permutation is not a diagram symmetry")
+        return labels[0]
 
     # -- conjugacy at catalog scope ------------------------------------------
 
@@ -253,42 +245,36 @@ class Catalog:
         return self.eigen_signature(a, bound) == self.eigen_signature(b, bound)
 
     def match(self, auto, bound=ORDER_BOUND):
-        """(entry, conjugator) with conjugator * entry * conjugator^{-1} = auto.
+        """The representative of auto's conjugacy class.
 
-        Exact matches against the designated representatives come first; the
-        fallback searches a structured conjugator family that covers the
-        built-in catalogs (torus elements, diagram permutations, and the
-        bridge between the diagonal and rotation pictures of an involution).
+        A representative equal to auto is its own class; otherwise the class
+        is the representative with auto's ``eigen_signature``.  At the
+        catalog's orders an equal signature means conjugate.  On sl2C every
+        automorphism is Ad g, and Ad g of order n is conjugate to
+        Ad diag(zeta_n^k, 1), whose class the exponents +-k fix.  On sl3C the
+        inner involutions form one class (fixed dimension 4), the inner maps
+        of order 3 two classes (fixed dimensions 4 and 2), and the outer
+        involutions one class (so3, fixed dimension 3).
         """
         for name in self.rho_rep_names:
             if self.entries[name].auto == auto:
-                return self.entries[name], FiniteAutomorphism.identity(self.algebra)
-        sig = self.eigen_signature(auto, bound)
-        for name in self.rho_rep_names:
-            entry = self.entries[name]
-            if entry.order != sig[0] or self.eigen_signature(entry.auto, bound) != sig:
-                continue
-            for cand in self._conjugators:
-                if cand.compose(entry.auto).compose(cand.inverse()) == auto:
-                    return entry, cand
-        raise CatalogMissError("no catalog representative matches the map")
+                return self.entries[name]
+        name = self._rep_of_signature.get(self.eigen_signature(auto, bound))
+        if name is None:
+            raise CatalogMissError("no catalog representative matches the map")
+        return self.entries[name]
 
     @functools.cached_property
-    def _conjugators(self):
-        base = [e.auto for e in self.entries.values()]
-        if self.rank == 1:
-            # Ad of the eigenvector matrix of the rotation picture: carries
-            # the diagonal involution to the rotation involution
-            i = imaginary_unit()
-            p = [[_ONE, _ONE], [i, -i]]
-            bridge = _auto("sl2C", _ad(p, linalg.invert(p)))
-            base += [bridge, bridge.inverse()]
-        else:
-            base += [_auto("sl3C", _ad_perm(*perm)) for perm in itertools.permutations(range(3))]
-        out = list(base)
-        for a, b in itertools.product(base, base):
-            out.append(a.compose(b))
-        return out
+    def _rep_of_signature(self):
+        """{eigen signature: name} over the representatives, built on the
+        first match that is not an equality."""
+        table = {}
+        for name in self.rho_rep_names:
+            sig = self.eigen_signature(self.entries[name].auto)
+            if sig in table:
+                raise ValueError(f"representatives {table[sig]!r} and {name!r} share a signature")
+            table[sig] = name
+        return table
 
 
 @functools.cache

@@ -112,10 +112,9 @@ def extract_invariant_first(phi, q=None, bound=ORDER_BOUND):
     sigma = phi.source.sigma
     rho_t = base.power(q1).compose(sigma.power(p1))
     lam = base.power(l).compose(sigma.power(-m))
-    entry, alpha = cat.match(rho_t, bound)
-    beta_bar = alpha.inverse().compose(lam.inverse()).compose(alpha)
-    label = cat.component_class(entry.name, beta_bar)
-    return FirstKindInvariant(phi.source.algebra.name, q, p, entry.name, label)
+    rho = cat.match(rho_t, bound).name
+    label = cat.component_class(rho_t, lam.inverse())
+    return FirstKindInvariant(phi.source.algebra.name, q, p, rho, label)
 
 
 def realize_first(algebra_name, p, rho, beta, q, D=None):

@@ -399,7 +399,8 @@ class ExpCurveData:
         if len(cols) != d:
             raise ValueError("eigenspaces do not span the algebra")
         lev = math.lcm(4, *[v.level for v in cols])
-        cmat = [[cols[j].coords[i].lift(lev) for j in range(d)] for i in range(d)]
+        coords = [v.coords for v in cols]
+        cmat = [[coords[j][i].lift(lev) for j in range(d)] for i in range(d)]
         self._cols = cols
         self._cmat = cmat
         self._cinv = linalg.invert(cmat)

@@ -1,10 +1,14 @@
+import itertools
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from kmforge.catalog import catalog_for
+from kmforge import linalg
+from kmforge.catalog import _ad, _auto, catalog_for
 from kmforge.errors import CatalogMissError, ClassifierUnavailableError
-from kmforge.field import imaginary_unit, zeta_power
+from kmforge.field import CyclotomicNumber, imaginary_unit, zeta_power
 from kmforge.liealg import (
     FiniteAutomorphism,
     automorphism_order,
@@ -19,6 +23,9 @@ SL3 = builtin_algebra("sl3C")
 A1 = catalog_for("sl2C")
 A2 = catalog_for("sl3C")
 E, H, F = SL2.basis_element(0), SL2.basis_element(1), SL2.basis_element(2)
+
+with open(os.path.join(os.path.dirname(__file__), "golden_catalog.json")) as fh:
+    GOLDEN = json.load(fh)
 
 
 def test_catalog_orders():
@@ -81,12 +88,9 @@ def test_a2_innerness():
 
 
 def test_match_exact_and_conjugated():
-    entry, alpha = A1.match(A1.named("mu"))
-    assert entry.name == "mu" and alpha.is_identity()
+    assert A1.match(A1.named("mu")) is A1.entries["mu"]
     # tau is conjugate to the designated order-2 representative
-    entry, alpha = A1.match(A1.named("tau"))
-    assert entry.name == "mu"
-    assert alpha.compose(entry.auto).compose(alpha.inverse()) == A1.named("tau")
+    assert A1.match(A1.named("tau")) is A1.entries["mu"]
 
 
 def test_match_miss_for_order_five():
@@ -196,17 +200,101 @@ def test_component_labels_are_pinned(algebra):
     assert {rho: cat.component_labels(rho) for rho in labels} == labels
 
 
+def _golden_conjugators(cat):
+    """The golden conjugator family of ``tests/golden_catalog.json``: the
+    catalog entries, the sl2C bridge or the six sl3C permutation maps, and
+    their pairwise products, decoded from [level, numerators, denominator]."""
+    def scalar(level, nums, den):
+        return CyclotomicNumber(level, [Fraction(n, den) for n in nums])
+    return [FiniteAutomorphism(cat.algebra, [[scalar(*x) for x in row] for row in cells])
+            for cells in GOLDEN[cat.algebra_name]["conjugators"]]
+
+
 def test_component_labels_are_exactly_what_the_classifier_returns():
     # the conjugator family holds the outer centralizer elements of r3 on sl3C
     for cat in (A1, A2):
+        betas = _golden_conjugators(cat)
         for rho in cat.rho_rep_names:
             seen = set()
-            for beta in cat._conjugators:
+            for beta in betas:
                 try:
                     seen.add(cat.component_class(rho, beta))
                 except ClassifierUnavailableError:
                     pass
             assert seen == set(cat.component_labels(rho))
+
+
+# An independent rank-2 classifier, kept as the oracle for component_class:
+# the permutation of the root lines of a map that preserves the diagonal
+# Cartan subalgebra gives innerness and the Weyl group element, but only for
+# maps that permute the root lines.
+_A2_ROOT_PAIRS = [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
+
+
+def _a2_root_permutation(self, beta):
+    g = self.algebra
+    for idx in (6, 7):
+        img = beta.apply(g.basis_element(idx))
+        if any(img.coords[r] for r in range(6)):
+            raise ClassifierUnavailableError("map does not preserve the diagonal Cartan")
+    perm = []
+    for r in range(6):
+        img = beta.apply(g.basis_element(r))
+        hits = [k for k in range(8) if img.coords[k]]
+        if len(hits) != 1 or hits[0] > 5:
+            raise ClassifierUnavailableError("map does not permute the root lines")
+        perm.append(hits[0])
+    return perm
+
+
+def _a2_is_inner(self, perm):
+    pair_index = {p: i for i, p in enumerate(_A2_ROOT_PAIRS)}
+    for pi in itertools.permutations(range(3)):
+        weyl = [pair_index[(pi[i], pi[j])] for (i, j) in _A2_ROOT_PAIRS]
+        if perm == weyl:
+            return True
+        negated = [pair_index[(pi[j], pi[i])] for (i, j) in _A2_ROOT_PAIRS]
+        if perm == negated:
+            return False
+    raise ClassifierUnavailableError("root permutation is not a diagram symmetry")
+
+
+def _root_permutation_label(rho_name, beta):
+    rho = A2.entries[rho_name].auto
+    if beta.compose(rho) != rho.compose(beta):
+        raise ClassifierUnavailableError("map does not centralize the representative")
+    perm = _a2_root_permutation(A2, beta)
+    inner = _a2_is_inner(A2, perm)
+    labels = A2.component_labels(rho_name)
+    if not inner:
+        return labels[-1]
+    return labels[1] if len(labels) == 3 and perm != list(range(6)) else labels[0]
+
+
+def _label_or_error(classify, *args):
+    try:
+        return classify(*args)
+    except ClassifierUnavailableError:
+        return ClassifierUnavailableError
+
+
+def _ad3(p):
+    return _auto("sl3C", _ad(p, linalg.invert(p)))
+
+
+def test_a2_labels_match_the_root_permutation_oracle():
+    # on every golden map (each permutes the root lines) the label, or the
+    # refusal, is the oracle's; conjugating rho and beta together by a map
+    # that moves the root lines keeps it
+    one, zero = CyclotomicNumber.one(), CyclotomicNumber.zero()
+    unipotent = _ad3([[one, one, zero], [zero, one, zero], [zero, zero, one]])
+    for beta in _golden_conjugators(A2):
+        moved = unipotent.compose(beta).compose(unipotent.inverse())
+        for rho in A2.rho_rep_names:
+            want = _label_or_error(_root_permutation_label, rho, beta)
+            assert _label_or_error(A2.component_class, rho, beta) == want
+            rho_moved = unipotent.compose(A2.named(rho)).compose(unipotent.inverse())
+            assert _label_or_error(A2.component_class, rho_moved, moved) == want
 
 
 def test_a2_classifier_rejects_non_centralizing():

@@ -1,11 +1,13 @@
 """Catalog matrices pinned entry for entry.
 
 ``golden_catalog.json`` holds, for sl2C and sl3C, the order and matrix of
-every catalog entry and every matrix of ``Catalog._conjugators``, each matrix
-entry as [level, numerators, denominator].  It was recorded from the
-hand-written constructors that ``catalog._auto`` replaced, so any change to
-how catalog maps are derived from their defining matrices must reproduce
-them entry for entry, levels included.
+every catalog entry, each matrix entry as [level, numerators, denominator].
+It was recorded from the hand-written constructors that ``catalog._auto``
+replaced, so any change to how catalog maps are derived from their defining
+matrices must reproduce them entry for entry, levels included.  Its
+``conjugators`` (the entries, the sl2C bridge Ad [[1, 1], [i, -i]] and its
+inverse or the six sl3C permutation maps, and their pairwise products) are
+the family of centralizer elements that ``test_catalog`` classifies.
 """
 
 import json
@@ -33,10 +35,8 @@ def test_catalog_entry_is_unchanged(algebra, name):
 
 
 @pytest.mark.parametrize("algebra", sorted(GOLDEN))
-def test_catalog_names_and_conjugators_are_unchanged(algebra):
-    cat = catalog_for(algebra)
-    assert cat.names() == list(GOLDEN[algebra]["entries"])
-    assert [_cells(c) for c in cat._conjugators] == GOLDEN[algebra]["conjugators"]
+def test_catalog_names_are_unchanged(algebra):
+    assert catalog_for(algebra).names() == list(GOLDEN[algebra]["entries"])
 
 
 def test_matrix_outside_the_span_raises():

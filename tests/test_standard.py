@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from kmforge.catalog import catalog_for
+from kmforge import linalg
+from kmforge.catalog import _ad, _auto, catalog_for
 from kmforge.errors import (
     IncompatibleDataError,
     InvalidInputError,
@@ -12,7 +13,7 @@ from kmforge.errors import (
     SquareMismatchError,
     TwistMismatchError,
 )
-from kmforge.field import imaginary_unit
+from kmforge.field import CyclotomicNumber, imaginary_unit
 from kmforge.invariants import (
     FirstKindInvariant,
     extract_invariant_first,
@@ -603,7 +604,9 @@ def test_non_commuting_curve_composition_falls_back():
     # a map whose square leaves the supported family: the base moves the
     # generator off its own centralizer, so order falls back to the
     # spanning-slice iteration
-    _entry, alpha = CAT.match(CAT.named("tau"))
+    one, i = CyclotomicNumber.one(), imaginary_unit()
+    bridge = [[one, one], [i, -i]]  # Ad bridge^-1 conjugates mu to tau
+    alpha = _auto("sl2C", _ad(linalg.invert(bridge), bridge))
     assert not alpha.is_identity()
     phi = standard_automorphism(
         1, Fraction(0), alpha, ctx, exp=half_h_exp_curve())
