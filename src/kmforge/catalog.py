@@ -179,23 +179,23 @@ class Catalog:
             others = ["mu"] if order <= 2 else ["rot", "out"]
         return ["id", *others]
 
-    def component_class(self, rho, beta):
+    def component_class(self, rho_class, beta, rho=None):
         """Label of the component of beta inside the centralizer of rho: the
         element of ``component_labels`` that the closed-form tests pick.
 
-        ``rho`` is a catalog name, or a map whose class ``match`` finds; the
-        tests read rho itself and never a representative, so conjugating rho
-        and beta together keeps the label.  Rank 1: beta's sign on the fixed
-        line of an involution rho.  Rank 2: beta is inner exactly when
+        ``rho_class`` is the catalog name of rho's class and ``rho`` the map
+        itself, the representative when omitted.  The tests read rho itself
+        and never a representative, so conjugating rho and beta together
+        keeps the label.  Rank 1: beta's sign on the fixed line of an
+        involution rho.  Rank 2: beta is inner exactly when
         tr(beta(X)^3) = tr(X^3) for X = diag(1, 1, -2), outer maps negating
         this cubic invariant; an inner beta centralizing an order-3 rho is in
         the identity component exactly when it fixes the fixed subalgebra of
         rho (a Cartan subalgebra) pointwise.
         """
-        if isinstance(rho, str):
-            labels, rho = self.component_labels(rho), self.named(rho)
-        else:
-            labels = self.component_labels(self.match(rho).name)
+        labels = self.component_labels(rho_class)
+        if rho is None:
+            rho = self.named(rho_class)
         if self.rank == 1:
             if len(labels) == 1:
                 return labels[0]

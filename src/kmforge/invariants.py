@@ -113,7 +113,7 @@ def extract_invariant_first(phi, q=None, bound=ORDER_BOUND):
     rho_t = base.power(q1).compose(sigma.power(p1))
     lam = base.power(l).compose(sigma.power(-m))
     rho = cat.match(rho_t, bound).name
-    label = cat.component_class(rho_t, lam.inverse())
+    label = cat.component_class(rho, lam.inverse(), rho_t)
     return FirstKindInvariant(phi.source.algebra.name, q, p, rho, label)
 
 

