@@ -209,9 +209,9 @@ class Catalog:
                 return labels[0]
             if w == -fixed[0]:
                 return labels[1]
-            raise ClassifierUnavailableError("map does not centralize the representative")
+            raise ClassifierUnavailableError("map does not centralize rho")
         if beta.compose(rho) != rho.compose(beta):
-            raise ClassifierUnavailableError("map does not centralize the representative")
+            raise ClassifierUnavailableError("map does not centralize rho")
         x = self.algebra.element([0] * 6 + [1, 2])  # diag(1, 1, -2) = h_0 + 2 h_1
         cubic, image = _cubic_trace(x), _cubic_trace(beta.apply(x))
         if image == -cubic:

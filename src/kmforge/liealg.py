@@ -168,12 +168,14 @@ class FiniteAutomorphism:
     """(Anti)linear bracket-preserving map, stored as matrix + flag.
 
     The public constructor validates: it wraps every entry as a
-    CyclotomicNumber and checks the d x d shape (``jsonio`` decodes through
-    it).  ``_trusted`` is internal only: it takes d x d rows that are already
-    CyclotomicNumbers, the results of ``compose`` and ``inverse``, and stores
-    them without re-wrapping or checking.  ``apply`` builds the matrix's
-    ``IntRows`` on first use and keeps them; ``==`` builds and keeps the
-    entries' levels and (nums, den) pairs.
+    CyclotomicNumber and checks the d x d shape and that the lcm of the
+    nonzero entries' levels, the level ``apply`` works at, is a valid field
+    level (``jsonio`` decodes through it).  ``_trusted`` is internal only: it
+    takes d x d rows that are already CyclotomicNumbers, the results of
+    ``compose`` and ``inverse``, and stores them without re-wrapping or
+    checking.  ``apply`` builds the matrix's ``IntRows`` on first use and
+    keeps them; ``==`` builds and keeps the entries' levels and (nums, den)
+    pairs.
 
     ``compose`` and ``inverse`` are memoized on the algebra table
     (``LieAlgebraTable.products``), keyed by each operand's flag and
@@ -195,6 +197,7 @@ class FiniteAutomorphism:
         object.__setattr__(self, "_key", None)
         if len(self.matrix) != algebra.dim or any(len(r) != algebra.dim for r in self.matrix):
             raise ValueError("matrix shape does not match algebra dimension")
+        check_level(math.lcm(4, *(x.level for row in self.matrix for x in row if x)))
 
     @classmethod
     def _trusted(cls, algebra, rows, antilinear):
@@ -418,7 +421,11 @@ class ExpCurveData:
     """Generator X with the eigenspace data of ad(X).
 
     ad(X) acts on the eigenspace attached to rational q as multiplication by
-    i*q; the eigenspaces must span the algebra.
+    i*q; the eigenspaces must span the algebra.  The constructor checks both,
+    one bracket per supplied vector, and nothing more: the grading
+    [V_q1, V_q2] in V_(q1+q2) follows.  ad X is a derivation, so
+    [X, [v1, v2]] = i(q1+q2)[v1, v2], and since the eigenspaces span, the
+    i(q1+q2)-eigenspace of ad X is V_(q1+q2), or zero when q1+q2 is no label.
     """
 
     def __init__(self, generator, eigenpairs):
@@ -440,29 +447,10 @@ class ExpCurveData:
         self._cols = cols
         self._cmat = cmat
         self._cinv = linalg.invert(cmat)
-        self.validate()
-
-    def validate(self):
         i_unit = imaginary_unit()
-        span_rows = {}
-        for q, vs in self.eigenpairs:
-            for v in vs:
-                if bracket(self.generator, v) != (i_unit * q) * v:
-                    raise ValueError(f"ad(X) does not act as i*{q} on a supplied vector")
-            span_rows[q] = linalg.rref([list(c for c in v.coords) for v in vs])
-        qset = {q for q, _ in self.eigenpairs}
-        for q1, vs1 in self.eigenpairs:
-            for q2, vs2 in self.eigenpairs:
-                for v1 in vs1:
-                    for v2 in vs2:
-                        w = bracket(v1, v2)
-                        if not w:
-                            continue
-                        if q1 + q2 not in qset:
-                            raise ValueError("bracket escapes the eigenspace grading")
-                        rr, piv = span_rows[q1 + q2]
-                        if not linalg.in_span(rr, piv, list(w.coords)):
-                            raise ValueError("bracket escapes the eigenspace grading")
+        for q, v in zip(self._labels, cols):
+            if bracket(generator, v) != (i_unit * q) * v:
+                raise ValueError(f"ad(X) does not act as i*{q} on a supplied vector")
 
     def decompose(self, x):
         """Split x into its ad(X)-eigencomponents, keyed by q."""

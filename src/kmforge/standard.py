@@ -6,6 +6,14 @@ constant base.  Reparametrization shifts fold into the base modulo full
 periods, so every map carries a canonical shift in [0, 1).  Antilinear bases
 conjugate coefficients and reverse Fourier exponents on top of epsilon.
 
+A map is checked once, where it enters: ``standard_automorphism`` (behind the
+constructors below and the JSON decoder) checks its target twist, the fit of
+its curve eigenvalues to the 1/D exponent grid and its monodromy, and
+``liealg.exp_curve`` the curve's eigen data.  ``compose`` and ``inverse``
+check none of it again: periodicity gives a product's or an inverse's target
+twist, and scaling, transforming and adding commuting generators keep the
+eigenvalues on the grid, so ``apply`` reads their exponent shifts unchecked.
+
 ``apply`` costs one integer-row product per term k: the base matrix times
 zeta^(k*shift/D) (its conjugate for an antilinear base, which acts on
 conj(x)) as ``element.IntRows``, cached on the map per k modulo the
@@ -58,7 +66,8 @@ class StandardAutomorphism:
 
 
 def standard_automorphism(epsilon, shift, base, source, target=None, exp=None):
-    """Build and validate a standard automorphism.
+    """Build and validate a standard automorphism: the one place that checks
+    a map's target twist, curve grid and monodromy.
 
     The target twist is computed from periodicity: for constant curves
     sigma_tgt = base o sigma^epsilon o base^{-1}, with the monodromy
@@ -156,11 +165,7 @@ def apply(phi, u):
             out[eps_exp * k] = y
             continue
         for q, comp in exp.decompose(y).items():
-            shift_k = q * D
-            if shift_k.denominator != 1:
-                raise IncompatibleDenominatorError(
-                    f"eigenvalue {q} does not fit the 1/{D} exponent grid")
-            k2 = eps_exp * k + int(shift_k)
+            k2 = eps_exp * k + int(q * D)
             out[k2] = out[k2] + comp if k2 in out else comp
     return LoopElement._trusted(phi.target, out)
 
@@ -171,6 +176,8 @@ def compose(a, b):
     b's curve is reparametrised by t -> a.epsilon*t + 2*pi*a.shift and pushed
     through a's base; the curves are then multiplied pointwise, which keeps
     two exponential curves in the family only when their generators commute.
+    The target twist is a.target by periodicity and the eigenvalues stay on
+    the grid, so no check of ``standard_automorphism`` is made again.
     """
     if b.target != a.source:
         raise TwistMismatchError("inner target twist does not match outer source")
@@ -191,16 +198,13 @@ def compose(a, b):
             exp = exp_curve(x + z, sorted(qs))
     else:
         exp = a.exp
-    base = a.base.compose(base)
-    if exp is None:
-        # periodicity gives a constant composite the twist of a.target, which
-        # the factors were checked against: it is not recomputed here
-        shift, base, _ = _fold(eps, shift, base, b.source, None)
-        return StandardAutomorphism(eps, shift, base, None, b.source, a.target)
-    return standard_automorphism(eps, shift, base, b.source, a.target, exp=exp)
+    shift, base, exp = _fold(eps, shift, a.base.compose(base), b.source, exp)
+    return StandardAutomorphism(eps, shift, base, exp, b.source, a.target)
 
 
 def inverse(phi):
+    """phi^{-1}: its target twist is phi.source by periodicity and its
+    eigenvalues are phi's up to sign, so like ``compose`` it checks none."""
     eps = phi.epsilon
     base = phi.base.inverse()
     exp = phi.exp
@@ -209,7 +213,8 @@ def inverse(phi):
         base = exp_ad(exp, -eps * phi.shift).compose(base)
         if eps != 1:
             exp = exp.scaled(eps)
-    return standard_automorphism(eps, -eps * phi.shift, base, phi.target, phi.source, exp=exp)
+    shift, base, exp = _fold(eps, -eps * phi.shift, base, phi.target, exp)
+    return StandardAutomorphism(eps, shift, base, exp, phi.target, phi.source)
 
 
 def conjugate(psi, phi):

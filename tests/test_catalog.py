@@ -73,8 +73,11 @@ def test_classifier_constant_on_torus_conjugates():
 
 
 def test_classifier_rejects_non_centralizing():
-    with pytest.raises(ClassifierUnavailableError):
-        A1.component_class("mu", A1.named("r4"))  # r4 does not centralize mu
+    # both ranks test rho itself, so the message names rho, not a representative;
+    # r4 does not centralize mu on sl2C, nor r3 mu on sl3C
+    for cat, rho, beta in ((A1, "mu", "r4"), (A2, "mu", "r3")):
+        with pytest.raises(ClassifierUnavailableError, match="^map does not centralize rho$"):
+            cat.component_class(rho, cat.named(beta))
 
 
 def test_a2_innerness():
@@ -298,7 +301,7 @@ def test_a2_labels_match_the_root_permutation_oracle():
 
 
 def test_a2_classifier_rejects_non_centralizing():
-    with pytest.raises(ClassifierUnavailableError):
+    with pytest.raises(ClassifierUnavailableError, match="does not centralize rho"):
         A2.component_class("theta", A2.named("rot"))
 
 

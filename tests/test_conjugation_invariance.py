@@ -1,9 +1,10 @@
 """First-kind invariants are invariants of the conjugacy class.
 
 Every catalog realization of the first kind with q <= 6 is conjugated by a
-constant map Ad g (which conjugates its twist context as well), a rotation
-or the reflection; its extracted invariant must compare equal to the
-original, and unequal to every other catalog triple of the same order.
+constant map Ad g (which conjugates its twist context as well), a rotation,
+a rotation after Ad g, or the reflection; its extracted invariant must
+compare equal to the original, and unequal to every other catalog triple of
+the same order.
 """
 
 import functools
@@ -23,7 +24,7 @@ from kmforge.invariants import (
     realize_first,
 )
 from kmforge.loop import TwistContext
-from kmforge.standard import conjugate, pointwise, reflection, rotation
+from kmforge.standard import compose, conjugate, pointwise, reflection, rotation
 
 ONE, ZERO = CyclotomicNumber.one(), CyclotomicNumber.zero()
 SIZE = {"sl2C": 2, "sl3C": 3}
@@ -157,12 +158,22 @@ def torus_conjugators(draw, algebra):
 
 @st.composite
 def conjugated_triples(draw):
+    """(index, psi): the constant map Ad g, or a rotation by a/b (b <= 7)
+    after it, on the twist that Ad g moves the context to."""
     index = draw(st.integers(0, len(TRIPLES) - 1))
     algebra = TRIPLES[index][0]
     g = draw(st.one_of(integer_conjugators(algebra), torus_conjugators(algebra)))
-    return index, g
+    if not draw(st.booleans()):
+        return index, lambda ctx: pointwise(ctx, g)
+    b = draw(st.integers(1, 7))
+    shift = Fraction(draw(st.integers(-b, 2 * b)), b)
+
+    def psi(ctx):
+        moved = pointwise(ctx, g)
+        return compose(rotation(moved.target, shift), moved)
+    return index, psi
 
 
 @given(conjugated_triples())
 def test_conjugates_keep_their_invariant(case):
-    _check_conjugate(*case)
+    _check_moved(*case)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from kmforge import linalg
 from kmforge.catalog import catalog_for
-from kmforge.field import CyclotomicNumber, field_degree, zeta_power
+from kmforge.errors import InvalidLevelError
+from kmforge.field import MAX_LEVEL, CyclotomicNumber, field_degree, zeta_power
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra
 from kmforge.loop import loop_bracket, loop_coords
 from kmforge.realforms import enumerate_real_forms, fixed_point_basis
@@ -528,6 +529,20 @@ def test_is_identity_compares_values_at_any_level():
             assert flipped != alg.identity
 
 
+def test_a_matrix_past_the_field_levels_is_refused():
+    # entries at levels 196, 24 and 4 would be applied at level 1176; the
+    # level-20 zeros are not counted (with them, 588 would be 2940), as apply
+    # skips them
+    alg = builtin_algebra("sl2C")
+    ones = [CyclotomicNumber.one(level) for level in (196, 24, 4)]
+    zero = CyclotomicNumber.zero(20)
+    rows = [[x if i == j else zero for j in range(3)] for i, x in enumerate(ones)]
+    with pytest.raises(InvalidLevelError, match="got 1176"):
+        FiniteAutomorphism(alg, rows)
+    rows[1][1] = CyclotomicNumber.one(12)
+    assert FiniteAutomorphism(alg, rows) == alg.identity
+
+
 def _scaled_levels(f, data):
     """f's matrix with each entry below level 196 lifted by a drawn factor of
     1 or 2 (twice 196 would leave MAX_LEVEL behind once compared at level 12)."""
@@ -541,7 +556,10 @@ def _scaled_levels(f, data):
 def test_equality_matches_the_entrywise_comparison(f, data):
     """``==`` compares cached (level, nums, den) keys and falls back to values
     only across levels; the entrywise comparison is the oracle, on a matrix
-    equal to f at other levels and on copies that differ in one entry."""
+    equal to f at other levels and on copies that differ in one entry.  A
+    copy whose nonzero entries' levels have an lcm past MAX_LEVEL (a level-12
+    delta on a level-196 entry beside a level-8 one: 1176) could not be
+    applied, so the constructor refuses it."""
     g = _scaled_levels(f, data)
     assert f == g and g == f and _old_eq(f, g)
     d = f.algebra.dim
@@ -550,6 +568,10 @@ def test_equality_matches_the_entrywise_comparison(f, data):
     for other in (f, g):
         rows = [list(r) for r in other.matrix]
         rows[i][j] = rows[i][j] + delta
+        if math.lcm(4, *(x.level for row in rows for x in row if x)) > MAX_LEVEL:
+            with pytest.raises(InvalidLevelError):
+                FiniteAutomorphism(f.algebra, rows, f.antilinear)
+            continue
         h = FiniteAutomorphism(f.algebra, rows, f.antilinear)
         for a, b in ((f, h), (h, f), (g, h), (h, g)):
             assert (a == b) == _old_eq(a, b) == (not delta)
