@@ -100,9 +100,9 @@ def affine_bracket(x, y):
     x._check(y)
     loop_part = loop_bracket(x.loop, y.loop)
     if x.d_coef:
-        loop_part = loop_part + loop_derivative(y.loop) * x.d_coef
+        loop_part = loop_part + loop_derivative(y.loop, x.d_coef)
     if y.d_coef:
-        loop_part = loop_part - loop_derivative(x.loop) * y.d_coef
+        loop_part = loop_part + loop_derivative(x.loop, -y.d_coef)
     return AffineElement(loop_part, cocycle(x.loop, y.loop), 0)
 
 

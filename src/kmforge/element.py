@@ -16,26 +16,31 @@ numerator kernels ``_lift_nums`` and ``_conj_nums`` segment by segment, and
 * x + y, x - y, bracket(x, y) and c * x for a CyclotomicNumber c are at the
   lcm of the operands' levels; -x, conj(x) and q * x for a rational q keep
   x's level;
-* killing_form(x, y) is a scalar at lcm(x.level, y.level), or the level-4
-  zero when no nonzero coordinates of x and y meet a nonzero Killing entry;
+* output k of convolve(xs, ys) is at the lcm of the levels of all pairs
+  meeting at k, also where a pair's bracket is zero, as x + y is;
+  combination(scalars, elements) is at lcm(4, every level);
+* killing_sum(pairs) and killing_form(x, y) are scalars at lcm(4, the levels
+  of the pairs whose nonzero coordinates meet a nonzero Killing entry);
 * a matrix acts through ``IntRows``, whose level is lcm(4, the levels of its
   nonzero entries); its image of x is at the lcm of that and x.level.
 
-Equality compares values across levels.  ``bracket`` and ``killing_form``
-contract the blocks with the table's integer constants (``int_pairs`` and
-``int_killing`` over ``scale`` and ``scale**2``).  Scalar products,
-``bracket`` and ``IntRows.apply`` are in closed form at level 4; otherwise,
-and for the Killing form, each output coordinate sums unreduced polynomial
-products (``_contract``) and is reduced once with ``field``'s power table.
+Equality compares values across levels.  ``convolve``, ``killing_sum`` and
+``combination`` sum all pairs meeting in an output into one integer row
+(``_sum_pairs``), with the table's ``int_pairs`` over ``scale`` and
+``killing_pairs`` over ``scale**2``.  Scalar products, ``_sum_pairs`` and
+``IntRows.apply`` are in closed form at level 4; otherwise each output
+coordinate sums unreduced polynomial products (``_contract``) and is reduced
+once with ``field``'s power table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import AlgebraMismatchError, LevelMismatchError
-from .field import (CyclotomicNumber, _canon, _conj_nums, _lift_nums, _poly_mul, _ratio, _rational,
-                    _reduce, check_level)
+from .field import (CyclotomicNumber, _canon, _conj_nums, _lift_nums, _make, _poly_mul, _ratio,
+                    _rational, _reduce, check_level)
 
 
 def _as_scalar(c):
@@ -43,7 +48,8 @@ def _as_scalar(c):
     anything else raises InvalidInputError."""
     if isinstance(c, CyclotomicNumber):
         return c
-    return CyclotomicNumber.from_rational(c)
+    p, q = _ratio(c) or _ratio(_rational(c))
+    return _make(4, (int(p), 0), q)
 
 
 class AlgebraElement:
@@ -113,19 +119,12 @@ class AlgebraElement:
         if type(scalar) is not CyclotomicNumber:
             p, q = _ratio(scalar) or _ratio(_rational(scalar))
             return _canonical(alg, self.level, [v * p for v in self.nums], den * q)
-        level = math.lcm(self.level, scalar.level)
-        nums = self.nums_at(level)
-        s = scalar.nums if scalar.level == level else scalar.lift(level).nums
-        den *= scalar.den
-        if level == 4:  # (x0 + x1 i)(s0 + s1 i), segment by segment
-            s0, s1 = s
+        if self.level == 4 == scalar.level:  # (x0 + x1 i)(s0 + s1 i), segment by segment
+            nums, (s0, s1) = self.nums, scalar.nums
             out = [v for x0, x1 in zip(nums[::2], nums[1::2])
                    for v in (x0 * s0 - x1 * s1, x0 * s1 + x1 * s0)]
-        else:
-            n = len(s)
-            out = [v for i in range(0, len(nums), n)
-                   for v in _reduce(level, _poly_mul(nums[i:i + n], s))]
-        return _canonical(alg, level, out, den)
+            return _canonical(alg, 4, out, den * scalar.den)
+        return combination((scalar,), (self,))
 
     __rmul__ = __mul__
 
@@ -187,18 +186,13 @@ def _canonical(algebra, level, nums, den):
     return _element(algebra, level, tuple(nums), den)
 
 
-def _common(x, y):
-    """(level, x's numerators, y's numerators) at the lcm of the two levels."""
-    x._check(y)
-    if x.level == y.level:
-        return x.level, x.nums, y.nums
-    level = math.lcm(x.level, y.level)
-    return level, x.nums_at(level), y.nums_at(level)
-
-
 def _add(x, y, sign):
     """x + sign * y: a/da + sign * b/db over da * db, or over da when equal."""
-    level, a, b = _common(x, y)
+    x._check(y)
+    level, a, b = x.level, x.nums, y.nums
+    if y.level != level:
+        level = math.lcm(level, y.level)
+        a, b = x.nums_at(level), y.nums_at(level)
     da, db = x.den, y.den
     fa, fb, den = (1, sign, da) if da == db else (db, sign * da, da * db)
     return _canonical(x.algebra, level, [p * fa + q * fb for p, q in zip(a, b)], den)
@@ -206,49 +200,108 @@ def _add(x, y, sign):
 
 def _segments(nums, n):
     """(index, segment) for every nonzero coordinate of a block."""
-    return [(i, nums[i * n:i * n + n]) for i in range(len(nums) // n)
-            if any(nums[i * n:i * n + n])]
+    return [(i, seg) for i, seg in enumerate(zip(*[iter(nums)] * n)) if any(seg)]
+
+
+def _blocks(elements):
+    """(algebra, [(x, x's nonzero segments)]) of elements over one algebra."""
+    alg = elements[0].algebra if elements else None
+    if any(x.algebra is not alg for x in elements):
+        raise AlgebraMismatchError("elements live over different algebras")
+    return alg, [(x, _segments(x.nums, len(x.nums) // alg.dim)) for x in elements]
+
+
+def _sum_pairs(table, size, pairs, every):
+    """(level, nums, den): ``size`` numerator segments over ``den`` of the sum
+    of w * T(x, y) over the (w, (x, xsegs), (y, ysegs)) in ``pairs``, where
+    output k of T(x, y) sums c * x_i * y_j over the (k, c) in table[i][j].
+    den is the lcm of the pairs' x.den * y.den, and each pair's products are
+    scaled to it by den // (x.den * y.den); nums need not be in lowest terms.
+    The level is lcm(4, the levels of every pair) when ``every`` is true, and
+    otherwise of the pairs whose nonzero coordinates meet a nonzero entry."""
+    den = math.lcm(*[x.den * y.den for _, (x, _), (y, _) in pairs])
+    top = math.lcm(4, *[v.level for _, (x, _), (y, _) in pairs for v in (x, y)])
+    if top == 4:
+        r0, r1 = [0] * size, [0] * size
+        for w, (x, xs), (y, ys) in pairs:
+            m = w * (den // (x.den * y.den))
+            for i, (x0, x1) in xs:
+                row = table[i]
+                for j, (y0, y1) in ys:
+                    cs = row[j]
+                    if cs:
+                        p0, p1 = m * (x0 * y0 - x1 * y1), m * (x0 * y1 + x1 * y0)
+                        for k, c in cs:
+                            r0[k] += c * p0
+                            r1[k] += c * p1
+        return 4, [v for pair in zip(r0, r1) for v in pair], den
+    level, met = top if every else 4, []
+    for w, (x, xs), (y, ys) in pairs:
+        hits = [(cs, a, b) for i, a in xs for j, b in ys for cs in (table[i][j],) if cs]
+        if hits:
+            level = math.lcm(level, x.level, y.level)
+            met.append((w * (den // (x.den * y.den)), x.level, y.level, hits))
+    n = check_level(level)
+    terms = [(cs if m == 1 else tuple((k, m * c) for k, c in cs),
+              a if lx == level else _lift_nums(a, level // lx, level),
+              b if ly == level else _lift_nums(b, level // ly, level))
+             for m, lx, ly, hits in met for cs, a, b in hits]
+    return level, _contract(level, n, size, terms), den
+
+
+def convolve(xs, ys):
+    """The exponent convolution of two sequences of (k, element) terms:
+    {k: the sum of [x, y] over the terms (k1, x) of xs and (k2, y) of ys
+    with k1 + k2 = k}, for every k some pair meets, zero values included.
+    Each term is cut into segments once, and every pair meeting at k is
+    contracted into one integer row, put in lowest terms once."""
+    alg, blocks = _blocks([x for _, x in xs] + [y for _, y in ys])
+    groups = {}
+    for (k1, _), xb in zip(xs, blocks):
+        for (k2, _), yb in zip(ys, blocks[len(xs):]):
+            groups.setdefault(k1 + k2, []).append((1, xb, yb))
+    out = {}
+    for k, pairs in groups.items():
+        level, nums, den = _sum_pairs(alg.int_pairs, alg.dim, pairs, True)
+        out[k] = _canonical(alg, level, nums, den * alg.scale)
+    return out
 
 
 def bracket(x, y):
-    """Lie bracket, contracting the two blocks with the table's integer
-    structure constants."""
-    level, a, b = _common(x, y)
-    alg = x.algebra
-    d, pairs = alg.dim, alg.int_pairs
-    den = x.den * y.den * alg.scale
-    if level == 4:
-        r0, r1 = [0] * d, [0] * d
-        ys = _segments(b, 2)
-        for i, (x0, x1) in _segments(a, 2):
-            row = pairs[i]
-            for j, (y0, y1) in ys:
-                cs = row[j]
-                if cs:
-                    p0, p1 = x0 * y0 - x1 * y1, x0 * y1 + x1 * y0
-                    for k, c in cs:
-                        r0[k] += c * p0
-                        r1[k] += c * p1
-        nums = [v for pair in zip(r0, r1) for v in pair]
-        return _canonical(alg, 4, nums, den)
-    n = len(a) // d
-    ys = _segments(b, n)
-    terms = [(pairs[i][j], xs, yseg) for i, xs in _segments(a, n) for j, yseg in ys if pairs[i][j]]
-    return _canonical(alg, level, _contract(level, n, d, terms), den)
+    """Lie bracket: the one-pair case of ``convolve``."""
+    return convolve(((0, x),), ((0, y),))[0]
+
+
+def killing_sum(pairs):
+    """The sum of w * kappa(x, y) over the (w, x, y) in ``pairs``, w an int,
+    as one contraction with the table's integer Killing entries."""
+    alg, blocks = _blocks([e for _, x, y in pairs for e in (x, y)])
+    if not blocks:
+        return CyclotomicNumber.zero()
+    level, nums, den = _sum_pairs(alg.killing_pairs, 1, [
+        (w, blocks[2 * p], blocks[2 * p + 1]) for p, (w, _, _) in enumerate(pairs)], False)
+    return _canon(level, nums, den * alg.scale ** 2)
 
 
 def killing_form(x, y):
-    """Killing form, extended bilinearly over the cyclotomic scalars."""
-    level, a, b = _common(x, y)
-    alg = x.algebra
-    kappa = alg.int_killing
-    n = len(a) // alg.dim
-    ys = _segments(b, n)
-    terms = [(((0, kappa[i][j]),), xs, yseg) for i, xs in _segments(a, n) for j, yseg in ys
-             if kappa[i][j]]
-    if not terms:
-        return CyclotomicNumber.zero()
-    return _canon(level, _contract(level, n, 1, terms), x.den * y.den * alg.scale ** 2)
+    """Killing form, extended bilinearly: ``killing_sum``'s one-pair case."""
+    return killing_sum(((1, x, y),))
+
+
+@functools.cache
+def _scaling(d):
+    """The table of c * x, for a scalar c as coordinate 0 and x of dimension d."""
+    return (tuple(((j, 1),) for j in range(d)),)
+
+
+def combination(scalars, elements):
+    """The sum of c * x over the paired ``scalars`` (int, Fraction or
+    CyclotomicNumber) and ``elements`` (at least one, of one algebra), as one
+    contraction; c * x off level 4 is its one-pair case."""
+    alg, blocks = _blocks(elements)
+    pairs = [(1, (c, [(0, c.nums)]), xb) for c, xb in zip(map(_as_scalar, scalars), blocks)]
+    level, nums, den = _sum_pairs(_scaling(alg.dim), alg.dim, pairs, True)
+    return _canonical(alg, level, nums, den)
 
 
 def _contract(level, n, size, terms):

@@ -63,6 +63,9 @@ class LieAlgebraTable:
         self.int_pairs = tuple(tuple(tuple((k, int(c * s)) for k, c in row) for row in plane)
                                 for plane in self.pairs)
         self.int_killing = tuple(tuple(int(c * s * s) for c in row) for row in self.killing)
+        # the Killing entries in the layout of int_pairs, with one output
+        self.killing_pairs = tuple(tuple(((0, c),) if c else () for c in row)
+                                   for row in self.int_killing)
         self.products = {}
         self._validate()
 

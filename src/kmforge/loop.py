@@ -9,11 +9,10 @@ sigma(u_k) = zeta_D^k * u_k.  All operations are exact and term-wise.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .element import IntRows, bracket, killing_form
+from .element import IntRows, convolve, killing_sum
 from .errors import ContextMismatchError, InvalidInputError, NotFiniteOrderError
-from .field import CyclotomicNumber, _rational, check_level, field_degree, imaginary_unit, zeta_power
+from .field import _make, _rational, check_level, field_degree, zeta_power
 from .liealg import automorphism_order, eigenspace_decomposition
 
 
@@ -218,41 +217,31 @@ def validate(u):
 def loop_bracket(u, v):
     """Pointwise bracket, computed as an exponent convolution."""
     u._check(v)
-    acc = {}
-    for k1, x in u.terms:
-        for k2, y in v.terms:
-            w = bracket(x, y)
-            if w:
-                k = k1 + k2
-                acc[k] = acc[k] + w if k in acc else w
-    return LoopElement._trusted(u.context, acc)
+    return LoopElement._trusted(u.context, convolve(u.terms, v.terms))
 
 
-def loop_derivative(u):
-    """Term k picks up the factor i*k/D."""
-    D = u.context.D
-    i_unit = imaginary_unit()
-    out = {}
-    for k, x in u.terms:
-        if k:
-            out[k] = x * (i_unit * Fraction(k, D))
-    return LoopElement._trusted(u.context, out)
+def loop_derivative(u, c=1):
+    """c * u': term k picks up the factor c*i*k/D."""
+    s = _make(4, (0, 1), u.context.D) * c  # i/D
+    return LoopElement._trusted(u.context, {k: x * (s * k) for k, x in u.terms if k})
+
+
+def _opposite(u, v):
+    """(k, u_k, v_-k) for every k where both terms exist."""
+    u._check(v)
+    vd = v.terms_dict()
+    return [(k, x, vd[-k]) for k, x in u.terms if -k in vd]
 
 
 def loop_inner(u, v):
     """Mean over a period of the pointwise Killing form: sum of kappa(u_k, v_{-k})."""
-    u._check(v)
-    vd = v.terms_dict()
-    acc = CyclotomicNumber.zero()
-    for k, x in u.terms:
-        if -k in vd:
-            acc = acc + killing_form(x, vd[-k])
-    return acc
+    return killing_sum([(1, x, y) for _, x, y in _opposite(u, v)])
 
 
 def cocycle(u, v):
-    """The central 2-cocycle: inner product of u' with v."""
-    return loop_inner(loop_derivative(u), v)
+    """The central 2-cocycle <u', v> = (i/D) * sum of k * kappa(u_k, v_{-k})."""
+    s = killing_sum([(k, x, y) for k, x, y in _opposite(u, v) if k])
+    return s * _make(4, (0, 1), u.context.D)  # i/D
 
 
 def tau_r_apply(r, u):

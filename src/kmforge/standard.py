@@ -51,6 +51,10 @@ class StandardAutomorphism:
     source: TwistContext
     target: TwistContext
     _kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _step: Fraction = field(init=False, compare=False, repr=False)  # shift / D
+
+    def __post_init__(self):
+        object.__setattr__(self, "_step", self.shift / self.source.D)
 
     @property
     def antilinear(self):
@@ -135,9 +139,10 @@ def pointwise(context, auto, epsilon=1, shift=Fraction(0)):
     return standard_automorphism(epsilon, shift, auto, context)
 
 
-def _kernel(phi, k, s):
+def _kernel(phi, k):
     """The integer rows that act on term k: the base matrix times
     zeta^(k*s) for s = shift/D, conjugated for an antilinear base."""
+    s = phi._step
     r = k % s.denominator
     if r not in phi._kernels:
         fac = zeta_of(-r * s if phi.antilinear else r * s)
@@ -155,12 +160,11 @@ def apply(phi, u):
     if u.context != phi.source:
         raise TwistMismatchError("loop element is not in the source context")
     D = phi.source.D
-    s = phi.shift / D
     eps_exp = phi.epsilon * (-1 if phi.antilinear else 1)
     exp = phi.exp
     out = {}
     for k, x in u.terms:
-        y = _kernel(phi, k, s).apply(x.conj() if phi.antilinear else x)
+        y = _kernel(phi, k).apply(x.conj() if phi.antilinear else x)
         if exp is None:
             out[eps_exp * k] = y
             continue

@@ -21,6 +21,7 @@ from .affine import (
     hat_preserves_bracket,
 )
 from .catalog import catalog_for
+from .element import combination
 from .errors import InvalidInputError
 from .field import _rational, imaginary_unit
 from .invariants import (
@@ -73,14 +74,12 @@ def random_loop(rng, ctx, max_degree=6):
         basis = ctx.eigenbasis_for_exponent(k)
         if not basis:
             continue
-        x = ctx.algebra.zero_element()
-        for b in basis:
+        scalars = []
+        for _ in basis:
             c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            if rng.random() < 0.25:
-                x = x + (imaginary_unit() * c) * b
-            else:
-                x = x + c * b
-        acc[k] = acc.get(k, ctx.algebra.zero_element()) + x
+            scalars.append(imaginary_unit() * c if rng.random() < 0.25 else c)
+        x = combination(scalars, basis)
+        acc[k] = acc[k] + x if k in acc else x
     return LoopElement(ctx, acc)
 
 
