@@ -396,13 +396,28 @@ def rational_fixed_span(gens, images, flatten, sign=1):
     kernel of the columns flatten(image(g) - sign*g), taken on their
     numerators over the columns' common denominator, as combinations of gens.
     """
+    return [x for _, x in fixed_span_columns(gens, images, flatten, sign)]
+
+
+def fixed_span_columns(gens, images, flatten, sign=1):
+    """``rational_fixed_span`` as (free column, element) pairs.  The kernel
+    vector of free column f is read off the fraction-free rref (``linalg``)
+    as integer multipliers over one scale, the lcm of the pivots it divides
+    by, so each element is an integer combination of gens times 1/scale."""
     if not gens:
         return []
     cols = [flatten(img - g * sign) for g, img in zip(gens, images)]
     den = math.lcm(*(d for _, d in cols))
-    mat = list(zip(*[nums if d == den else [v * (den // d) for v in nums] for nums, d in cols]))
-    return [functools.reduce(operator.add, (g * c for g, c in zip(gens, v) if c))
-            for v in linalg.kernel_basis(mat, Fraction(0), Fraction(1))]
+    rows, pivots = linalg.rref(list(zip(*[nums if d == den else [v * (den // d) for v in nums]
+                                          for nums, d in cols])))
+    out = []
+    for f in sorted(set(range(len(gens))) - set(pivots)):
+        used = [(p, row[f], row[p]) for row, p in zip(rows, pivots) if row[f]]
+        scale = math.lcm(*(a for _, _, a in used))
+        x = functools.reduce(operator.add, (gens[p] * (-v * (scale // a)) for p, v, a in used),
+                             gens[f] * scale)
+        out.append((f, x * Fraction(1, scale)))
+    return out
 
 
 def _check_bracket_closed(basis, flatten):

@@ -3,7 +3,11 @@
 Real forms are fixed-point sets of antilinear involutions, built as the
 compact conjugation composed with a catalog involution of the loop algebra.
 They are represented intensionally; every verification works on an explicit
-degree truncation with exact rational kernels.
+degree truncation with exact rational kernels.  A truncation splits into
+exponent blocks, joined by each generator's exponent and its image's support
+(``_blocks``): the fixed span is solved and tested block by block, and the
+generators' images and each block's basis are kept on the conjugation, so a
+slice at 2N reuses the slice at N.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .invariants import (
     realize_first,
     realize_second,
 )
-from .liealg import ORDER_BOUND, automorphism_order, rational_fixed_span
+from .liealg import ORDER_BOUND, automorphism_order, fixed_span_columns, rational_fixed_span
 from .loop import (
     LoopElement,
     TwistContext,
@@ -156,38 +160,83 @@ def _coordinates_in_slice(u, N, lev):
     return loop_coords(u, range(-N, N + 1), lev)
 
 
+def _exponent(theta, k, lev):
+    """(zeta_lev^j * b, its theta-image) for the slice at exponent k; kept on theta."""
+    if k not in theta._slices:
+        ctx = theta.source
+        gens = [LoopElement(ctx, {k: zeta_power(lev, j) * b})
+                for b in ctx.eigenbasis_for_exponent(k) for j in range(field_degree(lev))]
+        theta._slices[k] = [(g, apply(theta, g)) for g in gens]
+    return theta._slices[k]
+
+
+def _blocks(theta, N, lev):
+    """The degree <= N slice as (block, basis) pairs.  A block is a sorted
+    tuple of exponents, a connected set joined by each generator's exponent
+    and the support of its image; an image beyond degree N leaves the slice.
+    Its basis spans its fixed set as (key, element) pairs, keyed by the
+    exponent of the element's free column and that column; kept on theta."""
+    blocks = []
+    for k in range(-N, N + 1):
+        pairs = _exponent(theta, k, lev)
+        reach = {k}.union(*(y.support() for _, y in pairs))
+        if any(abs(j) > N for j in reach):
+            raise InvalidInputError("loop leaves the truncation slice")
+        if pairs:
+            blocks = [b for b in blocks if not b & reach] + [
+                reach.union(*(b for b in blocks if b & reach))]
+    out = []
+    for block in (tuple(sorted(b)) for b in blocks):
+        if block not in theta._slices:
+            gens, images = zip(*(p for k in block for p in _exponent(theta, k, lev)))
+            theta._slices[block] = [((gens[f].terms[0][0], f), x) for f, x in fixed_span_columns(
+                gens, images, lambda u: loop_coords(u, block, lev))]
+        out.append((block, theta._slices[block]))
+    return out
+
+
 def fixed_point_basis(desc, N):
-    """Rational-span basis of the degree <= N slice of the real form."""
+    """Rational-span basis of the degree <= N slice of the real form: the
+    blocks' bases merged in free-column order, the vectors of one solve over
+    the whole slice."""
     theta = desc.conjugation
-    ctx = theta.source
-    lev = _slice_level(ctx)
-    gens = [LoopElement(ctx, {k: zeta_power(lev, j) * b})
-            for k, b in slice_terms(ctx, N) for j in range(field_degree(lev))]
-    return rational_fixed_span(gens, [apply(theta, g) for g in gens],
-                               lambda u: _coordinates_in_slice(u, N, lev))
+    lev = _slice_level(theta.source)
+    pairs = [kx for _, basis in _blocks(theta, N, lev) for kx in basis]
+    return [x for _, x in sorted(pairs, key=lambda kx: kx[0])]
+
+
+def _slice_span(theta, N, lev):
+    """Membership of a loop of degree <= N in the span of the degree <= N
+    fixed basis: each basis element lies in one block, and an exponent in no
+    block has no generator, so a loop is spanned when each block it meets
+    spans its part there, against the block's rref."""
+    spans = [(block, *linalg.rref([loop_coords(x, block, lev)[0] for _, x in basis]))
+             for block, basis in _blocks(theta, N, lev)]
+
+    def spanned(w):
+        support = w.support()
+        # span does not depend on a row's scale: rows are the numerators
+        return all(linalg.in_span(rr, piv, loop_coords(w, block, lev)[0])
+                   for block, rr, piv in spans if not set(block).isdisjoint(support))
+    return spanned
 
 
 def verify_real_form(desc, N):
-    """Bracket closure, H intersect iH = 0, and H + iH = slice, all exact."""
+    """Bracket closure, H intersect iH = 0, and H + iH = slice, all exact.
+    Closure takes pairs i < j: [b, a] = -[a, b] and theta is real-linear, so
+    the pair (j, i) passes iff (i, j) does, and [a, a] = 0."""
     theta = desc.conjugation
     ctx = theta.source
     lev = _slice_level(ctx)
     basis = fixed_point_basis(desc, N)
-    big_basis = fixed_point_basis(desc, 2 * N)
-    # span and rank do not depend on a row's scale: rows are the numerators
-    rr, piv = linalg.rref([_coordinates_in_slice(b, 2 * N, lev)[0] for b in big_basis])
+    spanned = _slice_span(theta, 2 * N, lev)
     closure_ok = True
     closure_witness = None
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            w = loop_bracket(basis[i], basis[j])
-            if not w:
-                continue
-            fixed = apply(theta, w) == w
-            spanned = linalg.in_span(rr, piv, _coordinates_in_slice(w, 2 * N, lev)[0])
-            if not (fixed and spanned):
-                closure_ok = False
-                closure_witness = (i, j)
+    for i, j in combinations(range(len(basis)), 2):
+        w = loop_bracket(basis[i], basis[j])
+        if w and not (apply(theta, w) == w and spanned(w)):
+            closure_ok = False
+            closure_witness = (i, j)
     i_unit = imaginary_unit(lev)
     flat = [_coordinates_in_slice(b, N, lev)[0] for b in basis]
     flat_i = [_coordinates_in_slice(b * i_unit, N, lev)[0] for b in basis]

@@ -51,6 +51,8 @@ class StandardAutomorphism:
     source: TwistContext
     target: TwistContext
     _kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # realforms' slice generators per exponent and fixed spans per block
+    _slices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _step: Fraction = field(init=False, compare=False, repr=False)  # shift / D
 
     def __post_init__(self):
@@ -76,7 +78,8 @@ def standard_automorphism(epsilon, shift, base, source, target=None, exp=None):
     The target twist is computed from periodicity: for constant curves
     sigma_tgt = base o sigma^epsilon o base^{-1}, with the monodromy
     e^{2*pi*ad X} composed in front for exponential curves.  A supplied
-    target is checked against the computed one.
+    target is checked against the computed one.  A computed twist with
+    sigma's entry key (levels included) reuses the source context.
     """
     shift, base, exp = _fold(epsilon, shift, base, source, exp)
     sigma = source.sigma
@@ -91,7 +94,8 @@ def standard_automorphism(epsilon, shift, base, source, target=None, exp=None):
         if computed.apply(exp.generator) != exp.generator:
             raise InvalidInputError("target twist does not fix the curve generator")
     if target is None:
-        target = TwistContext(source.algebra, computed, D=source.D)
+        target = (source if computed._entry_key() == sigma._entry_key()
+                  else TwistContext(source.algebra, computed, D=source.D))
     elif (target.algebra is not source.algebra or target.D != source.D
           or target.sigma != computed):
         raise TwistMismatchError("supplied target twist disagrees with periodicity")
