@@ -2,7 +2,9 @@
 
 Elements carry a loop part plus central and derivation coordinates.  The
 bracket adds the central cocycle term and lets the derivation coordinate act
-by the loop derivative; brackets never produce a derivation component.
+by the loop derivative; brackets never produce a derivation component.  A
+sum of brackets is one contraction, ``bracket_sum``; ``affine_bracket`` is
+its one-pair case.
 Loop-algebra automorphisms extend to the hat algebra by the closed formulas
 for the scaling constants, the shadow loop, and the central correction, with
 exactly one choice of the free constant giving a finite-order extension.
@@ -14,18 +16,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .element import _as_scalar
+from .element import _as_scalar, _blocks, _contract_rows
 from .errors import ContextMismatchError, NotFiniteOrderError, OrderMismatchError
-from .field import CyclotomicNumber
+from .field import CyclotomicNumber, _make
 from .liealg import ORDER_BOUND
 from .linalg import in_span, rref
 from .loop import (
     LoopElement,
-    cocycle,
+    cocycle_sum,
     constant_loop,
-    loop_bracket,
     loop_coords,
-    loop_derivative,
     loop_inner,
     slice_terms,
     zero_loop,
@@ -96,14 +96,34 @@ def d_element(context):
 
 
 def affine_bracket(x, y):
-    """[u + a c + b d, v + a' c + b' d] = [u,v]_0 + b v' - b' u' + w(u,v) c."""
-    x._check(y)
-    loop_part = loop_bracket(x.loop, y.loop)
-    if x.d_coef:
-        loop_part = loop_part + loop_derivative(y.loop, x.d_coef)
-    if y.d_coef:
-        loop_part = loop_part + loop_derivative(x.loop, -y.d_coef)
-    return AffineElement(loop_part, cocycle(x.loop, y.loop), 0)
+    """[u + a c + b d, v + a' c + b' d] = [u,v]_0 + b v' - b' u' + w(u,v) c:
+    ``bracket_sum``'s one-pair case."""
+    return bracket_sum(((x, y),))
+
+
+def bracket_sum(pairs):
+    """The sum of [x, y] over the (x, y) in ``pairs`` (at least one, of one
+    context): every term pair and every derivative term b (ik/D) v_k meeting
+    at exponent k, the scalar b i/D on the scalar row with weight k, go into
+    one integer row at the lcm of their levels; c is one ``cocycle_sum``."""
+    ctx = pairs[0][0].context
+    alg, unit, groups = ctx.algebra, _make(4, (0, 1), ctx.D), {}  # unit = i/D
+    for x, y in pairs:
+        pairs[0][0]._check(x)
+        x._check(y)
+        us, vs = ([(k, tb) for (k, _), tb in zip(u.terms, _blocks([t for _, t in u.terms])[1])]
+                  for u in (x.loop, y.loop))
+        for k1, xb in us:
+            for k2, yb in vs:
+                groups.setdefault(k1 + k2, []).append((1, xb, yb))
+        for b, sign, terms in ((x.d_coef, 1, vs), (y.d_coef, -1, us)):
+            if b:
+                sb = (s := b * unit, [(alg.dim, s.nums)])
+                for k, tb in terms:
+                    if k:
+                        groups.setdefault(k, []).append((sign * k, sb, tb))
+    return AffineElement(LoopElement._trusted(ctx, _contract_rows(alg, groups)),
+                         cocycle_sum([(x.loop, y.loop) for x, y in pairs]))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ numerator kernels ``_lift_nums`` and ``_conj_nums`` segment by segment, and
   lcm of the operands' levels; -x, conj(x) and q * x for a rational q keep
   x's level;
 * output k of convolve(xs, ys) is at the lcm of the levels of all pairs
-  meeting at k, also where a pair's bracket is zero, as x + y is;
+  meeting at k, also where a pair's bracket is zero, as x + y is (so is
+  ``affine.bracket_sum``'s, derivative terms included);
   combination(scalars, elements) is at lcm(4, every level);
 * killing_sum(pairs) and killing_form(x, y) are scalars at lcm(4, the levels
   of the pairs whose nonzero coordinates meet a nonzero Killing entry);
@@ -27,15 +28,16 @@ numerator kernels ``_lift_nums`` and ``_conj_nums`` segment by segment, and
 Equality compares values across levels.  ``convolve``, ``killing_sum`` and
 ``combination`` sum all pairs meeting in an output into one integer row
 (``_sum_pairs``), with the table's ``int_pairs`` over ``scale`` and
-``killing_pairs`` over ``scale**2``.  Scalar products, ``_sum_pairs`` and
-``IntRows.apply`` are in closed form at level 4; otherwise each output
-coordinate sums unreduced polynomial products (``_contract``) and is reduced
-once with ``field``'s power table.
+``killing_pairs`` over ``scale**2``; a scalar c on ``int_pairs``' scalar
+row d, a block (c, [(d, c.nums)]), times y is scale * c * y.  Scalar
+products, ``_sum_pairs``, ``combination`` and ``IntRows.apply`` are in
+closed form at level 4; otherwise each output coordinate sums unreduced
+polynomial products (``_contract``) and is reduced once with ``field``'s
+power table.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import AlgebraMismatchError, LevelMismatchError
@@ -115,15 +117,9 @@ class AlgebraElement:
         return _element(self.algebra, self.level, tuple([-v for v in self.nums]), self.den)
 
     def __mul__(self, scalar):
-        alg, den = self.algebra, self.den
         if type(scalar) is not CyclotomicNumber:
             p, q = _ratio(scalar) or _ratio(_rational(scalar))
-            return _canonical(alg, self.level, [v * p for v in self.nums], den * q)
-        if self.level == 4 == scalar.level:  # (x0 + x1 i)(s0 + s1 i), segment by segment
-            nums, (s0, s1) = self.nums, scalar.nums
-            out = [v for x0, x1 in zip(nums[::2], nums[1::2])
-                   for v in (x0 * s0 - x1 * s1, x0 * s1 + x1 * s0)]
-            return _canonical(alg, 4, out, den * scalar.den)
+            return _canonical(self.algebra, self.level, [v * p for v in self.nums], self.den * q)
         return combination((scalar,), (self,))
 
     __rmul__ = __mul__
@@ -260,6 +256,11 @@ def convolve(xs, ys):
     for (k1, _), xb in zip(xs, blocks):
         for (k2, _), yb in zip(ys, blocks[len(xs):]):
             groups.setdefault(k1 + k2, []).append((1, xb, yb))
+    return _contract_rows(alg, groups)
+
+
+def _contract_rows(alg, groups):
+    """{k: groups[k]'s (w, x block, y block) contracted with ``int_pairs``}."""
     out = {}
     for k, pairs in groups.items():
         level, nums, den = _sum_pairs(alg.int_pairs, alg.dim, pairs, True)
@@ -288,20 +289,26 @@ def killing_form(x, y):
     return killing_sum(((1, x, y),))
 
 
-@functools.cache
-def _scaling(d):
-    """The table of c * x, for a scalar c as coordinate 0 and x of dimension d."""
-    return (tuple(((j, 1),) for j in range(d)),)
-
-
 def combination(scalars, elements):
     """The sum of c * x over the paired ``scalars`` (int, Fraction or
     CyclotomicNumber) and ``elements`` (at least one, of one algebra), as one
-    contraction; c * x off level 4 is its one-pair case."""
+    contraction on the table's scalar row, in closed form at level 4; c * x
+    off level 4 is its one-pair case."""
+    scalars = [_as_scalar(c) for c in scalars]
     alg, blocks = _blocks(elements)
-    pairs = [(1, (c, [(0, c.nums)]), xb) for c, xb in zip(map(_as_scalar, scalars), blocks)]
-    level, nums, den = _sum_pairs(_scaling(alg.dim), alg.dim, pairs, True)
-    return _canonical(alg, level, nums, den)
+    if all(c.level == 4 for c in scalars) and all(x.level == 4 for x in elements):
+        den = math.lcm(*[c.den * x.den for c, x in zip(scalars, elements)])
+        out = [0] * (2 * alg.dim)
+        for c, (x, xs) in zip(scalars, blocks):  # (c0 + c1 i)(x0 + x1 i), segment by segment
+            m = den // (c.den * x.den)
+            c0, c1 = (m * v for v in c.nums)
+            for j, (x0, x1) in xs:
+                out[2 * j] += x0 * c0 - x1 * c1
+                out[2 * j + 1] += x0 * c1 + x1 * c0
+        return _canonical(alg, 4, out, den)
+    pairs = [(1, (c, [(alg.dim, c.nums)]), xb) for c, xb in zip(scalars, blocks)]
+    level, nums, den = _sum_pairs(alg.int_pairs, alg.dim, pairs, True)
+    return _canonical(alg, level, nums, den * alg.scale)
 
 
 def _contract(level, n, size, terms):

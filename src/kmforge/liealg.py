@@ -56,12 +56,12 @@ class LieAlgebraTable:
         self.base_field_tag = base_field_tag
         self.compact_flag = compact_flag
         self.killing = self._killing_matrix()
-        # for integer blocks: the constants as ints over one denominator s,
-        # and the Killing entries, sums of products of two, as ints over s^2
+        # for integer blocks: the constants as ints over one denominator s, then
+        # the scalar row d, and the Killing entries as ints over s^2
         s = self.scale = math.lcm(*(c.denominator for plane in self.pairs for row in plane
                                      for _, c in row))
         self.int_pairs = tuple(tuple(tuple((k, int(c * s)) for k, c in row) for row in plane)
-                                for plane in self.pairs)
+                                for plane in self.pairs) + (tuple(((k, s),) for k in range(d)),)
         self.int_killing = tuple(tuple(int(c * s * s) for c in row) for row in self.killing)
         # the Killing entries in the layout of int_pairs, with one output
         self.killing_pairs = tuple(tuple(((0, c),) if c else () for c in row)

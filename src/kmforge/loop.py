@@ -239,9 +239,16 @@ def loop_inner(u, v):
 
 
 def cocycle(u, v):
-    """The central 2-cocycle <u', v> = (i/D) * sum of k * kappa(u_k, v_{-k})."""
-    s = killing_sum([(k, x, y) for k, x, y in _opposite(u, v) if k])
-    return s * _make(4, (0, 1), u.context.D)  # i/D
+    """The central 2-cocycle <u', v> = (i/D) * sum of k * kappa(u_k, v_{-k}):
+    ``cocycle_sum``'s one-pair case."""
+    return cocycle_sum(((u, v),))
+
+
+def cocycle_sum(pairs):
+    """The sum of cocycle(u, v) over the (u, v) in ``pairs`` (at least one,
+    of one context) as one weighted ``killing_sum``, times i/D."""
+    s = killing_sum([(k, x, y) for u, v in pairs for k, x, y in _opposite(u, v) if k])
+    return s * _make(4, (0, 1), pairs[0][0].context.D)  # i/D
 
 
 def tau_r_apply(r, u):

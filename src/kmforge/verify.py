@@ -14,6 +14,7 @@ from fractions import Fraction
 from .affine import (
     AffineElement,
     affine_bracket,
+    bracket_sum,
     center_and_derived_check,
     extend_to_hat,
     finite_order_extension,
@@ -23,7 +24,7 @@ from .affine import (
 from .catalog import catalog_for
 from .element import combination
 from .errors import InvalidInputError
-from .field import _rational, imaginary_unit
+from .field import _canon, _rational, imaginary_unit
 from .invariants import (
     extract_invariant_first,
     extract_invariant_second,
@@ -38,7 +39,8 @@ from .liealg import (
     builtin_algebra,
     exp_curve,
 )
-from .loop import LoopElement, TwistContext, loop_bracket, cocycle, tau_r_apply, validate
+from .loop import (LoopElement, TwistContext, cocycle, cocycle_sum, loop_bracket, tau_r_apply,
+                   validate)
 from .realforms import (
     cartan_decomposition,
     enumerate_real_forms,
@@ -75,9 +77,9 @@ def random_loop(rng, ctx, max_degree=6):
         if not basis:
             continue
         scalars = []
-        for _ in basis:
-            c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            scalars.append(imaginary_unit() * c if rng.random() < 0.25 else c)
+        for _ in basis:  # p/q, times i with probability 1/4, as a level-4 scalar
+            p, q = rng.randint(-2, 2), rng.randint(1, 2)
+            scalars.append(_canon(4, (0, p) if rng.random() < 0.25 else (p, 0), q))
         x = combination(scalars, basis)
         acc[k] = acc[k] + x if k in acc else x
     return LoopElement(ctx, acc)
@@ -139,11 +141,8 @@ def _twist_suite(suite, algebra, N, trials, seed, draw, check):
 
 
 def _jacobi_witness(x, y, z):
-    total = (
-        affine_bracket(x, affine_bracket(y, z))
-        + affine_bracket(y, affine_bracket(z, x))
-        + affine_bracket(z, affine_bracket(x, y))
-    )
+    total = bracket_sum([(x, affine_bracket(y, z)), (y, affine_bracket(z, x)),
+                         (z, affine_bracket(x, y))])
     return repr(total) if total else None
 
 
@@ -155,11 +154,8 @@ def verify_jacobi(algebra="sl2C", N=6, trials=100, seed=7):
 def _cocycle_witness(u, v, w):
     if cocycle(u, v) != -cocycle(v, u):
         return "antisymmetry"
-    total = (
-        cocycle(loop_bracket(u, v), w)
-        + cocycle(loop_bracket(v, w), u)
-        + cocycle(loop_bracket(w, u), v)
-    )
+    total = cocycle_sum([(loop_bracket(u, v), w), (loop_bracket(v, w), u),
+                         (loop_bracket(w, u), v)])
     return "cocycle identity" if total else None
 
 
