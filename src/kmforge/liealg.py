@@ -381,29 +381,20 @@ def fixed_subalgebra(auto, bound=ORDER_BOUND):
     def flatten(x):
         return x.nums_at(lev), x.den
 
-    basis = rational_fixed_span(gens, [auto.apply(g) for g in gens], flatten)
+    basis = [x for _, x in fixed_span_columns(gens, [auto.apply(g) for g in gens], flatten)]
     _check_bracket_closed(basis, lambda x: flatten(x)[0])
     return basis
 
 
-def rational_fixed_span(gens, images, flatten, sign=1):
-    """Basis of the rational combinations x of ``gens`` with image(x) = sign*x.
-
-    ``images`` lists image(g) for each generator, for a map that is additive
-    and commutes with rational scalars; ``flatten`` is an injective
-    rational-linear coordinate map returning ``(nums, den)``, integer
-    numerators over a positive denominator.  The result is the rational
-    kernel of the columns flatten(image(g) - sign*g), taken on their
-    numerators over the columns' common denominator, as combinations of gens.
-    """
-    return [x for _, x in fixed_span_columns(gens, images, flatten, sign)]
-
-
 def fixed_span_columns(gens, images, flatten, sign=1):
-    """``rational_fixed_span`` as (free column, element) pairs.  The kernel
-    vector of free column f is read off the fraction-free rref (``linalg``)
-    as integer multipliers over one scale, the lcm of the pivots it divides
-    by, so each element is an integer combination of gens times 1/scale."""
+    """Basis of the rational combinations x of ``gens`` with image(x) = sign*x,
+    as (free column, element) pairs.  ``images`` lists image(g) for a map that
+    is additive and commutes with rational scalars; ``flatten`` is injective,
+    rational-linear and returns ``(nums, den)``, integers over a positive
+    denominator.  The kernel of the columns flatten(image(g) - sign*g), on
+    their numerators over one denominator, is read off the fraction-free rref
+    (``linalg``): free column f's vector as integer multipliers over one
+    scale, the lcm of the pivots it divides by."""
     if not gens:
         return []
     cols = [flatten(img - g * sign) for g, img in zip(gens, images)]

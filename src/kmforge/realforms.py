@@ -5,15 +5,16 @@ compact conjugation composed with a catalog involution of the loop algebra.
 They are represented intensionally; every verification works on an explicit
 degree truncation with exact rational kernels.  A truncation splits into
 exponent blocks, joined by each generator's exponent and its image's support
-(``_blocks``): the fixed span is solved and tested block by block, and the
-generators' images and each block's basis are kept on the conjugation, so a
-slice at 2N reuses the slice at N.
+(``_blocks``), and all of its linear algebra reads ``loop_coords`` off a
+block: the fixed span, closure membership and H + iH rank go block by block,
+the Cartan split over unions of blocks under k -> -k.  Images and bases are
+kept on the real-form descriptor, so a slice at 2N reuses the slice at N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import linalg
@@ -26,7 +27,7 @@ from .invariants import (
     realize_first,
     realize_second,
 )
-from .liealg import ORDER_BOUND, automorphism_order, fixed_span_columns, rational_fixed_span
+from .liealg import ORDER_BOUND, automorphism_order, fixed_span_columns
 from .loop import (
     LoopElement,
     TwistContext,
@@ -61,6 +62,8 @@ class RealFormDescriptor:
     involution: object   # InvolutionDescriptor | None (compact form)
     conjugation: object  # antilinear StandardAutomorphism of order 2
     invariant: object
+    # _exponent's and _blocks' results; replace() starts a fresh one
+    _slices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def context(self):
@@ -151,34 +154,33 @@ def _slice_level(context):
 
 
 def _coordinates_in_slice(u, N, lev):
-    """Rational coordinates of a loop of degree <= N as ``(nums, den)``: for
-    k = -N..N, the power-basis numerators at level ``lev`` of every algebra
-    coordinate of the k-th term, with a zero block where the term is missing,
-    over one denominator."""
+    """``loop_coords`` of a loop of degree <= N over the whole slice -N..N.
+    Nothing here calls it, as coordinates are read off blocks; it stays as the
+    tests' slice-wide reference and a name ``bench/tracer.py`` resolves."""
     if u.degree() > N:
         raise InvalidInputError("loop leaves the truncation slice")
     return loop_coords(u, range(-N, N + 1), lev)
 
 
-def _exponent(theta, k, lev):
-    """(zeta_lev^j * b, its theta-image) for the slice at exponent k; kept on theta."""
-    if k not in theta._slices:
-        ctx = theta.source
+def _exponent(desc, k, lev):
+    """(zeta_lev^j * b, its theta-image) for the slice at exponent k; kept on desc."""
+    if k not in desc._slices:
+        ctx = desc.context
         gens = [LoopElement(ctx, {k: zeta_power(lev, j) * b})
                 for b in ctx.eigenbasis_for_exponent(k) for j in range(field_degree(lev))]
-        theta._slices[k] = [(g, apply(theta, g)) for g in gens]
-    return theta._slices[k]
+        desc._slices[k] = [(g, apply(desc.conjugation, g)) for g in gens]
+    return desc._slices[k]
 
 
-def _blocks(theta, N, lev):
+def _blocks(desc, N, lev):
     """The degree <= N slice as (block, basis) pairs.  A block is a sorted
     tuple of exponents, a connected set joined by each generator's exponent
     and the support of its image; an image beyond degree N leaves the slice.
     Its basis spans its fixed set as (key, element) pairs, keyed by the
-    exponent of the element's free column and that column; kept on theta."""
+    exponent of the element's free column and that column; kept on the descriptor."""
     blocks = []
     for k in range(-N, N + 1):
-        pairs = _exponent(theta, k, lev)
+        pairs = _exponent(desc, k, lev)
         reach = {k}.union(*(y.support() for _, y in pairs))
         if any(abs(j) > N for j in reach):
             raise InvalidInputError("loop leaves the truncation slice")
@@ -187,11 +189,11 @@ def _blocks(theta, N, lev):
                 reach.union(*(b for b in blocks if b & reach))]
     out = []
     for block in (tuple(sorted(b)) for b in blocks):
-        if block not in theta._slices:
-            gens, images = zip(*(p for k in block for p in _exponent(theta, k, lev)))
-            theta._slices[block] = [((gens[f].terms[0][0], f), x) for f, x in fixed_span_columns(
+        if block not in desc._slices:
+            gens, images = zip(*(p for k in block for p in _exponent(desc, k, lev)))
+            desc._slices[block] = [((gens[f].terms[0][0], f), x) for f, x in fixed_span_columns(
                 gens, images, lambda u: loop_coords(u, block, lev))]
-        out.append((block, theta._slices[block]))
+        out.append((block, desc._slices[block]))
     return out
 
 
@@ -199,19 +201,18 @@ def fixed_point_basis(desc, N):
     """Rational-span basis of the degree <= N slice of the real form: the
     blocks' bases merged in free-column order, the vectors of one solve over
     the whole slice."""
-    theta = desc.conjugation
-    lev = _slice_level(theta.source)
-    pairs = [kx for _, basis in _blocks(theta, N, lev) for kx in basis]
+    lev = _slice_level(desc.context)
+    pairs = [kx for _, basis in _blocks(desc, N, lev) for kx in basis]
     return [x for _, x in sorted(pairs, key=lambda kx: kx[0])]
 
 
-def _slice_span(theta, N, lev):
+def _slice_span(desc, N, lev):
     """Membership of a loop of degree <= N in the span of the degree <= N
     fixed basis: each basis element lies in one block, and an exponent in no
     block has no generator, so a loop is spanned when each block it meets
     spans its part there, against the block's rref."""
     spans = [(block, *linalg.rref([loop_coords(x, block, lev)[0] for _, x in basis]))
-             for block, basis in _blocks(theta, N, lev)]
+             for block, basis in _blocks(desc, N, lev)]
 
     def spanned(w):
         support = w.support()
@@ -224,12 +225,13 @@ def _slice_span(theta, N, lev):
 def verify_real_form(desc, N):
     """Bracket closure, H intersect iH = 0, and H + iH = slice, all exact.
     Closure takes pairs i < j: [b, a] = -[a, b] and theta is real-linear, so
-    the pair (j, i) passes iff (i, j) does, and [a, a] = 0."""
+    the pair (j, i) passes iff (i, j) does, and [a, a] = 0.  The rank of H + iH
+    is the sum of the blocks': b and i*b lie in b's block."""
     theta = desc.conjugation
     ctx = theta.source
     lev = _slice_level(ctx)
     basis = fixed_point_basis(desc, N)
-    spanned = _slice_span(theta, 2 * N, lev)
+    spanned = _slice_span(desc, 2 * N, lev)
     closure_ok = True
     closure_witness = None
     for i, j in combinations(range(len(basis)), 2):
@@ -238,11 +240,11 @@ def verify_real_form(desc, N):
             closure_ok = False
             closure_witness = (i, j)
     i_unit = imaginary_unit(lev)
-    flat = [_coordinates_in_slice(b, N, lev)[0] for b in basis]
-    flat_i = [_coordinates_in_slice(b * i_unit, N, lev)[0] for b in basis]
+    # rank does not depend on a row's scale: rows are the numerators
+    rank = sum(linalg.rank([loop_coords(y, block, lev)[0]
+                            for _, x in block_basis for y in (x, x * i_unit)])
+               for block, block_basis in _blocks(desc, N, lev))
     slice_dim = len(slice_terms(ctx, N)) * field_degree(lev)
-    stacked = flat + flat_i
-    rank = linalg.rank(stacked)
     disjoint = rank == 2 * len(basis)
     spanning = rank == slice_dim
     return {
@@ -260,22 +262,31 @@ def verify_real_form(desc, N):
 
 def cartan_decomposition(desc, N):
     """k = truncation intersected with the compact condition, m with its
-    i-shifted complement.  ``verify_cartan`` checks the bracket gradings."""
+    i-shifted complement, each solved over the unions of blocks that share an
+    |exponent| (theta_c sends k to -k).  ``verify_cartan`` checks the gradings."""
     if desc.kind == "compact":
         raise NotApplicableError("the compact form has no Cartan decomposition here")
-    theta = desc.conjugation
-    ctx = theta.source
+    ctx = desc.context
     theta_c = compact_conjugation(ctx)
     lev = _slice_level(ctx)
-    basis = fixed_point_basis(desc, N)
-    images = [apply(theta_c, b) for b in basis]
-
-    def flatten(u):
-        return _coordinates_in_slice(u, N, lev)
-
-    k_basis = rational_fixed_span(basis, images, flatten, sign=1)
-    m_basis = rational_fixed_span(basis, images, flatten, sign=-1)
-    if len(k_basis) + len(m_basis) != len(basis):
+    unions = {}  # frozenset of |k| -> (key, element) pairs of its blocks
+    for block, basis in _blocks(desc, N, lev):
+        reach = frozenset(abs(k) for k in block)
+        joined = [a for a in unions if a & reach]
+        unions[reach.union(*joined)] = basis + [kx for a in joined for kx in unions.pop(a)]
+    halves = ([], [])  # (key, element) pairs of k and of m
+    for absolute, pairs in unions.items():
+        pairs.sort(key=lambda kx: kx[0])
+        gens = [x for _, x in pairs]
+        images = [apply(theta_c, x) for x in gens]
+        exponents = sorted({s * a for a in absolute for s in (1, -1)})
+        if not set(exponents).issuperset(k for y in images for k in y.support()):
+            raise ArithmeticError("compact conjugation leaves a block")
+        for sign, out in zip((1, -1), halves):
+            out += [(pairs[f][0], x) for f, x in fixed_span_columns(
+                gens, images, lambda u: loop_coords(u, exponents, lev), sign)]
+    k_basis, m_basis = ([x for _, x in sorted(h, key=lambda kx: kx[0])] for h in halves)
+    if len(k_basis) + len(m_basis) != sum(map(len, unions.values())):
         raise ArithmeticError("compact conjugation does not split the truncation")
     return CartanDecomposition(desc, N, tuple(k_basis), tuple(m_basis), theta_c)
 

@@ -51,8 +51,6 @@ class StandardAutomorphism:
     source: TwistContext
     target: TwistContext
     _kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # realforms' slice generators per exponent and fixed spans per block
-    _slices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _step: Fraction = field(init=False, compare=False, repr=False)  # shift / D
 
     def __post_init__(self):

@@ -298,12 +298,12 @@ def test_verify_cartan_reports_a_failing_inclusion(capsys, monkeypatch):
 
 
 def test_internal_arithmetic_error_exits_1_without_traceback(capsys, monkeypatch):
-    span = realforms.rational_fixed_span
+    span = realforms.fixed_span_columns
 
     def no_minus_one_part(gens, images, flatten, sign=1):
         return [] if sign == -1 else span(gens, images, flatten, sign)
 
-    monkeypatch.setattr(realforms, "rational_fixed_span", no_minus_one_part)
+    monkeypatch.setattr(realforms, "fixed_span_columns", no_minus_one_part)
     code, doc = run_cli(capsys, "verify", "cartan", "--N", "1")
     assert code == 1
     assert doc["error"] == {"code": 1, "type": "ArithmeticError",

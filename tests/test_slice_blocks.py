@@ -5,7 +5,9 @@ of ``rational_fixed_span`` and ``fixed_point_basis`` from before the slices
 were solved per exponent block (only the names differ).  ``old_membership``
 is ``verify_real_form``'s closure membership from then, lifted out of the
 closure loop: one rref of the degree <= 2N basis over the whole slice, then
-``in_span``.  ``linalg.rref``, ``in_span`` and ``kernel_basis`` are unchanged.
+``in_span``.  ``old_cartan_split`` is ``cartan_decomposition``'s k/m split
+from then: both halves solved over the whole N basis in slice-wide
+coordinates.  ``linalg.rref``, ``in_span`` and ``kernel_basis`` are unchanged.
 
 Bases are compared term by term and in order as (k, level, nums, den).  The
 number of examples of the hypothesis test comes from the hypothesis profile
@@ -13,6 +15,7 @@ number of examples of the hypothesis test comes from the hypothesis profile
 """
 
 import functools
+import json
 import math
 import operator
 from dataclasses import replace
@@ -21,16 +24,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kmforge import linalg, realforms
+from kmforge import cli, linalg, realforms
 from kmforge.catalog import catalog_for
 from kmforge.field import field_degree, imaginary_unit, zeta_power
 from kmforge.invariants import realize_first, realize_second
-from kmforge.liealg import rational_fixed_span
 from kmforge.loop import LoopElement, TwistContext, loop_bracket, slice_terms
 from kmforge.realforms import (
+    _blocks,
     _coordinates_in_slice,
     _slice_level,
     _slice_span,
+    cartan_decomposition,
+    compact_conjugation,
     enumerate_real_forms,
     fixed_point_basis,
     verify_real_form,
@@ -70,6 +75,19 @@ def old_membership(desc, N):
     # span and rank do not depend on a row's scale: rows are the numerators
     rr, piv = linalg.rref([_coordinates_in_slice(b, 2 * N, lev)[0] for b in big_basis])
     return lambda w: linalg.in_span(rr, piv, _coordinates_in_slice(w, 2 * N, lev)[0])
+
+
+def old_cartan_split(desc, N):
+    theta_c = compact_conjugation(desc.conjugation.source)
+    lev = _slice_level(theta_c.source)
+    basis = old_fixed_point_basis(desc, N)
+    images = [apply(theta_c, b) for b in basis]
+
+    def flatten(u):
+        return _coordinates_in_slice(u, N, lev)
+
+    return (old_rational_fixed_span(basis, images, flatten, sign=1),
+            old_rational_fixed_span(basis, images, flatten, sign=-1))
 
 
 # -- helpers ------------------------------------------------------------------
@@ -143,7 +161,7 @@ def spans(algebra, index, N):
     desc = forms(algebra)[index]
     theta = desc.conjugation
     lev = _slice_level(theta.source)
-    return (_slice_span(theta, 2 * N, lev), old_membership(desc, N),
+    return (_slice_span(desc, 2 * N, lev), old_membership(desc, N),
             fixed_point_basis(desc, N), generators(theta.source, 2 * N))
 
 
@@ -253,16 +271,70 @@ def test_the_target_is_the_source_exactly_when_the_entry_keys_match(algebra):
     assert reused and level_only
 
 
-def test_rational_fixed_span_keeps_its_bytes_on_the_cartan_split():
-    for desc in forms("sl2C")[1:]:
-        theta_c = realforms.compact_conjugation(desc.conjugation.source)
-        lev = _slice_level(theta_c.source)
-        basis = fixed_point_basis(desc, 2)
-        images = [apply(theta_c, b) for b in basis]
+# -- the H + iH rank and the Cartan split -------------------------------------
 
-        def flatten(u):
-            return _coordinates_in_slice(u, 2, lev)
+SPLIT_NS = {"sl2C": (0, 1, 2, 3, 4), "sl3C": (0, 1, 2)}
 
-        for sign in (1, -1):
-            assert key(rational_fixed_span(basis, images, flatten, sign)) == \
-                key(old_rational_fixed_span(basis, images, flatten, sign))
+
+@pytest.mark.parametrize("algebra", sorted(SPLIT_NS))
+def test_the_cartan_split_matches_the_slice_wide_split(algebra):
+    for desc in enumerate_real_forms(algebra)[1:]:
+        for N in SPLIT_NS[algebra]:
+            dec = cartan_decomposition(desc, N)
+            k_basis, m_basis = old_cartan_split(desc, N)
+            assert key(dec.k_basis) == key(k_basis), (desc.label, N)
+            assert key(dec.m_basis) == key(m_basis), (desc.label, N)
+
+
+@pytest.mark.parametrize("algebra", sorted(SPLIT_NS))
+def test_the_block_ranks_add_up_to_the_slice_wide_rank(monkeypatch, algebra):
+    rank = linalg.rank
+    for desc in enumerate_real_forms(algebra):
+        lev = _slice_level(desc.context)
+        for N in SPLIT_NS[algebra]:
+            ranks = []
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "rank", lambda rows: ranks.append(rank(rows)) or ranks[-1])
+                report = verify_real_form(desc, N)
+            assert len(ranks) == len(_blocks(desc, N, lev))
+            basis = old_fixed_point_basis(desc, N)
+            whole = rank([_coordinates_in_slice(y, N, lev)[0]
+                          for y in basis + [b * imaginary_unit(lev) for b in basis]])
+            assert sum(ranks) == whole, (desc.label, N)
+            assert report["h_cap_ih_trivial"] == (whole == 2 * len(basis))
+            assert report["h_plus_ih_full"] == (whole == report["slice_dim_rational"])
+
+
+@pytest.mark.parametrize("algebra", sorted(NS))
+def test_a_replaced_conjugation_never_reads_the_original_blocks(algebra):
+    expected = [key(old_fixed_point_basis(b, 2)) for b in forms(algebra)]
+    # the bases differ between forms, so reading another form's blocks shows
+    assert len({repr(k) for k in expected}) > 1
+    for a in enumerate_real_forms(algebra):
+        fixed_point_basis(a, 2)
+        for b, want in zip(forms(algebra), expected):
+            moved = replace(a, conjugation=b.conjugation)
+            assert moved._slices == {}
+            assert key(fixed_point_basis(moved, 2)) == want, (a.label, b.label)
+
+
+def test_an_image_leaving_its_union_exits_1(capsys, monkeypatch):
+    made = []
+
+    def recording(ctx):
+        made.append(compact_conjugation(ctx))
+        return made[-1]
+
+    def shifted(phi, u):
+        y = apply(phi, u)
+        if not any(phi is c for c in made):
+            return y
+        # one period up: still a loop of the twist, outside the union
+        return LoopElement(y.context, {k + y.context.D: x for k, x in y.terms})
+
+    monkeypatch.setattr(realforms, "compact_conjugation", recording)
+    monkeypatch.setattr(realforms, "apply", shifted)
+    assert cli.main(["verify", "cartan", "--N", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == {"code": 1, "type": "ArithmeticError",
+                            "message": "compact conjugation leaves a block"}
