@@ -34,6 +34,14 @@ products, ``_sum_pairs``, ``combination`` and ``IntRows.apply`` are in
 closed form at level 4; otherwise each output coordinate sums unreduced
 polynomial products (``_contract``) and is reduced once with ``field``'s
 power table.
+
+The contractions read an element as its nonzero segments, (index, segment)
+pairs at the element's own level.  The element caches them in the slot
+``segs``: lazy (None until ``_segs`` cuts them on first use), immutable once
+set, and not part of equality or repr.  So a basis vector, a drawn term or a
+slice basis element is cut into segments once, however many contractions
+read it.  An ``IntRows.apply`` at a higher level than x's cuts x's lifted
+block for that call only.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ class AlgebraElement:
     """Coordinate vector over a LieAlgebraTable, scalars in Q(zeta_L), stored
     as one integer block (layout and level rule in the module docstring)."""
 
-    __slots__ = ("algebra", "level", "nums", "den")
+    __slots__ = ("algebra", "level", "nums", "den", "segs")
 
     def __init__(self, algebra, coords):
         coords = tuple(c if type(c) is CyclotomicNumber else _as_scalar(c) for c in coords)
@@ -78,6 +86,7 @@ class AlgebraElement:
         _set_level(self, level)
         _set_nums(self, nums)
         _set_den(self, den)
+        _set_segs(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -161,6 +170,7 @@ _set_algebra = AlgebraElement.algebra.__set__
 _set_level = AlgebraElement.level.__set__
 _set_nums = AlgebraElement.nums.__set__
 _set_den = AlgebraElement.den.__set__
+_set_segs = AlgebraElement.segs.__set__
 
 
 def _element(algebra, level, nums, den):
@@ -170,6 +180,7 @@ def _element(algebra, level, nums, den):
     _set_level(x, level)
     _set_nums(x, nums)
     _set_den(x, den)
+    _set_segs(x, None)
     return x
 
 
@@ -196,7 +207,16 @@ def _add(x, y, sign):
 
 def _segments(nums, n):
     """(index, segment) for every nonzero coordinate of a block."""
-    return [(i, seg) for i, seg in enumerate(zip(*[iter(nums)] * n)) if any(seg)]
+    return tuple([(i, seg) for i, seg in enumerate(zip(*[iter(nums)] * n)) if any(seg)])
+
+
+def _segs(x):
+    """x's nonzero segments at its level, cut on first use and kept on x."""
+    segs = x.segs
+    if segs is None:
+        segs = _segments(x.nums, len(x.nums) // x.algebra.dim)
+        _set_segs(x, segs)
+    return segs
 
 
 def _blocks(elements):
@@ -204,7 +224,7 @@ def _blocks(elements):
     alg = elements[0].algebra if elements else None
     if any(x.algebra is not alg for x in elements):
         raise AlgebraMismatchError("elements live over different algebras")
-    return alg, [(x, _segments(x.nums, len(x.nums) // alg.dim)) for x in elements]
+    return alg, [(x, _segs(x)) for x in elements]
 
 
 def _sum_pairs(table, size, pairs, every):
@@ -360,8 +380,9 @@ class IntRows:
                     for row in rows]
         alg = x.algebra
         den = self.den * x.den
+        n = len(nums) // alg.dim
+        xs = _segs(x) if level == x.level else _segments(nums, n)
         if level == 4:
-            xs = _segments(nums, 2)
             out = []
             for row in rows:
                 r0 = r1 = 0
@@ -374,8 +395,6 @@ class IntRows:
                 out.append(r0)
                 out.append(r1)
             return _canonical(alg, 4, out, den)
-        n = len(nums) // alg.dim
-        xs = _segments(nums, n)
         terms = [(((i, 1),), e, seg) for i, row in enumerate(rows) for k, seg in xs
                  for e in (row[k],) if e is not None]
         return _canonical(alg, level, _contract(level, n, len(rows), terms), den)

@@ -121,8 +121,9 @@ class LoopElement:
         ``context`` to its elements; zero terms are dropped and the rest
         sorted.  The caller guarantees the twist condition: sums and scalar
         multiples of valid terms keep it, so does a bracket (sigma[x, y] =
-        [sigma x, sigma y]) and a rescaling of each term, and a standard map
-        lands in the target twist derived from periodicity."""
+        [sigma x, sigma y]), a rescaling of each term and a combination of
+        one exponent's eigenbasis, and a standard map lands in the target
+        twist derived from periodicity."""
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", tuple(sorted([(k, x) for k, x in terms.items() if x])))

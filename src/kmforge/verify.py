@@ -68,7 +68,9 @@ def _twists_for(algebra_name):
 
 
 # The suites look random_loop and random_affine up when they run, so a caller
-# may wrap them (the benchmark marks trial boundaries this way).
+# may wrap them (the benchmark marks trial boundaries this way).  A drawn term
+# is a combination of the eigenbasis of its exponent, so it meets the twist
+# condition by construction and the draw is built as a trusted element.
 def random_loop(rng, ctx, max_degree=6):
     acc = {}
     for _ in range(rng.randint(1, 3)):
@@ -82,15 +84,15 @@ def random_loop(rng, ctx, max_degree=6):
             scalars.append(_canon(4, (0, p) if rng.random() < 0.25 else (p, 0), q))
         x = combination(scalars, basis)
         acc[k] = acc[k] + x if k in acc else x
-    return LoopElement(ctx, acc)
+    return LoopElement._trusted(ctx, acc)
 
 
 def random_affine(rng, ctx, max_degree=6):
-    return AffineElement(
-        random_loop(rng, ctx, max_degree),
-        Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
-        Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
-    )
+    u = random_loop(rng, ctx, max_degree)
+    # c and d are p/q, as level-4 scalars
+    c = _canon(4, (rng.randint(-2, 2), 0), rng.randint(1, 2))
+    d = _canon(4, (rng.randint(-2, 2), 0), rng.randint(1, 2))
+    return AffineElement(u, c, d)
 
 
 def _report(suite, config, checks):
