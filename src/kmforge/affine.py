@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .element import _as_scalar, _blocks, _contract_rows
 from .errors import ContextMismatchError, NotFiniteOrderError, OrderMismatchError
-from .field import CyclotomicNumber, _make
+from .field import CyclotomicNumber, _immutable, _make
 from .liealg import ORDER_BOUND
 from .linalg import in_span, rref
 from .loop import (
@@ -43,8 +43,7 @@ class AffineElement:
         object.__setattr__(self, "c_coef", _as_scalar(c_coef))
         object.__setattr__(self, "d_coef", _as_scalar(d_coef))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineElement is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def context(self):

@@ -8,8 +8,9 @@ coordinate i), and one positive ``den``, with gcd(*nums, den) == 1.
 element's level.  As the block is in lowest terms, ``den`` is the lcm of the
 coordinates' denominators, so ``(nums_at(L), den)`` are the element's
 rational coordinates at level L.  ``nums_at`` and ``conj`` apply ``field``'s
-numerator kernels ``_lift_nums`` and ``_conj_nums`` segment by segment, and
-``IntRows.apply`` lifts its rows with ``_lift_nums``.  The level rule:
+numerator kernels ``_lift_nums`` and ``_galois_nums`` (at a = -1) segment by
+segment, and ``IntRows.apply`` lifts its rows with ``_lift_nums``.  The level
+rule:
 
 * an element built from coordinates is at lcm(4, their levels), zero
   coordinates included;
@@ -49,8 +50,8 @@ from __future__ import annotations
 import math
 
 from .errors import AlgebraMismatchError, LevelMismatchError
-from .field import (CyclotomicNumber, _canon, _conj_nums, _lift_nums, _make, _poly_mul, _ratio,
-                    _rational, _reduce, check_level)
+from .field import (CyclotomicNumber, _canon, _galois_nums, _immutable, _lift_nums, _make,
+                    _poly_mul, _ratio, _rational, _reduce, check_level)
 
 
 def _as_scalar(c):
@@ -88,8 +89,7 @@ class AlgebraElement:
         _set_den(self, den)
         _set_segs(self, None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def coords(self):
@@ -157,7 +157,7 @@ class AlgebraElement:
             return _element(self.algebra, 4, tuple(out), self.den)
         n = len(nums) // self.algebra.dim
         out = tuple(v for i in range(0, len(nums), n)
-                    for v in _conj_nums(nums[i:i + n], level))
+                    for v in _galois_nums(nums[i:i + n], -1, level))
         return _element(self.algebra, level, out, self.den)
 
     def __repr__(self):

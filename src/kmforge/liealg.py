@@ -21,8 +21,8 @@ from . import linalg
 from .element import AlgebraElement, IntRows, _as_scalar, _element, bracket
 from .element import killing_form  # noqa: F401  (re-exported: part of liealg's API)
 from .errors import AlgebraMismatchError, NotFiniteOrderError, UnknownAlgebraError
-from .field import (CyclotomicNumber, _rational, check_level, field_degree, imaginary_unit, zeta_of,
-                    zeta_power)
+from .field import (CyclotomicNumber, _immutable, _rational, check_level, field_degree,
+                    imaginary_unit, zeta_of, zeta_power)
 
 BUILTIN_NAMES = ("sl2C", "sl3C", "su2", "su3")
 
@@ -212,8 +212,7 @@ class FiniteAutomorphism:
         object.__setattr__(self, "_key", None)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteAutomorphism is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def identity(cls, algebra):

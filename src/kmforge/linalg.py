@@ -33,8 +33,9 @@ pivot columns, so it is a positive multiple of the row of the reduced
 echelon form, with the same pivots.  ``in_span`` cross-multiplies on such
 rows, ``rank`` counts their pivots and ``kernel_basis`` divides by the pivot
 only for its output, as ``Fraction``s equal to the field path's, and so
-does ``solve``.  Matrices of Fractions or CyclotomicNumbers take the field
-path, and so does every ``invert``: its identity block holds ``x / x``.
+do ``solve`` and ``invert``.  Matrices of Fractions or CyclotomicNumbers
+take the field path; ``invert``'s identity block then holds ``x / x`` for
+the first nonzero entry x, so a cyclotomic inverse keeps its entry levels.
 """
 
 from __future__ import annotations
@@ -219,17 +220,19 @@ def solve(matrix, rhs):
 
 
 def invert(matrix):
-    """Exact inverse; raises ValueError on singular input."""
+    """Exact inverse; raises ValueError on singular input.  An all-``int``
+    matrix gives ``Fraction``s."""
     n = len(matrix)
     first = next((x for row in matrix for x in row if x), None)
     if first is None:
         raise ValueError("singular matrix")
-    aug = [list(row) + ident_row
-           for row, ident_row in zip(matrix, identity_like(n, first / first))]
+    one = 1 if type(first) is int else first / first
+    aug = [list(row) + ident_row for row, ident_row in zip(matrix, identity_like(n, one))]
     rows, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in rows]
+    return [[Fraction(x, row[i]) for x in row[n:]] if type(row[i]) is int else row[n:]
+            for i, row in enumerate(rows)]
 
 
 def in_span(rref_rows, pivots, vec):

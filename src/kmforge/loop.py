@@ -12,7 +12,7 @@ import math
 
 from .element import IntRows, convolve, killing_sum
 from .errors import ContextMismatchError, InvalidInputError, NotFiniteOrderError
-from .field import _make, _rational, check_level, field_degree, zeta_power
+from .field import _immutable, _make, _rational, check_level, field_degree, zeta_power
 from .liealg import automorphism_order, eigenspace_decomposition
 
 
@@ -129,8 +129,7 @@ class LoopElement:
         object.__setattr__(self, "terms", tuple(sorted([(k, x) for k, x in terms.items() if x])))
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LoopElement is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def terms_dict(self):
         return dict(self.terms)

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,6 +14,9 @@ from kmforge.errors import InvalidInputError, LevelMismatchError
 from kmforge.field import (
     MAX_LEVEL,
     CyclotomicNumber,
+    _galois_nums,
+    _poly_mul,
+    _reduce,
     check_level,
     cyclotomic_polynomial,
     field_degree,
@@ -294,3 +298,103 @@ def test_conj_matches_sympy(a):
 def test_lift_matches_sympy(a, step):
     M = a.level * step
     _check(a.lift(M), M, _poly_at(a, M))
+
+
+# -- the norm inverse and the Galois maps -----------------------------------------
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("level, own_denominators", [(48, True), (96, True), (192, False)])
+def test_dense_inverse_matches_sympy(level, own_denominators, seed):
+    # every coordinate nonzero; sympy's Euclid over QQ takes about 20 s at
+    # level 192 when each coordinate has its own denominator, so there they
+    # share one
+    rng = random.Random(level * 10 + seed)
+    n = field_degree(level)
+    common = rng.randint(1, 12)
+    coords = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 60),
+                       rng.randint(1, 12) if own_denominators else common) for _ in range(n)]
+    a = CyclotomicNumber(level, coords)
+    _check(a.inverse(), level,
+           _poly_at(a, level).invert(sympy.Poly(sympy.cyclotomic_poly(level, X), X, domain=QQ)))
+
+
+def _units(level):
+    return [a for a in range(1, level) if math.gcd(a, level) == 1]
+
+
+def _numerators(level):
+    n = field_degree(level)
+    return st.lists(st.integers(-50, 50), min_size=n, max_size=n).map(tuple)
+
+
+def _numerators_at(levels, count):
+    """(L, then ``count`` numerator tuples at level L), L drawn from ``levels``."""
+    return st.sampled_from(levels).flatmap(
+        lambda L: st.tuples(st.just(L), *[_numerators(L)] * count))
+
+
+@differential
+@given(_numerators_at(LEVELS, 2))
+def test_galois_nums_is_a_ring_map(case):
+    L, x, y = case
+    total = tuple(map(operator.add, x, y))
+    product = _reduce(L, _poly_mul(x, y))
+    for a in _units(L) + [-1]:
+        gx, gy = _galois_nums(x, a, L), _galois_nums(y, a, L)
+        assert _galois_nums(total, a, L) == tuple(map(operator.add, gx, gy))
+        assert _galois_nums(product, a, L) == _reduce(L, _poly_mul(gx, gy))
+    assert _galois_nums(x, 1, L) == x
+
+
+def old_conj_nums(nums, level):
+    """The numerators ``nums`` of a level-``level`` value under complex
+    conjugation z -> z^{-1}, i.e. z^j -> z^(L-j).  It is an automorphism of
+    Z[zeta_L], so numerators in lowest terms over a denominator stay so."""
+    raw = [0] * level
+    for j, c in enumerate(nums):
+        raw[-j] = c
+    return _reduce(level, raw)
+
+
+@differential
+@given(_numerators_at(range(4, 61, 4), 1))
+def test_galois_nums_at_minus_one_is_the_old_conjugation(case):
+    # old_conj_nums is a verbatim copy of field._conj_nums from before it
+    # became the case a = -1 of _galois_nums (only the name differs)
+    L, x = case
+    assert _galois_nums(x, -1, L) == old_conj_nums(x, L)
+
+
+@differential
+@given(_numerators_at(LEVELS, 1).filter(lambda case: any(case[1])))
+def test_product_of_all_conjugates_is_the_norm(case):
+    # the norm of x in Q(zeta_L) is the resultant of Phi_L and x's polynomial
+    L, x = case
+    prod = (1,)
+    for a in _units(L):
+        prod = _reduce(L, _poly_mul(prod, _galois_nums(x, a, L)))
+    assert not any(prod[1:])
+    phi = sympy.Poly(sympy.cyclotomic_poly(L, X), X)
+    assert prod[0] == sympy.resultant(phi, sympy.Poly(list(reversed(x)), X)) > 0
+
+
+def _dense_level_256_automorphism():
+    """The identity of sl2C, except one dense level-256 entry at [0][0]: its
+    coordinates 3^j mod 1009 mod 19, less 9, with 1 for 0, follow no short
+    period."""
+    one = {"level": 4, "coords": [["1", "1"], ["0", "1"]]}
+    zero = {"level": 4, "coords": [["0", "1"], ["0", "1"]]}
+    matrix = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    matrix[0][0] = {"level": 256, "coords": [[str(pow(3, j, 1009) % 19 - 9 or 1), "1"]
+                                                 for j in range(128)]}
+    return {"algebra": "sl2C", "matrix": matrix}
+
+
+def test_dense_level_256_automorphism_is_refused_quickly():
+    # the Fraction Euclid inverse of the entry ran for over a minute; the
+    # norm inverse takes about a second
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="not an automorphism"):
+        jsonio.dec_automorphism(_dense_level_256_automorphism())
+    assert time.perf_counter() - t0 < 20

@@ -103,6 +103,62 @@ def test_invert_singular_raises():
         linalg.invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 
 
+def _is_inverse(m, inv):
+    return all(x == (1 if i == j else 0)
+               for prod in (linalg.mat_mul(m, inv), linalg.mat_mul(inv, m))
+               for i, row in enumerate(prod) for j, x in enumerate(row))
+
+
+def test_invert_int_matrices_gives_fractions():
+    # the identity block of an int matrix was first / first, the float 1.0
+    assert linalg.invert([[2]]) == [[Fraction(1, 2)]]
+    assert linalg.invert([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    rng = random.Random(11)
+    found = 0
+    while found < 6:
+        m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        try:
+            inv = linalg.invert(m)
+        except ValueError:
+            continue
+        found += 1
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert _is_inverse(m, inv)
+        assert inv == linalg.invert([[Fraction(x) for x in row] for row in m])
+
+
+def test_invert_fraction_matrices_gives_fractions():
+    assert linalg.invert([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 4)]]) == [
+        [2, Fraction(-8, 3)], [0, 4]]
+    rng = random.Random(13)
+    for _ in range(6):
+        m = _random_fraction_matrix(rng, 3, 3)
+        try:
+            inv = linalg.invert(m)
+        except ValueError:
+            continue
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert _is_inverse(m, inv)
+
+
+def test_invert_cyclotomic_matrices_keeps_the_entry_level():
+    z = zeta_power(12, 1)
+    inv = linalg.invert([[z, 1], [0, 2 * z]])
+    assert inv == [[z.conj(), -z.conj() ** 2 / 2], [0, z.conj() / 2]]
+    assert all(x.level == 12 for row in inv for x in row)
+    rng = random.Random(17)
+    found = 0
+    while found < 3:
+        m = _random_cyclo_matrix(rng, 3, 3)
+        try:
+            inv = linalg.invert(m)
+        except ValueError:
+            continue
+        found += 1
+        assert all(type(x) is CyclotomicNumber and x.level == 12 for row in inv for x in row)
+        assert _is_inverse(m, inv)
+
+
 def test_field_rref_inverts_each_pivot_once(monkeypatch):
     # a pivot row is multiplied by the pivot's reciprocal, not divided by
     # the pivot entry by entry

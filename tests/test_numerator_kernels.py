@@ -4,15 +4,16 @@
 ``element._lift_segment`` and of the loop in ``AlgebraElement.conj`` from
 before the lift and the conjugation of numerators were stated once, in
 ``field._lift_nums`` and ``field._conj_nums`` (only the names differ, and
-the loop is wrapped in a function).  ``tests/test_field.py`` checks the
-scalar paths that call the kernels against sympy.
+the loop is wrapped in a function); ``_conj_nums`` is now the case a = -1
+of ``field._galois_nums``.  ``tests/test_field.py`` checks the scalar paths
+that call the kernels against sympy.
 
 The number of examples comes from the hypothesis profile (``conftest.py``).
 """
 
 from hypothesis import given, strategies as st
 
-from kmforge.field import _conj_nums, _lift_nums, _reduce, field_degree
+from kmforge.field import _galois_nums, _lift_nums, _reduce, field_degree
 
 LEVELS = st.sampled_from(range(8, 61, 4))
 STEPS = st.integers(1, 6)
@@ -58,7 +59,7 @@ def test_lift_nums_matches_the_element_segment_lift(data, level, step):
 def test_conj_nums_matches_the_element_conjugation_loop(data, level, count):
     nums = data.draw(_segments(level, count))
     n = field_degree(level)
-    got = [v for i in range(0, len(nums), n) for v in _conj_nums(nums[i:i + n], level)]
+    got = [v for i in range(0, len(nums), n) for v in _galois_nums(nums[i:i + n], -1, level)]
     assert got == element_conj_block(nums, level, n)
     # conjugation is an involution
-    assert [v for i in range(0, len(got), n) for v in _conj_nums(got[i:i + n], level)] == nums
+    assert [v for i in range(0, len(got), n) for v in _galois_nums(got[i:i + n], -1, level)] == nums
