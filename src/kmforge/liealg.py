@@ -20,7 +20,8 @@ from fractions import Fraction
 from . import linalg
 from .element import AlgebraElement, IntRows, _as_scalar, _element, bracket
 from .element import killing_form  # noqa: F401  (re-exported: part of liealg's API)
-from .errors import AlgebraMismatchError, NotFiniteOrderError, UnknownAlgebraError
+from .errors import (AlgebraMismatchError, InvalidLevelError, NotFiniteOrderError,
+                     UnknownAlgebraError)
 from .field import (CyclotomicNumber, _immutable, _rational, check_level, field_degree,
                     imaginary_unit, zeta_of, zeta_power)
 
@@ -178,7 +179,11 @@ class FiniteAutomorphism:
     ``compose`` and ``inverse``, and stores them without re-wrapping or
     checking.  ``apply`` builds the matrix's ``IntRows`` on first use and
     keeps them; ``==`` builds and keeps the entries' levels and (nums, den)
-    pairs.
+    pairs.  Two matrices whose entries sit at other levels are compared on
+    their pairs lifted entry by entry to the lcm of the two entries' levels,
+    as ``==`` on the entries lifts them: each side keeps its lifted pairs in
+    ``_lifted``, keyed by the other side's levels, so a twist compared again
+    with a context at another level is one tuple comparison.
 
     ``compose`` and ``inverse`` are memoized on the algebra table
     (``LieAlgebraTable.products``), keyed by each operand's flag and
@@ -190,7 +195,7 @@ class FiniteAutomorphism:
     loops, target twists) fit in it with room to spare.
     """
 
-    __slots__ = ("algebra", "matrix", "antilinear", "_rows", "_key")
+    __slots__ = ("algebra", "matrix", "antilinear", "_rows", "_key", "_lifted")
 
     def __init__(self, algebra, matrix, antilinear=False):
         object.__setattr__(self, "algebra", algebra)
@@ -198,6 +203,7 @@ class FiniteAutomorphism:
         object.__setattr__(self, "antilinear", bool(antilinear))
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_lifted", None)
         if len(self.matrix) != algebra.dim or any(len(r) != algebra.dim for r in self.matrix):
             raise ValueError("matrix shape does not match algebra dimension")
         check_level(math.lcm(4, *(x.level for row in self.matrix for x in row if x)))
@@ -210,6 +216,7 @@ class FiniteAutomorphism:
         object.__setattr__(self, "antilinear", antilinear)
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_lifted", None)
         return self
 
     __setattr__ = __delattr__ = _immutable
@@ -289,7 +296,31 @@ class FiniteAutomorphism:
         if a == b:
             return True
         # only entries at different levels need a comparison of values
-        return a[0] != b[0] and self.matrix == other.matrix
+        if a[0] == b[0]:
+            return False
+        try:
+            return self._key_against(b[0]) == other._key_against(a[0])
+        except InvalidLevelError:
+            # two entries have no common level; the entrywise comparison
+            # answers at an earlier differing entry, or raises, as ``==`` on
+            # the entries does
+            return self.matrix == other.matrix
+
+    def _key_against(self, levels):
+        """The entries' (nums, den) pairs with entry i lifted to the lcm of its
+        level and ``levels[i]``, built once per level tuple and kept."""
+        lifted = self._lifted
+        if lifted is None:
+            lifted = {}
+            object.__setattr__(self, "_lifted", lifted)
+        key = lifted.get(levels)
+        if key is None:
+            key = []
+            for x, level in zip([x for row in self.matrix for x in row], levels):
+                y = x.lift(math.lcm(x.level, level))
+                key.append((y.nums, y.den))
+            key = lifted[levels] = tuple(key)
+        return key
 
     __hash__ = None
 

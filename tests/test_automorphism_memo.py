@@ -1,4 +1,5 @@
-"""The product memo of the algebra tables against the direct computation.
+"""The product memo of the algebra tables against the direct computation,
+and the cross-level equality against the entrywise comparison.
 
 ``FiniteAutomorphism.compose`` and ``inverse`` keep their results on the
 table, keyed by each operand's flag and entry key (levels included).  The
@@ -7,15 +8,23 @@ power must carry the flag and the entry key, levels included, that it builds.
 Each map comes as built and lifted to levels 8 and 24, with equal values, so
 a memo that answered by value would return another level's matrix and fail
 here.
+
+``FiniteAutomorphism.__eq__`` compares two matrices whose entries sit at
+other levels on each side's (nums, den) pairs, lifted per entry to the lcm of
+the pair and kept per level tuple.  The oracle is the comparison it replaced,
+kept verbatim: entry by entry, each pair lifted by ``CyclotomicNumber.__eq__``.
 """
 
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmforge import linalg
 from kmforge.catalog import _ad, _auto, catalog_for
-from kmforge.field import CyclotomicNumber, zeta_power
+from kmforge.errors import InvalidLevelError
+from kmforge.field import MAX_LEVEL, CyclotomicNumber, field_degree, zeta_power
 from kmforge.liealg import PRODUCT_MEMO_SIZE, FiniteAutomorphism, builtin_algebra
 
 ONE, ZERO = CyclotomicNumber.one(), CyclotomicNumber.zero()
@@ -111,3 +120,118 @@ def test_the_memo_keeps_its_capacity_and_recomputes_an_evicted_product(monkeypat
     assert again is not first
     _same(again, first)
     _same(again, _direct_compose(a, b))
+
+
+# -- cross-level equality ------------------------------------------------------
+
+
+def _entrywise_eq(self, other):
+    """``FiniteAutomorphism.__eq__`` before the lifted keys, verbatim."""
+    if not isinstance(other, FiniteAutomorphism):
+        return NotImplemented
+    if self is other:
+        return True
+    if self.algebra is not other.algebra or self.antilinear != other.antilinear:
+        return False
+    a, b = self._entry_key(), other._entry_key()
+    if a == b:
+        return True
+    # only entries at different levels need a comparison of values
+    return a[0] != b[0] and self.matrix == other.matrix
+
+
+def _verdict(f, *args):
+    try:
+        return f(*args)
+    except InvalidLevelError as exc:
+        return type(exc)
+
+
+def _agree(f, g):
+    want = _verdict(_entrywise_eq, f, g)
+    assert _verdict(f.__eq__, g) == want
+    return want
+
+
+EQ_LEVELS = (4, 8, 12, 24)
+
+
+@st.composite
+def _value(draw):
+    """A sparse value at one of EQ_LEVELS."""
+    level = draw(st.sampled_from(EQ_LEVELS))
+    if draw(st.booleans()):
+        return CyclotomicNumber.zero(level)
+    n = field_degree(level)
+    return CyclotomicNumber(level, draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+
+@st.composite
+def _cross_level_pair(draw, name):
+    """Two matrices of equal values, each entry lifted on each side to the
+    lcm of its level and a level drawn for that side."""
+    alg = builtin_algebra(name)
+    values = [[draw(_value()) for _ in range(alg.dim)] for _ in range(alg.dim)]
+    antilinear = draw(st.booleans())
+    sides = []
+    for _ in range(2):
+        levels = [[draw(st.sampled_from(EQ_LEVELS)) for _ in row] for row in values]
+        sides.append(FiniteAutomorphism(
+            alg, [[x.lift(math.lcm(x.level, lev)) for x, lev in zip(row, lrow)]
+                  for row, lrow in zip(values, levels)], antilinear))
+    i, j = draw(st.integers(0, alg.dim - 1)), draw(st.integers(0, alg.dim - 1))
+    return sides, (i, j)
+
+
+def _replaced(f, i, j, x, antilinear=None):
+    rows = [list(row) for row in f.matrix]
+    rows[i][j] = x
+    return FiniteAutomorphism(f.algebra, rows, f.antilinear if antilinear is None else antilinear)
+
+
+@pytest.mark.parametrize("name", ["sl2C", "sl3C"])
+@given(data=st.data())
+def test_cross_level_equality_answers_as_the_entrywise_comparison(name, data):
+    (a, b), (i, j) = data.draw(_cross_level_pair(name))
+    assert _agree(a, b) is True and _agree(b, a) is True
+    # one entry that differs, at its own level
+    c = _replaced(b, i, j, b.matrix[i][j] + 1)
+    assert _agree(a, c) is False and _agree(c, a) is False
+    # a mismatched antilinear flag
+    assert _agree(a, _replaced(b, i, j, b.matrix[i][j], not b.antilinear)) is False
+    la, lb = a._entry_key()[0], b._entry_key()[0]
+    if la != lb:
+        # a repeated comparison is served from the kept lifted pairs
+        kept = a._lifted[lb], b._lifted[la]
+        assert a == b and b == a
+        assert a._lifted[lb] is kept[0] and b._lifted[la] is kept[1]
+
+def _identity_with(alg, diagonal):
+    """The identity of ``alg`` with the diagonal entries {i: x} set."""
+    rows = [[ONE if r == c else ZERO for c in range(alg.dim)] for r in range(alg.dim)]
+    for i, x in diagonal.items():
+        rows[i][i] = x
+    return FiniteAutomorphism(alg, rows)
+
+def test_equality_needs_only_each_pair_of_entries_to_have_a_common_level():
+    alg = builtin_algebra("sl2C")
+    # lcm(512, 12) passes MAX_LEVEL over the two matrices, while each pair of
+    # entries meets at 512 or 12
+    assert math.lcm(512, 12) > MAX_LEVEL
+    a = _identity_with(alg, {0: ONE.lift(512)})
+    b = _identity_with(alg, {1: ONE.lift(12)})
+    assert _agree(a, b) is True and _agree(b, a) is True
+    # answered by the lifted pairs, not by the entrywise fallback
+    assert b._entry_key()[0] in a._lifted and a._entry_key()[0] in b._lifted
+    c = _identity_with(alg, {1: ONE.lift(12), 2: (2 * ONE).lift(12)})
+    assert _agree(a, c) is False and _agree(c, a) is False
+
+
+def test_a_pair_of_entries_without_a_common_level_answers_as_the_entrywise_comparison():
+    alg = builtin_algebra("sl2C")
+    a = _identity_with(alg, {2: ONE.lift(512)})
+    b = _identity_with(alg, {2: ONE.lift(12)})
+    assert _agree(a, b) is InvalidLevelError and _agree(b, a) is InvalidLevelError
+    # a differing entry before the pair answers first
+    c = _identity_with(alg, {0: 2 * ONE, 2: ONE.lift(12)})
+    assert _agree(a, c) is False and _agree(c, a) is False

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmforge import jsonio, realforms, verify
+from kmforge import cli, jsonio, realforms, verify
 from kmforge.catalog import catalog_for
 from kmforge.cli import main
 from kmforge.field import imaginary_unit, zeta_power
@@ -872,3 +872,43 @@ def test_a_failing_trial_fails_its_check_with_the_first_witness(capsys, monkeypa
     calls.clear()
     code, doc = run_cli(capsys, "verify", "jacobi", "--N", "2", "--trials", "3")
     assert code == 1 and doc == report
+
+
+def test_the_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys,
+                                                                   monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    phi = str(tmp_path / "phi.json")
+    assert main(["auto", "realize", "--kind", "first", "--q", "2", "--p", "0", "--rho", "mu",
+                 "--beta", "id", "--out", phi]) == 0
+    # a flag set on one call is back at its default on the next
+    assert run_cli(capsys, "auto", "order", "--in", phi, "--bound", "5") == (
+        0, {"order": 2, "bound": 5})
+    assert run_cli(capsys, "auto", "order", "--in", phi) == (0, {"order": 2, "bound": 48})
+    main(["verify", "jacobi", "--trials", "1", "--seed", "3"])
+    capsys.readouterr()
+    assert main(["verify", "jacobi"]) == 0
+    fresh = subprocess.run([sys.executable, "-m", "kmforge.cli", "verify", "jacobi"],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
+    # KMFORGE_LEVEL is read on every call, not when the parser was built
+    realize = ["auto", "realize", "--kind", "first", "--q", "2", "--p", "0", "--rho", "mu",
+               "--beta", "id"]
+    monkeypatch.setenv("KMFORGE_LEVEL", "12")
+    code, doc = run_cli(capsys, *realize)
+    assert code == 0 and doc["curve"]["base"]["matrix"][0][0]["level"] == 12
+    monkeypatch.delenv("KMFORGE_LEVEL")
+    code, doc = run_cli(capsys, *realize)
+    assert code == 0 and doc["curve"]["base"]["matrix"][0][0]["level"] == 4
+    monkeypatch.setenv("KMFORGE_LEVEL", "abc")
+    code, doc = run_cli(capsys, *realize)
+    assert code == 2 and "KMFORGE_LEVEL" in doc["error"]["message"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # kmforge's set-up time is timed from import; the parser is built on the
+    # first main call
+    proc = subprocess.run([sys.executable, "-c", "from kmforge import cli; "
+                           "print(cli.build_parser.cache_info().currsize)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "0"

@@ -1,8 +1,8 @@
 """kmforge's value types refuse ``del`` as they refuse assignment.
 
 A deleted slot, the lazily filled caches included (``AlgebraElement.segs``,
-``FiniteAutomorphism._rows`` and ``._key``), would leave a value that fails
-on its next read.  Each case deletes every slot of a value whose caches are
+``FiniteAutomorphism._rows``, ``._key`` and ``._lifted``), would leave a
+value that fails on its next read.  Each case deletes every slot of a value whose caches are
 filled, expects ``AttributeError`` each time, and then compares the value
 with a fresh copy and reads its caches again.
 """
@@ -34,7 +34,12 @@ def _automorphism():
     auto = FiniteAutomorphism(SL2, [[0, 0, -1], [0, -1, 0], [-1, 0, 0]])
     auto.int_rows()
     auto._entry_key()
+    assert auto == _at_level_8(auto)  # fills _lifted
     return auto
+
+
+def _at_level_8(auto):
+    return FiniteAutomorphism(SL2, [[x.lift(8) for x in row] for row in auto.matrix])
 
 
 def _loop():
@@ -51,6 +56,7 @@ def _reread(value):
     if isinstance(value, FiniteAutomorphism):
         value.int_rows()
         value._entry_key()
+        assert value == _at_level_8(value)
     elif hasattr(value, "segs"):
         _segs(value)
 
@@ -58,7 +64,7 @@ def _reread(value):
 @pytest.mark.parametrize("build, slots", [
     (_cyclo, ("level", "nums", "den")),
     (_element, ("algebra", "level", "nums", "den", "segs")),
-    (_automorphism, ("algebra", "matrix", "antilinear", "_rows", "_key")),
+    (_automorphism, ("algebra", "matrix", "antilinear", "_rows", "_key", "_lifted")),
     (_loop, ("context", "terms")),
     (_affine, ("loop", "c_coef", "d_coef")),
 ], ids=["CyclotomicNumber", "AlgebraElement", "FiniteAutomorphism", "LoopElement",

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from kmforge import jsonio
+from kmforge import cli, jsonio, verify
 from kmforge.affine import AffineElement
 from kmforge.catalog import catalog_for
 from kmforge.errors import InvalidInputError
@@ -140,3 +145,92 @@ def test_table_encoding_is_json_serializable():
     parsed = json.loads(doc)
     assert parsed["compact"] is True
     assert parsed["killing"][0][0] == ["-8", "1"]
+
+
+# -- the indented writer against json.dumps ----------------------------------
+
+
+def _stdlib(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_specials = '"\\/\x00\x1f\x7f\b\f\n\r\t\u2028éß€\U0001d11e'
+_text = st.text(alphabet=st.one_of(st.characters(exclude_categories=("Cs",)),
+                                   st.sampled_from(_specials)))
+_leaves = st.one_of(_text, st.integers(), st.integers(min_value=-10 ** 60, max_value=-10 ** 40),
+                    st.booleans(), st.none(), st.floats())
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_text, inner, max_size=4),
+        # keys json writes as strings; bool and int keys sort together
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), inner, max_size=4),
+        # two NaN keys would sort by their values, which may not compare
+        st.dictionaries(st.floats(allow_nan=False), inner, max_size=3),
+        st.dictionaries(st.none(), inner, max_size=1)),
+    max_leaves=40)
+
+
+@given(_values)
+@example([[], {}, (), {"a": [], "b": {}}, ""])
+@example([-(10 ** 50), True, False, None, 0])
+@example({1: "x", True: "y", 2: "z"})
+@example({None: 1})
+def test_dumps_writes_the_text_of_json_dumps(value):
+    assert jsonio.dumps(value) == _stdlib(value)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, [Fraction(1)], {"a": {"b": {3}}},
+                                   {(1, 2): "tuple key"}])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        _stdlib(value)
+    with pytest.raises(TypeError):
+        jsonio.dumps(value)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(__file__).parent.glob("golden_*.json")),
+                         ids=lambda p: p.name)
+def test_dumps_writes_every_golden_document_as_json_does(path):
+    doc = json.loads(path.read_text())
+    assert jsonio.dumps(doc) == _stdlib(doc)
+
+
+def test_every_cli_document_is_the_text_of_json_dumps(tmp_path, monkeypatch):
+    """Every payload ``cli.main`` writes, tuples and all, is checked before it
+    is written: each verify suite at its defaults, classify, and the auto
+    commands, an error document included."""
+    written = []
+    dumps = jsonio.dumps
+
+    def checked(payload):
+        text = dumps(payload)
+        assert text == _stdlib(payload)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(jsonio, "dumps", checked)
+    phi, inv = str(tmp_path / "phi.json"), str(tmp_path / "inv.json")
+    commands = [["verify", suite] for suite in sorted(verify.SUITES)] + [
+        ["classify", "involutions", "--algebra", "sl2C"],
+        ["classify", "involutions", "--algebra", "sl3C"],
+        ["classify", "realforms", "--algebra", "sl3C"],
+        ["auto", "realize", "--algebra", "sl2C", "--kind", "first", "--q", "4", "--p", "1",
+         "--rho", "id", "--beta", "id", "--out", phi],
+        ["auto", "realize", "--algebra", "sl2C", "--kind", "second", "--plus", "mu",
+         "--minus", "id"],
+        ["auto", "invariant", "--in", phi, "--out", inv],
+        ["auto", "order", "--in", phi],
+        ["auto", "equivalent", "--a", inv, "--b", inv],
+        ["auto", "order", "--in", str(tmp_path / "missing.json")],
+    ]
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(argv)
+        if "--out" not in argv:
+            assert out.getvalue() == written[-1] + "\n"
+    assert len(written) == len(commands)
