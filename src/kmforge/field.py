@@ -52,11 +52,11 @@ def _divisors(n):
 
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
+    nz = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+            for j, y in nz:
+                out[i + j] += x * y
     return out
 
 

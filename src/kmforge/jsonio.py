@@ -164,7 +164,9 @@ def dec_rational(obj):
 
 
 def enc_cyclo(x):
-    return {"level": x.level, "coords": [enc_rational(c) for c in x.coords]}
+    den = x.den
+    return {"level": x.level, "coords": [[str(n // g), str(den // g)]
+                                         for n in x.nums for g in (math.gcd(n, den),)]}
 
 
 def lift_scalars(doc, level):

@@ -18,8 +18,7 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .element import AlgebraElement, IntRows, _as_scalar, _element, bracket
-from .element import killing_form  # noqa: F401  (re-exported: part of liealg's API)
+from .element import AlgebraElement, IntRows, _as_scalar, _element, bracket, killing_form
 from .errors import (AlgebraMismatchError, InvalidLevelError, NotFiniteOrderError,
                      UnknownAlgebraError)
 from .field import (CyclotomicNumber, _immutable, _rational, check_level, field_degree,
@@ -41,8 +40,8 @@ class LieAlgebraTable:
     """Simple Lie algebra with exact structure constants and Killing form.
 
     The dense ``structure[i][j][k]`` (coefficient of x_k in [x_i, x_j]) is the
-    input and the encoded view; computations read ``pairs[i][j]``, the nonzero
-    constants of [x_i, x_j] as ``(k, c)`` in increasing k, c an int if integral.
+    input and the encoded view; computations read ``int_pairs[i][j]``, the
+    nonzero constants of [x_i, x_j] as ``(k, c)``, c an int over ``scale``.
     """
 
     def __init__(self, name, structure, basis_names, base_field_tag, compact_flag):
@@ -51,19 +50,19 @@ class LieAlgebraTable:
         if any(len(plane) != d or any(len(row) != d for row in plane) for plane in structure):
             raise ValueError(f"{name}: structure constants must form a {d}x{d}x{d} cube")
         self.structure = structure
-        self.pairs = tuple(tuple(tuple((k, _integral(c)) for k, c in enumerate(row) if c)
-                                 for row in plane) for plane in structure)
         self.basis_names = tuple(basis_names)
         self.base_field_tag = base_field_tag
         self.compact_flag = compact_flag
-        self.killing = self._killing_matrix()
-        # for integer blocks: the constants as ints over one denominator s, then
-        # the scalar row d, and the Killing entries as ints over s^2
-        s = self.scale = math.lcm(*(c.denominator for plane in self.pairs for row in plane
+        # the one structure tensor: ints over one denominator s, then the scalar row d
+        consts = [[[(k, Fraction(c)) for k, c in enumerate(row) if c] for row in plane]
+                  for plane in structure]
+        s = self.scale = math.lcm(*(c.denominator for plane in consts for row in plane
                                      for _, c in row))
-        self.int_pairs = tuple(tuple(tuple((k, int(c * s)) for k, c in row) for row in plane)
-                                for plane in self.pairs) + (tuple(((k, s),) for k in range(d)),)
-        self.int_killing = tuple(tuple(int(c * s * s) for c in row) for row in self.killing)
+        self.int_pairs = tuple(tuple(tuple((k, c.numerator * (s // c.denominator))
+                                           for k, c in row) for row in plane)
+                               for plane in consts) + (tuple(((k, s),) for k in range(d)),)
+        self.int_killing = self._int_killing()
+        self.killing = tuple(tuple(_integral(v, s * s) for v in row) for row in self.int_killing)
         # the Killing entries in the layout of int_pairs, with one output
         self.killing_pairs = tuple(tuple(((0, c),) if c else () for c in row)
                                    for row in self.int_killing)
@@ -83,15 +82,16 @@ class LieAlgebraTable:
         """The identity automorphism, built once and shared: it is immutable."""
         return FiniteAutomorphism(self, linalg.identity_like(self.dim, 1))
 
-    def _killing_matrix(self):
-        """kappa(x_i, x_j) = tr(ad x_i ad x_j) = sum of c[i][a][b] * c[j][b][a]."""
-        cols = [[dict(row) for row in plane] for plane in self.pairs]
-        return tuple(tuple(_integral(sum(c * cols[j][b].get(a, 0)
-                                         for a, row in enumerate(self.pairs[i]) for b, c in row))
-                           for j in range(self.dim)) for i in range(self.dim))
+    def _int_killing(self):
+        """s^2 tr(ad x_i ad x_j), the sum of c[i][a][b] * c[j][b][a] over int_pairs."""
+        d, p = self.dim, self.int_pairs
+        cols = [[dict(row) for row in plane] for plane in p[:d]]
+        return tuple(tuple(sum(c * cols[j][b].get(a, 0) for a, row in enumerate(p[i])
+                               for b, c in row)
+                           for j in range(d)) for i in range(d))
 
     def _validate(self):
-        d, p = self.dim, self.pairs
+        d, p = self.dim, self.int_pairs
         for i in range(d):
             for j in range(d):
                 a, b = dict(p[i][j]), dict(p[j][i])
@@ -136,10 +136,9 @@ class LieAlgebraTable:
         return f"LieAlgebraTable({self.name}, dim={self.dim})"
 
 
-def _integral(c):
-    """A rational as an int when it is integral, else as a Fraction."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+def _integral(n, d):
+    """n / d as an int when it is integral, else as a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 def _negative_definite(matrix):
@@ -157,15 +156,9 @@ def _negative_definite(matrix):
 
 
 def ad_matrix(x):
-    """Matrix of ad(x) in the table basis (columns are [x, e_j])."""
-    d = x.algebra.dim
-    out = [[CyclotomicNumber.zero()] * d for _ in range(d)]
-    for i, xi in enumerate(x.coords):
-        if xi:
-            for j, row in enumerate(x.algebra.pairs[i]):
-                for k, c in row:
-                    out[k][j] = out[k][j] + xi * c
-    return out
+    """Matrix of ad(x) in the table basis: its columns are [x, e_j], every
+    entry at x's level."""
+    return [list(row) for row in zip(*(bracket(x, e).coords for e in x.algebra.basis()))]
 
 
 class FiniteAutomorphism:
@@ -330,14 +323,15 @@ class FiniteAutomorphism:
 
 
 def check_automorphism(auto):
-    """True iff the map is invertible and preserves the bracket."""
+    """True iff the map is invertible and preserves the bracket, by products:
+    A^T K A = K holds for every automorphism and the matrix A of an antilinear
+    one (rational constants), and gives det(A)^2 = 1 (K is nondegenerate)."""
     alg = auto.algebra
     d = alg.dim
-    try:
-        linalg.invert([list(r) for r in auto.matrix])
-    except ValueError:
-        return False
     cols = [AlgebraElement(alg, tuple(auto.matrix[i][j] for i in range(d))) for j in range(d)]
+    if any(killing_form(cols[i], cols[j]) != alg.killing[i][j]
+           for i in range(d) for j in range(i, d)):
+        return False
     for i in range(d):
         for j in range(i + 1, d):
             lhs = auto.apply(bracket(alg.basis_element(i), alg.basis_element(j)))
@@ -517,7 +511,7 @@ class ExpCurveData:
 def exp_curve(x, candidate_qs):
     """Eigenspace data for ad(x) computed from candidate rational eigenvalues."""
     adX = ad_matrix(x)
-    lev = math.lcm(4, *[c.level for row in adX for c in row])
+    lev = math.lcm(4, *[c.level for row in adX for c in row if c])
     i_unit = imaginary_unit(lev)
     pairs = []
     seen = set()

@@ -283,10 +283,11 @@ def _exp_conjugator(ctx):
     basis element whose ad is diagonal in the table basis; the candidate
     eigenvalues are half those diagonal entries."""
     alg = ctx.algebra
-    h, plane = next((h, plane) for h, plane in enumerate(alg.pairs)
+    h, plane = next((h, plane) for h, plane in enumerate(alg.int_pairs[:alg.dim])
                     if all(k == j for j, row in enumerate(plane) for k, _ in row))
     x = alg.basis_element(h) * (imaginary_unit() * Fraction(1, 2))
-    curve = exp_curve(x, [Fraction(dict(row).get(j, 0), 2) for j, row in enumerate(plane)])
+    curve = exp_curve(x, [Fraction(dict(row).get(j, 0), 2 * alg.scale)
+                          for j, row in enumerate(plane)])
     return standard_automorphism(1, Fraction(0), FiniteAutomorphism.identity(alg), ctx, exp=curve)
 
 

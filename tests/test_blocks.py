@@ -97,12 +97,13 @@ def scalar_bracket(x, y):
     for i, xi in enumerate(x.coords):
         if not xi:
             continue
-        row = alg.pairs[i]
+        plane = alg.structure[i]
         for j, yj in enumerate(y.coords):
-            if yj and row[j]:
+            if yj and any(plane[j]):
                 prod = xi * yj
-                for k, c in row[j]:
-                    out[k] = out[k] + prod * c
+                for k, c in enumerate(plane[j]):
+                    if c:
+                        out[k] = out[k] + prod * c
     return ScalarElement(alg, tuple(out))
 
 

@@ -392,8 +392,8 @@ def _dense_level_256_automorphism():
 
 
 def test_dense_level_256_automorphism_is_refused_quickly():
-    # the Fraction Euclid inverse of the entry ran for over a minute; the
-    # norm inverse takes about a second
+    # the Fraction Euclid inverse of the entry ran for over a minute, and the
+    # norm inverse about a second; the Killing-form check inverts nothing
     t0 = time.perf_counter()
     with pytest.raises(InvalidInputError, match="not an automorphism"):
         jsonio.dec_automorphism(_dense_level_256_automorphism())

@@ -1,9 +1,9 @@
 """The sparse structure tensor against dense reference copies.
 
-``LieAlgebraTable`` computes from ``pairs[i][j]``, the nonzero constants of
-[x_i, x_j].  The dense loops below are the table code as it read while it
-walked the whole d x d x d cube; they are the oracle for the sparse
-validation and for every sparse reader.  ``golden_tables.json`` holds the
+``LieAlgebraTable`` computes from ``int_pairs[i][j]``, the nonzero constants
+of [x_i, x_j] over one denominator.  The dense loops below are the table
+code as it read while it walked the whole d x d x d cube; they are the
+oracle for the sparse validation and for every sparse reader.  ``golden_tables.json`` holds the
 ``algebra show`` documents of the four built-in tables, recorded from the
 dense implementation.
 """
@@ -145,11 +145,15 @@ def test_malformed_structure_is_a_value_error(shape):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_pairs_are_the_nonzero_constants_as_ints(name):
+    # every built-in constant is an integer, so scale is 1 and int_pairs
+    # holds the constants themselves
     alg = builtin_algebra(name)
+    assert alg.scale == 1 and len(alg.int_pairs) == alg.dim + 1
     for i, plane in enumerate(alg.structure):
         for j, row in enumerate(plane):
-            assert alg.pairs[i][j] == tuple((k, c) for k, c in enumerate(row) if c)
-            assert all(type(c) is int for _, c in alg.pairs[i][j])
+            assert alg.int_pairs[i][j] == tuple((k, c) for k, c in enumerate(row) if c)
+            assert all(type(c) is int for _, c in alg.int_pairs[i][j])
+    assert alg.int_pairs[alg.dim] == tuple(((k, 1),) for k in range(alg.dim))
     assert all(type(x) is int for row in alg.killing for x in row)
 
 
@@ -250,7 +254,10 @@ def test_sparse_readers_agree_with_the_dense_ones(name):
         assert all(a == b and a.level == math.lcm(x.level, y.level)
                    for a, b in zip(got.coords, want.coords))
         assert _same(killing_form(x, y), dense_killing_form(x, y))
+        # ad_matrix's columns are brackets [x, e_j], so every entry, zeros
+        # included, is at x's level
         got, want = ad_matrix(x), dense_ad_matrix(x)
-        assert all(_same(a, b) for ra, rb in zip(got, want) for a, b in zip(ra, rb))
+        assert all(a == b and a.level == x.level
+                   for ra, rb in zip(got, want) for a, b in zip(ra, rb))
 
     check()
