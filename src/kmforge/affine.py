@@ -187,7 +187,7 @@ def finite_order_extension(phi, bound=ORDER_BOUND):
 def _hat_slice(context, N):
     """c, d, then the degree <= N loop slice as hat elements."""
     return [c_element(context), d_element(context)] + [
-        AffineElement(LoopElement(context, {k: b})) for k, b in slice_terms(context, N)]
+        AffineElement(LoopElement._trusted(context, {k: b})) for k, b in slice_terms(context, N)]
 
 
 def hat_order(data, bound=ORDER_BOUND):

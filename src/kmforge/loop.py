@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .element import IntRows, convolve, killing_sum
+from .element import convolve, killing_sum
 from .errors import ContextMismatchError, InvalidInputError, NotFiniteOrderError
 from .field import _immutable, _make, _rational, check_level, field_degree, zeta_power
 from .liealg import automorphism_order, eigenspace_decomposition
@@ -41,7 +41,6 @@ class TwistContext:
         # here keeps slices and orders of such a context from ever being built
         check_level(math.lcm(4, self.D))
         self._eigenbases = None
-        self._kernels = {}
 
     def __eq__(self, other):
         if not isinstance(other, TwistContext):
@@ -60,17 +59,8 @@ class TwistContext:
         return f"TwistContext({self.algebra.name}, order {self.twist_order}, D={self.D})"
 
     def term_ok(self, k, x):
-        """Twist condition sigma(x) = zeta_D^k x for one term, checked as
-        (sigma - zeta_D^r I) x = 0 (sigma is linear), with the integer rows
-        of that kernel cached per r = k mod D."""
-        if not x:
-            return True
-        r = k % self.D
-        if r not in self._kernels:
-            z = zeta_power(self.D, r)
-            self._kernels[r] = IntRows([[a - z if i == j else a for j, a in enumerate(row)]
-                                        for i, row in enumerate(self.sigma.matrix)])
-        return not self._kernels[r].apply(x)
+        """Twist condition sigma(x) = zeta_D^k x for one term."""
+        return not x or self.sigma.apply(x) == zeta_power(self.D, k) * x
 
     def eigenbasis_for_exponent(self, k):
         """Basis of the sigma-eigenspace attached to exponent k: zeta_D^k is
@@ -121,9 +111,10 @@ class LoopElement:
         ``context`` to its elements; zero terms are dropped and the rest
         sorted.  The caller guarantees the twist condition: sums and scalar
         multiples of valid terms keep it, so does a bracket (sigma[x, y] =
-        [sigma x, sigma y]), a rescaling of each term and a combination of
-        one exponent's eigenbasis, and a standard map lands in the target
-        twist derived from periodicity."""
+        [sigma x, sigma y]), a rescaling of each term, an eigenbasis vector
+        of its exponent or a scalar multiple of one, and a combination of one
+        exponent's eigenbasis; a standard map lands in the target twist
+        derived from periodicity."""
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", tuple(sorted([(k, x) for k, x in terms.items() if x])))

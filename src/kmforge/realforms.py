@@ -166,7 +166,7 @@ def _exponent(desc, k, lev):
     """(zeta_lev^j * b, its theta-image) for the slice at exponent k; kept on desc."""
     if k not in desc._slices:
         ctx = desc.context
-        gens = [LoopElement(ctx, {k: zeta_power(lev, j) * b})
+        gens = [LoopElement._trusted(ctx, {k: zeta_power(lev, j) * b})
                 for b in ctx.eigenbasis_for_exponent(k) for j in range(field_degree(lev))]
         desc._slices[k] = [(g, apply(desc.conjugation, g)) for g in gens]
     return desc._slices[k]

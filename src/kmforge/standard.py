@@ -253,10 +253,12 @@ def standard_order(phi, bound=ORDER_BOUND):
 def loop_map_order(apply_fn, context, bound=ORDER_BOUND, test_elements=None):
     """Least n <= bound with apply_fn^n fixing every test element, else None.
 
-    The default test elements span the degree <= 2D slice of the loop algebra.
+    The default test elements span the degree <= 2D slice of the loop algebra:
+    one-term loops of an eigenbasis vector of their exponent, which meet the
+    twist condition by construction and are built trusted.
     """
     tests = test_elements if test_elements is not None else [
-        LoopElement(context, {k: b}) for k, b in slice_terms(context, 2 * context.D)]
+        LoopElement._trusted(context, {k: b}) for k, b in slice_terms(context, 2 * context.D)]
     return order_by_iteration(
         [apply_fn(u) for u in tests], lambda current: [apply_fn(c) for c in current],
         lambda current: all(c == u for c, u in zip(current, tests)), bound)

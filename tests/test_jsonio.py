@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kmforge import cli, jsonio, verify
 from kmforge.affine import AffineElement
 from kmforge.catalog import catalog_for
-from kmforge.errors import InvalidInputError
+from kmforge.errors import AlgebraMismatchError, InvalidInputError
 from kmforge.field import imaginary_unit, zeta_power
 from kmforge.invariants import extract_invariant_second, realize_first, realize_second
 from kmforge.liealg import FiniteAutomorphism, builtin_algebra
@@ -82,6 +82,18 @@ def test_loop_decode_rejects_a_repeated_exponent():
     enc["terms"][1]["k"] = -1
     assert jsonio.dec_loop(enc) == LoopElement(
         ctx, {1: SL2.basis_element(0), -1: SL2.basis_element(2)})
+
+
+@pytest.mark.parametrize("ctx_name, coeff_name", [("sl3C", "sl2C"), ("sl2C", "sl3C")])
+def test_loop_decode_refuses_a_coefficient_over_another_algebra(ctx_name, coeff_name):
+    cat = catalog_for(ctx_name)
+    ctx = TwistContext(cat.algebra, cat.named("id"))
+    enc = jsonio.enc_loop(LoopElement(ctx, {0: cat.algebra.basis_element(1)}))
+    assert jsonio.dec_loop(enc) == LoopElement(ctx, {0: cat.algebra.basis_element(1)})
+    enc["terms"][0]["coeff"] = jsonio.enc_element(builtin_algebra(coeff_name).basis_element(1))
+    assert enc["terms"][0]["coeff"]["algebra"] == coeff_name
+    with pytest.raises(AlgebraMismatchError):
+        jsonio.dec_loop(enc)
 
 
 def test_standard_round_trip_constant():

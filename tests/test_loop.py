@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kmforge.catalog import catalog_for
-from kmforge.errors import ContextMismatchError, InvalidInputError
+from kmforge.errors import AlgebraMismatchError, ContextMismatchError, InvalidInputError
 from kmforge.field import imaginary_unit
 from kmforge.liealg import AlgebraElement, FiniteAutomorphism, builtin_algebra
 from kmforge.loop import (
@@ -74,6 +74,20 @@ def test_validate_examples():
     with pytest.raises(InvalidInputError, match="twist condition"):
         LoopElement(ctx, {1: H})
     assert not validate(LoopElement._trusted(ctx, {1: H}))
+
+
+@pytest.mark.parametrize("ctx_name, term_name", [("sl3C", "sl2C"), ("sl2C", "sl3C")])
+@pytest.mark.parametrize("twist", ["id", "mu"])
+def test_constructor_refuses_a_term_over_another_algebra(ctx_name, term_name, twist):
+    # the twist check applies sigma to each term, and sigma refuses an
+    # element of another algebra, whichever of the two is larger
+    cat = catalog_for(ctx_name)
+    ctx = TwistContext(cat.algebra, cat.named(twist))
+    x = builtin_algebra(term_name).basis_element(1)
+    for terms in ({0: x}, {0: x, 1: x}):
+        with pytest.raises(AlgebraMismatchError):
+            LoopElement(ctx, terms)
+    assert validate(LoopElement(ctx, {0: ctx.eigenbasis_for_exponent(0)[0]}))
 
 
 @pytest.mark.parametrize("k", [1.5, 1.0, Fraction(1), True, "1", None])

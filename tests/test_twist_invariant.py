@@ -2,8 +2,8 @@
 constructor checks it once, and loop operations and maps build their results
 through the unchecked ``LoopElement._trusted``.  These oracles apply every
 family of maps to loops of its source context and check each term of the
-result with sigma(x) == zeta_D^k * x in the result's context (not the cached
-kernels of ``TwistContext.term_ok``), and that ``validate`` agrees."""
+result with sigma(x) == zeta_D^k * x in the result's context, written out in
+``test_kernels._term_ok_per_term``, and that ``validate`` agrees."""
 
 from fractions import Fraction
 from functools import cache
