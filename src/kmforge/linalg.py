@@ -34,8 +34,9 @@ echelon form, with the same pivots.  ``in_span`` cross-multiplies on such
 rows, ``rank`` counts their pivots and ``kernel_basis`` divides by the pivot
 only for its output, as ``Fraction``s equal to the field path's, and so
 do ``solve`` and ``invert``.  Matrices of Fractions or CyclotomicNumbers
-take the field path; ``invert``'s identity block then holds ``x / x`` for
-the first nonzero entry x, so a cyclotomic inverse keeps its entry levels.
+take the field path; ``invert``'s identity block then holds ``x ** 0`` for
+the first nonzero entry x, which is 1 at x's level with no inverse taken, so
+a cyclotomic inverse keeps its entry levels.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def invert(matrix):
     first = next((x for row in matrix for x in row if x), None)
     if first is None:
         raise ValueError("singular matrix")
-    one = 1 if type(first) is int else first / first
+    one = 1 if type(first) is int else first ** 0
     aug = [list(row) + ident_row for row, ident_row in zip(matrix, identity_like(n, one))]
     rows, pivots = rref(aug)
     if pivots != list(range(n)):

@@ -297,9 +297,9 @@ def verify_hat(algebra="sl2C", seed=7, trials=10):
     rng = random.Random(seed)
     cat = catalog_for(algebra)
     checks = []
+    ctx = TwistContext(builtin_algebra(algebra), cat.named("id"), D=2)
+    psi = _exp_conjugator(ctx)
     for name in cat.involutions():
-        ctx = TwistContext(builtin_algebra(algebra), cat.named("id"), D=2)
-        psi = _exp_conjugator(ctx)
         phi = conjugate(psi, pointwise(ctx, cat.named(name)))
         data = finite_order_extension(phi)
         # finite_order_extension raised unless the hat order equals phi's

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from kmforge.affine import (
     AffineElement,
+    HatExtensionData,
     affine_bracket,
     c_element,
     center_and_derived_check,
@@ -167,6 +168,19 @@ def test_wrong_constant_breaks_finite_order():
     twice = bad.apply(bad.apply(d))
     assert twice != d
     assert twice.c_coef == -8
+
+
+def test_a_wrong_shadow_breaks_the_bracket():
+    # the finite-order extension of the exp-conjugated mu preserves the hat
+    # bracket; the same data with its shadow doubled does not
+    moved = _exp_conjugated_mu()
+    data = finite_order_extension(moved)
+    wrong = HatExtensionData(moved, data.shadow * 2, data.nu)
+    rng = random.Random(4)
+    ctx = moved.source
+    pairs = [(random_affine(rng, ctx), random_affine(rng, ctx)) for _ in range(5)]
+    assert hat_preserves_bracket(data, pairs)
+    assert not hat_preserves_bracket(wrong, pairs)
 
 
 def test_rotation_extension_order_three():

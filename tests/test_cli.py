@@ -192,6 +192,20 @@ def test_verify_determinism(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--algebra", "sl2C", "--q", "2", "--p", "3", "--rho", "mu", "--beta", "id"),
+     "p must lie in [0, q]"),
+    # r3 and mu do not commute on sl3C
+    (("--algebra", "sl3C", "--q", "3", "--p", "0", "--rho", "r3", "--beta", "mu"),
+     "beta must commute with rho"),
+], ids=["p-outside-0..q", "beta-not-commuting"])
+def test_realize_incompatible_data_exits_2(capsys, argv, message):
+    code, doc = run_cli(capsys, "auto", "realize", "--kind", "first", *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "IncompatibleDataError"
+    assert doc["error"]["message"] == message
+
+
 def test_env_level_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KMFORGE_LEVEL", "24")
     phi_path = tmp_path / "phi.json"

@@ -1,7 +1,7 @@
 """Oracles for the cached term kernels of ``standard.apply``, compared with
 the per-term computation they replace, value and level of every coordinate,
-and for ``TwistContext.term_ok``, which must accept exactly the terms with
-sigma(x) = zeta_D^k x."""
+and for ``TwistContext.term_ok``, which must accept exactly the terms in the
+eigenspace of exponent k that ``eigenspace_decomposition`` solves for."""
 
 from fractions import Fraction
 from functools import cache
@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from kmforge.catalog import catalog_for
 from kmforge.errors import IncompatibleDenominatorError, InvalidInputError
 from kmforge.field import CyclotomicNumber, field_degree, imaginary_unit, zeta_of, zeta_power
-from kmforge.liealg import FiniteAutomorphism, exp_curve
+from kmforge.liealg import FiniteAutomorphism, eigenspace_decomposition, exp_curve
 from kmforge.loop import LoopElement, TwistContext
 from kmforge.realforms import enumerate_real_forms
 from kmforge.standard import apply, pointwise, standard_automorphism
@@ -142,22 +142,45 @@ def test_apply_matches_the_per_term_path(index, data):
     assert _exact(got) == _exact(want)
 
 
+def _exponent_class(ctx, k):
+    """The j with zeta_D^k = zeta_n^j for the twist order n, or None when
+    zeta_D^k is no n-th root of unity."""
+    step = ctx.D // ctx.twist_order
+    return None if k % step else k // step % ctx.twist_order
+
+
+@cache
+def _classes(index):
+    """{j: basis} of ``_contexts()[index]``'s twist by ``eigenspace_decomposition``,
+    a kernel by elimination that never calls ``sigma.apply``."""
+    ctx = _contexts()[index]
+    return eigenspace_decomposition(ctx.sigma, order=ctx.twist_order)
+
+
+@st.composite
+def class_vectors(draw, basis):
+    """A nonzero combination of ``basis``, the eigenbasis of one class."""
+    x = basis[0] * draw(scalars().filter(bool))
+    for b in basis[1:]:
+        x = x + b * draw(scalars())
+    return x
+
+
 @pytest.mark.parametrize("index", range(13))
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_term_ok_matches_sigma_apply(index, data):
-    """Terms from k's own eigenspace, from k + 1's, or arbitrary; the
-    ``LoopElement`` constructor takes exactly the terms that keep the twist."""
-    ctx = _contexts()[index]
+    """A nonzero vector of exponent class j passes ``term_ok(k, .)`` exactly
+    when k's class is j; a sum of vectors of two classes passes for no k.
+    The ``LoopElement`` constructor takes exactly the terms that pass."""
+    ctx, classes = _contexts()[index], _classes(index)
     k = data.draw(st.integers(-9, 9))
-    source = data.draw(st.sampled_from(["own", "next", "any"]))
-    basis = {"own": ctx.eigenbasis_for_exponent(k),
-             "next": ctx.eigenbasis_for_exponent(k + 1),
-             "any": ctx.algebra.basis()}[source]
+    picked = data.draw(st.lists(st.sampled_from(sorted(classes)), min_size=1, max_size=2,
+                                unique=True))
     x = ctx.algebra.zero_element()
-    for b in basis:
-        x = x + b * data.draw(scalars())
-    ok = _term_ok_per_term(ctx, k, x)
+    for j in picked:
+        x = x + data.draw(class_vectors(classes[j]))
+    ok = picked == [_exponent_class(ctx, k)]
     assert ctx.term_ok(k, x) == ok
     if ok:
         LoopElement(ctx, {k: x})
@@ -169,19 +192,25 @@ def test_term_ok_matches_sigma_apply(index, data):
 def test_context_inventory():
     assert len(_contexts()) == 13
     assert _contexts()[11].D == 4 and _contexts()[11].twist_order == 2
+    assert sum(len(_classes(i)) > 1 for i in range(13)) == 11
 
 
 def test_term_ok_matches_sigma_apply_on_every_eigenvector():
-    """Every context, every k in -2D..2D, every eigenbasis vector of every
-    exponent class: valid and violating terms alike."""
+    """Every context, every k in -2D..2D: every eigenbasis vector of every
+    class j passes exactly when k's class is j, and the sum of the first
+    vectors of two classes never passes."""
     seen = set()
-    for ctx in _contexts():
-        vectors = [b for r in range(ctx.D) for b in ctx.eigenbasis_for_exponent(r)]
+    for index, ctx in enumerate(_contexts()):
+        classes = _classes(index)
+        firsts = [basis[0] for _, basis in sorted(classes.items())]
+        mixed = [a + b for a, b in zip(firsts, firsts[1:])]
         for k in range(-2 * ctx.D, 2 * ctx.D + 1):
-            for b in vectors:
-                ok = _term_ok_per_term(ctx, k, b)
-                assert ctx.term_ok(k, b) == ok, (ctx, k, b)
-                seen.add(ok)
+            cls = _exponent_class(ctx, k)
+            for j, basis in classes.items():
+                for b in basis:
+                    assert ctx.term_ok(k, b) == (j == cls), (ctx, k, j, b)
+                    seen.add(j == cls)
+            assert not any(ctx.term_ok(k, x) for x in mixed), (ctx, k)
     assert seen == {True, False}
 
 

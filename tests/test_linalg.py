@@ -172,6 +172,37 @@ def test_field_rref_inverts_each_pivot_once(monkeypatch):
     assert (rows, pivots) == _dense_rref(m)
 
 
+def _invert_by_division(matrix):
+    """``invert`` with its identity block built as ``x / x``, the oracle for
+    the entries' values, levels and numerators."""
+    n = len(matrix)
+    first = next(x for row in matrix for x in row if x)
+    one = first / first
+    rows, _ = linalg.rref([list(row) + ident for row, ident
+                           in zip(matrix, linalg.identity_like(n, one))])
+    return [row[n:] for row in rows]
+
+
+def test_cyclotomic_invert_inverts_each_pivot_and_nothing_else(monkeypatch):
+    # the identity block is x ** 0: one inverse per pivot, none for the 1
+    rng = random.Random(23)
+    inverse = CyclotomicNumber.inverse
+    for n in (1, 2, 3, 4):
+        while True:
+            m = _random_cyclo_matrix(rng, n, n)
+            if linalg.rank(m) == n:
+                break
+        calls = []
+        monkeypatch.setattr(CyclotomicNumber, "inverse",
+                            lambda x: calls.append(x) or inverse(x))
+        inv = linalg.invert(m)
+        monkeypatch.undo()
+        assert len(calls) == n
+        want = _invert_by_division(m)
+        assert [[(x.level, x.nums, x.den) for x in row] for row in inv] == \
+            [[(x.level, x.nums, x.den) for x in row] for row in want]
+
+
 # -- differential tests of the zero-skipping elimination ----------------------
 #
 # _dense_rref and _dense_in_span are the elimination before zero skipping,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from kmforge.catalog import catalog_for
 from kmforge.errors import InvalidInputError, NotApplicableError
 from kmforge.field import imaginary_unit
 from kmforge.invariants import FirstKindInvariant, invariants_equal
-from kmforge.liealg import builtin_algebra
+from kmforge.liealg import FiniteAutomorphism, builtin_algebra
 from kmforge.loop import LoopElement, TwistContext, validate
 from kmforge.realforms import (
     CartanDecomposition,
@@ -20,7 +21,7 @@ from kmforge.realforms import (
     verify_cartan,
     verify_real_form,
 )
-from kmforge.standard import apply, standard_order
+from kmforge.standard import apply, pointwise, standard_order
 
 SL2 = builtin_algebra("sl2C")
 CAT = catalog_for("sl2C")
@@ -139,6 +140,20 @@ def test_verify_real_forms_small_truncation():
     for f in enumerate_real_forms("sl2C"):
         report = verify_real_form(f, 2)
         assert report["passed"], report
+
+
+def test_a_conjugation_that_breaks_the_bracket_fails_closure():
+    # diag(1, -1, 1) after complex conjugation is an antilinear involution of
+    # sl2C but no automorphism: it fixes e and f, not h = [e, f]
+    compact = compact_real_form("sl2C")
+    ctx = compact.context
+    base = FiniteAutomorphism(SL2, [[1, 0, 0], [0, -1, 0], [0, 0, 1]], antilinear=True)
+    bad = replace(compact, conjugation=pointwise(ctx, base))
+    assert standard_order(bad.conjugation) == 2
+    report = verify_real_form(bad, 1)
+    assert not report["bracket_closed"]
+    assert report["closure_witness"] is not None
+    assert not report["passed"]
 
 
 def test_corrupted_condition_fails_twist_validation():

@@ -9,6 +9,7 @@ from kmforge.errors import (
     IncompatibleDataError,
     InvalidInputError,
     NotFirstKindError,
+    NotSecondKindError,
     OrderMismatchError,
     SquareMismatchError,
     TwistMismatchError,
@@ -480,6 +481,20 @@ def test_extract_errors():
         extract_invariant_first(reflection(untwisted()))
     with pytest.raises(OrderMismatchError):
         extract_invariant_first(rotation(untwisted(), Fraction(1, 3)), q=2)
+
+
+def test_extract_second_of_a_first_kind_map():
+    _, phi = realize_first("sl2C", 1, "id", "id", 3)
+    with pytest.raises(NotSecondKindError):
+        extract_invariant_second(phi)
+
+
+def test_order_of_a_reflection_that_moves_the_twist():
+    # u(t) -> u(-t) sends the r3 twist to its inverse, another context
+    cat = catalog_for("sl3C")
+    ctx = TwistContext(cat.algebra, cat.named("r3"))
+    with pytest.raises(TwistMismatchError, match="endomorphisms of one context"):
+        standard_order(reflection(ctx))
 
 
 def test_realize_errors():
