@@ -16,6 +16,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .element import AlgebraElement, IntRows, _as_scalar, _element, bracket, killing_form
@@ -397,16 +398,12 @@ def fixed_subalgebra(auto, bound=ORDER_BOUND):
     lev = math.lcm(4, *[x.level for row in auto.matrix for x in row])
     if not auto.antilinear:
         basis = _eigenvectors(alg, auto.matrix, CyclotomicNumber.one(lev))
-        _check_bracket_closed(basis, lambda x: list(x.coords))
-        return basis
-    gens = [alg.basis_element(i, lev) * zeta_power(lev, j)
-            for i in range(alg.dim) for j in range(field_degree(lev))]
-
-    def flatten(x):
-        return x.nums_at(lev), x.den
-
-    basis = [x for _, x in fixed_span_columns(gens, [auto.apply(g) for g in gens], flatten)]
-    _check_bracket_closed(basis, lambda x: flatten(x)[0])
+    else:
+        gens = [alg.basis_element(i, lev) * zeta_power(lev, j)
+                for i in range(alg.dim) for j in range(field_degree(lev))]
+        basis = [x for _, x in fixed_span_columns(gens, [auto.apply(g) for g in gens],
+                                                  lambda x: (x.nums_at(lev), x.den))]
+    _check_bracket_closed(auto, basis)
     return basis
 
 
@@ -435,19 +432,15 @@ def fixed_span_columns(gens, images, flatten, sign=1):
     return out
 
 
-def _check_bracket_closed(basis, flatten):
-    """Raise unless every bracket of two basis elements lies in their span;
-    ``flatten`` maps an element to the coordinate vector the span is taken in
-    (field coordinates for a linear map, rational numerators for an
-    antilinear one)."""
-    if not basis:
-        return
-    rr, piv = linalg.rref([flatten(b) for b in basis])
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            w = bracket(basis[i], basis[j])
-            if w and not linalg.in_span(rr, piv, flatten(w)):
-                raise ArithmeticError("fixed set is not bracket closed")
+def _check_bracket_closed(auto, basis):
+    """Raise unless ``auto`` fixes every bracket of two basis elements.  The
+    basis spans every fixed vector (over the field for a linear map, over Q
+    for an antilinear one) and a bracket of two basis elements is such a
+    vector, so it lies in their span exactly when ``auto`` fixes it."""
+    for a, b in combinations(basis, 2):
+        w = bracket(a, b)
+        if w and auto.apply(w) != w:
+            raise ArithmeticError("fixed set is not bracket closed")
 
 
 class ExpCurveData:

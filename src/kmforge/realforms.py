@@ -6,15 +6,15 @@ They are represented intensionally; every verification works on an explicit
 degree truncation with exact rational kernels.  A truncation splits into
 exponent blocks, joined by each generator's exponent and its image's support
 (``_blocks``), and all of its linear algebra reads ``loop_coords`` off a
-block: the fixed span, closure membership and H + iH rank go block by block,
-the Cartan split over unions of blocks under k -> -k.  Images and bases are
-kept on the real-form descriptor, so a slice at 2N reuses the slice at N.
+block: the fixed span and the H + iH rank go block by block, the Cartan split
+over unions of blocks under k -> -k.  Bracket closure needs none: a bracket
+of two fixed loops lies in the real form exactly when the conjugation fixes it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
@@ -62,8 +62,6 @@ class RealFormDescriptor:
     involution: object   # InvolutionDescriptor | None (compact form)
     conjugation: object  # antilinear StandardAutomorphism of order 2
     invariant: object
-    # _exponent's and _blocks' results; replace() starts a fresh one
-    _slices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def context(self):
@@ -163,13 +161,11 @@ def _coordinates_in_slice(u, N, lev):
 
 
 def _exponent(desc, k, lev):
-    """(zeta_lev^j * b, its theta-image) for the slice at exponent k; kept on desc."""
-    if k not in desc._slices:
-        ctx = desc.context
-        gens = [LoopElement._trusted(ctx, {k: zeta_power(lev, j) * b})
-                for b in ctx.eigenbasis_for_exponent(k) for j in range(field_degree(lev))]
-        desc._slices[k] = [(g, apply(desc.conjugation, g)) for g in gens]
-    return desc._slices[k]
+    """(zeta_lev^j * b, its theta-image) for the slice at exponent k."""
+    ctx = desc.context
+    gens = [LoopElement._trusted(ctx, {k: zeta_power(lev, j) * b})
+            for b in ctx.eigenbasis_for_exponent(k) for j in range(field_degree(lev))]
+    return [(g, apply(desc.conjugation, g)) for g in gens]
 
 
 def _blocks(desc, N, lev):
@@ -177,73 +173,59 @@ def _blocks(desc, N, lev):
     tuple of exponents, a connected set joined by each generator's exponent
     and the support of its image; an image beyond degree N leaves the slice.
     Its basis spans its fixed set as (key, element) pairs, keyed by the
-    exponent of the element's free column and that column; kept on the descriptor."""
+    exponent of the element's free column and that column."""
+    pairs = {}
     blocks = []
     for k in range(-N, N + 1):
-        pairs = _exponent(desc, k, lev)
-        reach = {k}.union(*(y.support() for _, y in pairs))
+        pairs[k] = _exponent(desc, k, lev)
+        reach = {k}.union(*(y.support() for _, y in pairs[k]))
         if any(abs(j) > N for j in reach):
             raise InvalidInputError("loop leaves the truncation slice")
-        if pairs:
+        if pairs[k]:
             blocks = [b for b in blocks if not b & reach] + [
                 reach.union(*(b for b in blocks if b & reach))]
     out = []
     for block in (tuple(sorted(b)) for b in blocks):
-        if block not in desc._slices:
-            gens, images = zip(*(p for k in block for p in _exponent(desc, k, lev)))
-            desc._slices[block] = [((gens[f].terms[0][0], f), x) for f, x in fixed_span_columns(
-                gens, images, lambda u: loop_coords(u, block, lev))]
-        out.append((block, desc._slices[block]))
+        gens, images = zip(*(p for k in block for p in pairs[k]))
+        out.append((block, [((gens[f].terms[0][0], f), x) for f, x in fixed_span_columns(
+            gens, images, lambda u: loop_coords(u, block, lev))]))
     return out
 
 
+def _merged(blocks):
+    """The blocks' bases merged in free-column order, the vectors of one
+    solve over the whole slice."""
+    return [x for _, x in sorted((kx for _, basis in blocks for kx in basis),
+                                 key=lambda kx: kx[0])]
+
+
 def fixed_point_basis(desc, N):
-    """Rational-span basis of the degree <= N slice of the real form: the
-    blocks' bases merged in free-column order, the vectors of one solve over
-    the whole slice."""
-    lev = _slice_level(desc.context)
-    pairs = [kx for _, basis in _blocks(desc, N, lev) for kx in basis]
-    return [x for _, x in sorted(pairs, key=lambda kx: kx[0])]
-
-
-def _slice_span(desc, N, lev):
-    """Membership of a loop of degree <= N in the span of the degree <= N
-    fixed basis: each basis element lies in one block, and an exponent in no
-    block has no generator, so a loop is spanned when each block it meets
-    spans its part there, against the block's rref."""
-    spans = [(block, *linalg.rref([loop_coords(x, block, lev)[0] for _, x in basis]))
-             for block, basis in _blocks(desc, N, lev)]
-
-    def spanned(w):
-        support = w.support()
-        # span does not depend on a row's scale: rows are the numerators
-        return all(linalg.in_span(rr, piv, loop_coords(w, block, lev)[0])
-                   for block, rr, piv in spans if not set(block).isdisjoint(support))
-    return spanned
+    """Rational-span basis of the degree <= N slice of the real form."""
+    return _merged(_blocks(desc, N, _slice_level(desc.context)))
 
 
 def verify_real_form(desc, N):
     """Bracket closure, H intersect iH = 0, and H + iH = slice, all exact.
+    A bracket w of two fixed loops lies in the real form exactly when
+    theta(w) = w, so theta certifies closure.
     Closure takes pairs i < j: [b, a] = -[a, b] and theta is real-linear, so
-    the pair (j, i) passes iff (i, j) does, and [a, a] = 0.  The rank of H + iH
-    is the sum of the blocks': b and i*b lie in b's block."""
+    the pair (j, i) passes iff (i, j) does, and [a, a] = 0.  The witness is
+    the first failing pair.  The rank of H + iH is the sum of the blocks':
+    b and i*b lie in b's block."""
     theta = desc.conjugation
     ctx = theta.source
     lev = _slice_level(ctx)
-    basis = fixed_point_basis(desc, N)
-    spanned = _slice_span(desc, 2 * N, lev)
-    closure_ok = True
-    closure_witness = None
-    for i, j in combinations(range(len(basis)), 2):
-        w = loop_bracket(basis[i], basis[j])
-        if w and not (apply(theta, w) == w and spanned(w)):
-            closure_ok = False
-            closure_witness = (i, j)
+    blocks = _blocks(desc, N, lev)
+    basis = _merged(blocks)
+    closure_witness = next(((i, j) for i, j in combinations(range(len(basis)), 2)
+                            if (w := loop_bracket(basis[i], basis[j])) and apply(theta, w) != w),
+                           None)
+    closure_ok = closure_witness is None
     i_unit = imaginary_unit(lev)
     # rank does not depend on a row's scale: rows are the numerators
     rank = sum(linalg.rank([loop_coords(y, block, lev)[0]
                             for _, x in block_basis for y in (x, x * i_unit)])
-               for block, block_basis in _blocks(desc, N, lev))
+               for block, block_basis in blocks)
     slice_dim = len(slice_terms(ctx, N)) * field_degree(lev)
     disjoint = rank == 2 * len(basis)
     spanning = rank == slice_dim

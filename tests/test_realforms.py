@@ -152,7 +152,10 @@ def test_a_conjugation_that_breaks_the_bracket_fails_closure():
     assert standard_order(bad.conjugation) == 2
     report = verify_real_form(bad, 1)
     assert not report["bracket_closed"]
-    assert report["closure_witness"] is not None
+    # the first failing pair of 27: e and i*h, whose bracket -2i*e goes to 2i*e
+    assert report["closure_witness"] == (0, 1)
+    basis = fixed_point_basis(bad, 1)
+    assert [x.terms for x in basis[:2]] == [((0, E),), ((0, H * imaginary_unit()),)]
     assert not report["passed"]
 
 

@@ -5,9 +5,12 @@ of ``rational_fixed_span`` and ``fixed_point_basis`` from before the slices
 were solved per exponent block (only the names differ).  ``old_membership``
 is ``verify_real_form``'s closure membership from then, lifted out of the
 closure loop: one rref of the degree <= 2N basis over the whole slice, then
-``in_span``.  ``old_cartan_split`` is ``cartan_decomposition``'s k/m split
-from then: both halves solved over the whole N basis in slice-wide
-coordinates.  ``linalg.rref``, ``in_span`` and ``kernel_basis`` are unchanged.
+``in_span``.  It is the oracle of the closure certificate that replaced it:
+a bracket, or any rational combination of the degree <= 2N generators, is
+spanned exactly when theta fixes it.  ``old_cartan_split`` is
+``cartan_decomposition``'s k/m split from then: both halves solved over the
+whole N basis in slice-wide coordinates.  ``linalg.rref``, ``in_span`` and
+``kernel_basis`` are unchanged.
 
 Bases are compared term by term and in order as (k, level, nums, den).  The
 number of examples of the hypothesis test comes from the hypothesis profile
@@ -33,7 +36,6 @@ from kmforge.realforms import (
     _blocks,
     _coordinates_in_slice,
     _slice_level,
-    _slice_span,
     cartan_decomposition,
     compact_conjugation,
     enumerate_real_forms,
@@ -152,16 +154,15 @@ def test_exp_conjugated_forms_give_the_same_basis_or_the_same_exception():
     assert compared and raised
 
 
-# -- closure membership ---------------------------------------------------------
+# -- the closure certificate ------------------------------------------------------
 
 
 @functools.cache
 def spans(algebra, index, N):
-    """(new membership, old membership, basis at N, generators at 2N)."""
+    """(the certificate, old membership, basis at N, generators at 2N)."""
     desc = forms(algebra)[index]
     theta = desc.conjugation
-    lev = _slice_level(theta.source)
-    return (_slice_span(desc, 2 * N, lev), old_membership(desc, N),
+    return (lambda u: apply(theta, u) == u, old_membership(desc, N),
             fixed_point_basis(desc, N), generators(theta.source, 2 * N))
 
 
@@ -170,12 +171,12 @@ def test_block_membership_of_brackets_and_their_i_multiples(algebra, N):
     i_unit = imaginary_unit()
     inside = outside = 0
     for index in range(len(forms(algebra))):
-        new, old, basis, _ = spans(algebra, index, N)
+        fixed, old, basis, _ = spans(algebra, index, N)
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
                 w = loop_bracket(basis[a], basis[b])
                 for u in (w, w * i_unit):
-                    verdict = new(u)
+                    verdict = fixed(u)
                     assert verdict == old(u)
                     inside += verdict
                     outside += not verdict
@@ -189,49 +190,52 @@ RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 def test_block_membership_of_rational_combinations(data):
     algebra, N = data.draw(st.sampled_from([("sl2C", 1), ("sl2C", 2), ("sl3C", 1)]))
     index = data.draw(st.integers(0, len(forms(algebra)) - 1))
-    new, old, _, gens = spans(algebra, index, N)
+    fixed, old, _, gens = spans(algebra, index, N)
     desc = forms(algebra)[index]
     big = fixed_point_basis(desc, 2 * N)
     # a combination of the 2N basis is inside; adding generators moves it out
-    # unless their part is fixed as well
+    # unless their part is fixed as well, and adding a nonzero multiple of one
+    # generator that theta moves always does: theta is real-linear
     picks = data.draw(st.lists(st.tuples(st.integers(0, len(big) - 1), RATIONAL), max_size=4))
     extra = data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), RATIONAL), max_size=3))
+    moved = [g for g in gens if apply(desc.conjugation, g) != g]
+    push = data.draw(st.tuples(st.sampled_from(moved), RATIONAL.filter(bool)))
     w = LoopElement(desc.conjugation.source, {})
     for i, c in picks:
         w = w + big[i] * c
+    assert fixed(w) and old(w)
+    u = w
     for i, c in extra:
-        w = w + gens[i] * c
-    assert new(w) == old(w)
-    if not extra:
-        assert new(w)
+        u = u + gens[i] * c
+    assert fixed(u) == old(u)
+    v = w + push[0] * push[1]
+    assert not fixed(v) and not old(v)
 
 
-# -- reuse of the N slice ---------------------------------------------------------
+# -- theta applications of verify_real_form -----------------------------------------
 
 
 @pytest.mark.parametrize("algebra,N", [("sl2C", 4), ("sl3C", 1)])
-def test_the_2N_call_applies_theta_to_no_generator_up_to_N(monkeypatch, algebra, N):
-    seen = []
-
-    def counting_apply(phi, u):
-        seen.append(u.degree())
-        return apply(phi, u)
-
+def test_verify_real_form_applies_theta_to_the_N_generators_and_the_brackets(
+        monkeypatch, algebra, N):
     for desc in enumerate_real_forms(algebra):
+        theta = desc.conjugation
         basis = fixed_point_basis(desc, N)
+        brackets = [w for a in range(len(basis)) for b in range(a + 1, len(basis))
+                    if (w := loop_bracket(basis[a], basis[b]))]
+        seen = []
+
+        def recording_apply(phi, u):
+            assert phi is theta
+            seen.append(u)
+            return apply(phi, u)
+
         with monkeypatch.context() as m:
-            m.setattr(realforms, "apply", counting_apply)
-            big = fixed_point_basis(desc, 2 * N)
-        assert key(big) == key(old_fixed_point_basis(desc, 2 * N))
-        fresh = [g for g in generators(desc.conjugation.source, 2 * N) if g.degree() > N]
-        assert sorted(seen) == sorted(g.degree() for g in fresh)
-        # verify_real_form at N applies theta to its brackets only
-        seen.clear()
-        with monkeypatch.context() as m:
-            m.setattr(realforms, "apply", counting_apply)
+            m.setattr(realforms, "apply", recording_apply)
             assert verify_real_form(desc, N)["passed"]
-        assert len(seen) <= len(basis) * (len(basis) - 1) // 2
-        seen.clear()
+        # each generator of degree <= N once, then each nonzero bracket once
+        expected = generators(theta.source, N) + brackets
+        assert sorted(map(repr, key(seen))) == sorted(map(repr, key(expected))), desc.label
 
 
 # -- the target twist of an entry map -----------------------------------------------
@@ -314,7 +318,6 @@ def test_a_replaced_conjugation_never_reads_the_original_blocks(algebra):
         fixed_point_basis(a, 2)
         for b, want in zip(forms(algebra), expected):
             moved = replace(a, conjugation=b.conjugation)
-            assert moved._slices == {}
             assert key(fixed_point_basis(moved, 2)) == want, (a.label, b.label)
 
 

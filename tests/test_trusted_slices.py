@@ -15,7 +15,6 @@ involution, with D the twist order and twice it; the sl3C context that
 every sl2C and sl3C real form, with its slice at N = 0, 1 and 2.
 """
 
-import dataclasses
 import functools
 
 import pytest
@@ -116,7 +115,7 @@ def test_hat_slice_is_valid_and_equals_the_public_slice(index, N):
 @pytest.mark.parametrize("N", (0, 1, 2))
 @pytest.mark.parametrize("index", range(20))
 def test_real_form_generators_are_valid_and_equal_the_public_loops(index, N):
-    desc = dataclasses.replace(_real_forms()[index])  # a fresh _slices cache
+    desc = _real_forms()[index]
     ctx = desc.context
     lev = _slice_level(ctx)
     total = 0
