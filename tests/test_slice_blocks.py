@@ -216,6 +216,41 @@ def test_block_membership_of_rational_combinations(data):
 
 
 @pytest.mark.parametrize("algebra,N", [("sl2C", 4), ("sl3C", 1)])
+def test_the_2N_call_applies_theta_to_no_generator_up_to_N(monkeypatch, algebra, N):
+    """verify_real_form builds no 2N slice: before its closure check theta
+    sees nothing above degree N, and the closure check, which replaced the
+    2N call, applies theta to no generator up to N again: only to nonzero
+    brackets of the basis, at most once a pair.  A 2N basis built on its
+    own still matches the slice-wide solve."""
+    merged = realforms._merged
+    for desc in enumerate_real_forms(algebra):
+        basis = fixed_point_basis(desc, N)
+        assert key(fixed_point_basis(desc, 2 * N)) == key(old_fixed_point_basis(desc, 2 * N))
+        brackets = set(map(repr, key(
+            w for a in range(len(basis)) for b in range(a + 1, len(basis))
+            if (w := loop_bracket(basis[a], basis[b])))))
+        seen, built = [], []
+
+        def counting_apply(phi, u):
+            seen.append(u)
+            return apply(phi, u)
+
+        def marking_merged(blocks):
+            built.append(len(seen))
+            return merged(blocks)
+
+        with monkeypatch.context() as m:
+            m.setattr(realforms, "apply", counting_apply)
+            m.setattr(realforms, "_merged", marking_merged)
+            assert verify_real_form(desc, N)["passed"]
+        assert len(built) == 1, desc.label
+        closure = list(map(repr, key(seen[built[0]:])))
+        assert set(closure) <= brackets, desc.label
+        assert len(closure) <= len(basis) * (len(basis) - 1) // 2
+        assert all(u.degree() <= N for u in seen[:built[0]]), desc.label
+
+
+@pytest.mark.parametrize("algebra,N", [("sl2C", 4), ("sl3C", 1)])
 def test_verify_real_form_applies_theta_to_the_N_generators_and_the_brackets(
         monkeypatch, algebra, N):
     for desc in enumerate_real_forms(algebra):
