@@ -34,7 +34,17 @@ row d, a block (c, [(d, c.nums)]), times y is scale * c * y.  Scalar
 products, ``_sum_pairs``, ``combination`` and ``IntRows.apply`` are in
 closed form at level 4; otherwise each output coordinate sums unreduced
 polynomial products (``_contract``) and is reduced once with ``field``'s
-power table.
+power table.  ``_contract_rows``, behind ``convolve`` and
+``affine.bracket_sum``, contracts every exponent group of a call in one
+loop (``_sum_pairs4``, one lcm of denominators a group) when every block
+of the call is at level 4, and calls ``_sum_pairs`` once a group otherwise.
+
+``IntRows.apply(x, conj=True)`` is the matrix times conj(x), read off x's
+segments with no conjugated element built: at level 4 the closed form takes
+y0 - y1 i for each segment (y0, y1), above it each segment goes through
+``_galois_nums`` at a = -1.  Antilinear maps (``liealg`` and ``standard``)
+act through it.  ``IntRows.product`` is the same product before it is put
+in lowest terms, which ``standard.fixes`` compares without an element.
 
 The contractions read an element as its nonzero segments, (index, segment)
 pairs at the element's own level.  The element caches them in the slot
@@ -106,11 +116,7 @@ class AlgebraElement:
         if level % self.level:
             raise LevelMismatchError(f"cannot lift level {self.level} into {level}")
         check_level(level)
-        nums = self.nums
-        n = len(nums) // self.algebra.dim
-        step = level // self.level
-        return tuple(v for i in range(0, len(nums), n)
-                     for v in _lift_nums(nums[i:i + n], step, level))
+        return _lift_block(self.nums, len(self.nums) // self.algebra.dim, self.level, level)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -205,6 +211,14 @@ def _add(x, y, sign):
     return _canonical(x.algebra, level, [p * fa + q * fb for p, q in zip(a, b)], den)
 
 
+def _lift_block(nums, n, level, target):
+    """A block of segments of length n at ``level`` re-expressed at ``target``,
+    a multiple of it, segment by segment."""
+    step = target // level
+    return tuple(v for i in range(0, len(nums), n)
+                 for v in _lift_nums(nums[i:i + n], step, target))
+
+
 def _segments(nums, n):
     """(index, segment) for every nonzero coordinate of a block."""
     return tuple([(i, seg) for i, seg in enumerate(zip(*[iter(nums)] * n)) if any(seg)])
@@ -235,22 +249,11 @@ def _sum_pairs(table, size, pairs, every):
     scaled to it by den // (x.den * y.den); nums need not be in lowest terms.
     The level is lcm(4, the levels of every pair) when ``every`` is true, and
     otherwise of the pairs whose nonzero coordinates meet a nonzero entry."""
-    den = math.lcm(*[x.den * y.den for _, (x, _), (y, _) in pairs])
     top = math.lcm(4, *[v.level for _, (x, _), (y, _) in pairs for v in (x, y)])
     if top == 4:
-        r0, r1 = [0] * size, [0] * size
-        for w, (x, xs), (y, ys) in pairs:
-            m = w * (den // (x.den * y.den))
-            for i, (x0, x1) in xs:
-                row = table[i]
-                for j, (y0, y1) in ys:
-                    cs = row[j]
-                    if cs:
-                        p0, p1 = m * (x0 * y0 - x1 * y1), m * (x0 * y1 + x1 * y0)
-                        for k, c in cs:
-                            r0[k] += c * p0
-                            r1[k] += c * p1
-        return 4, [v for pair in zip(r0, r1) for v in pair], den
+        nums, den = _sum_pairs4(table, size, {0: pairs})[0]
+        return 4, nums, den
+    den = math.lcm(*[x.den * y.den for _, (x, _), (y, _) in pairs])
     level, met = top if every else 4, []
     for w, (x, xs), (y, ys) in pairs:
         hits = [(cs, a, b) for i, a in xs for j, b in ys for cs in (table[i][j],) if cs]
@@ -263,6 +266,28 @@ def _sum_pairs(table, size, pairs, every):
               b if ly == level else _lift_nums(b, level // ly, level))
              for m, lx, ly, hits in met for cs, a, b in hits]
     return level, _contract(level, n, size, terms), den
+
+
+def _sum_pairs4(table, size, groups):
+    """{g: (nums, den)}: ``_sum_pairs`` of every group of pairs in ``groups``
+    in one loop, in closed form, when every block is at level 4."""
+    out = {}
+    for g, pairs in groups.items():
+        den = math.lcm(*[x.den * y.den for _, (x, _), (y, _) in pairs])
+        r0, r1 = [0] * size, [0] * size
+        for w, (x, xs), (y, ys) in pairs:
+            m = w * (den // (x.den * y.den))
+            for i, (x0, x1) in xs:
+                row = table[i]
+                for j, (y0, y1) in ys:
+                    cs = row[j]
+                    if cs:
+                        p0, p1 = m * (x0 * y0 - x1 * y1), m * (x0 * y1 + x1 * y0)
+                        for k, c in cs:
+                            r0[k] += c * p0
+                            r1[k] += c * p1
+        out[g] = [v for pair in zip(r0, r1) for v in pair], den
+    return out
 
 
 def convolve(xs, ys):
@@ -280,7 +305,13 @@ def convolve(xs, ys):
 
 
 def _contract_rows(alg, groups):
-    """{k: groups[k]'s (w, x block, y block) contracted with ``int_pairs``}."""
+    """{k: groups[k]'s (w, x block, y block) contracted with ``int_pairs``}:
+    one loop over every group when every block is at level 4, else one
+    ``_sum_pairs`` a group."""
+    if groups and all(x.level == 4 and y.level == 4
+                      for pairs in groups.values() for _, (x, _), (y, _) in pairs):
+        return {k: _canonical(alg, 4, nums, den * alg.scale)
+                for k, (nums, den) in _sum_pairs4(alg.int_pairs, alg.dim, groups).items()}
     out = {}
     for k, pairs in groups.items():
         level, nums, den = _sum_pairs(alg.int_pairs, alg.dim, pairs, True)
@@ -368,9 +399,16 @@ class IntRows:
             v * (den // a.den) for v in (a.nums if a.level == level else a.lift(level).nums))
             for a in row) for row in matrix)
 
-    def apply(self, x):
-        """The matrix times the coordinate vector of x, as an element at
-        lcm(self.level, x.level)."""
+    def apply(self, x, conj=False):
+        """The matrix times the coordinate vector of x, or of conj(x) when
+        ``conj`` is true, as an element at lcm(self.level, x.level)."""
+        return _canonical(x.algebra, *self.product(x, conj))
+
+    def product(self, x, conj=False):
+        """``apply``'s (level, nums, den) before it is put in lowest terms.
+        conj(x) is read off x's segments: at level 4 the closed form takes
+        y0 - y1 i for each segment (y0, y1) in the loop, and above it each
+        segment goes through ``_galois_nums`` at a = -1."""
         level = self.level if x.level == self.level else math.lcm(self.level, x.level)
         nums = x.nums_at(level)  # checks the level before any table is built
         rows = self.rows
@@ -378,9 +416,8 @@ class IntRows:
             step = level // self.level
             rows = [[None if e is None else _lift_nums(e, step, level) for e in row]
                     for row in rows]
-        alg = x.algebra
         den = self.den * x.den
-        n = len(nums) // alg.dim
+        n = len(nums) // x.algebra.dim
         xs = _segs(x) if level == x.level else _segments(nums, n)
         if level == 4:
             out = []
@@ -390,11 +427,17 @@ class IntRows:
                     e = row[k]
                     if e is not None:
                         a0, a1 = e
-                        r0 += a0 * y0 - a1 * y1
-                        r1 += a0 * y1 + a1 * y0
+                        if conj:
+                            r0 += a0 * y0 + a1 * y1
+                            r1 += a1 * y0 - a0 * y1
+                        else:
+                            r0 += a0 * y0 - a1 * y1
+                            r1 += a0 * y1 + a1 * y0
                 out.append(r0)
                 out.append(r1)
-            return _canonical(alg, 4, out, den)
+            return 4, out, den
+        if conj:
+            xs = [(k, _galois_nums(seg, -1, level)) for k, seg in xs]
         terms = [(((i, 1),), e, seg) for i, row in enumerate(rows) for k, seg in xs
                  for e in (row[k],) if e is not None]
-        return _canonical(alg, level, _contract(level, n, len(rows), terms), den)
+        return level, _contract(level, n, len(rows), terms), den

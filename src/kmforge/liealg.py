@@ -7,7 +7,7 @@ one level; ``element`` states their layout and level rule, and holds the
 bracket, the Killing form and ``IntRows``, the integer rows through which
 automorphism matrices act.  Automorphisms are matrices plus an antilinearity
 flag: an antilinear map acts by conjugating coordinates first, then applying
-the matrix.
+the matrix, and ``IntRows.apply`` does both in one product over x's segments.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class FiniteAutomorphism:
     def apply(self, x):
         if x.algebra is not self.algebra:
             raise AlgebraMismatchError("element is over a different algebra")
-        return self.int_rows().apply(x.conj() if self.antilinear else x)
+        return self.int_rows().apply(x, self.antilinear)
 
     def int_rows(self):
         """The matrix as ``IntRows``, built on first use and kept."""

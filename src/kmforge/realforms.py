@@ -8,7 +8,10 @@ exponent blocks, joined by each generator's exponent and its image's support
 (``_blocks``), and all of its linear algebra reads ``loop_coords`` off a
 block: the fixed span and the H + iH rank go block by block, the Cartan split
 over unions of blocks under k -> -k.  Bracket closure needs none: a bracket
-of two fixed loops lies in the real form exactly when the conjugation fixes it.
+of two fixed loops lies in the real form exactly when the conjugation fixes
+it, which ``standard.fixes`` tests term by term without building the image;
+the Cartan gradings test theta and theta_c the same way, theta_c(w) = -w
+with sign -1.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .loop import (
     loop_derivative,
     slice_terms,
 )
-from .standard import apply, compose, identity_automorphism, pointwise, standard_order
+from .standard import apply, compose, fixes, identity_automorphism, pointwise, standard_order
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def fixed_point_basis(desc, N):
 def verify_real_form(desc, N):
     """Bracket closure, H intersect iH = 0, and H + iH = slice, all exact.
     A bracket w of two fixed loops lies in the real form exactly when
-    theta(w) = w, so theta certifies closure.
+    theta(w) = w, so ``fixes(theta, w)`` certifies closure.
     Closure takes pairs i < j: [b, a] = -[a, b] and theta is real-linear, so
     the pair (j, i) passes iff (i, j) does, and [a, a] = 0.  The witness is
     the first failing pair.  The rank of H + iH is the sum of the blocks':
@@ -218,7 +221,7 @@ def verify_real_form(desc, N):
     blocks = _blocks(desc, N, lev)
     basis = _merged(blocks)
     closure_witness = next(((i, j) for i, j in combinations(range(len(basis)), 2)
-                            if (w := loop_bracket(basis[i], basis[j])) and apply(theta, w) != w),
+                            if (w := loop_bracket(basis[i], basis[j])) and not fixes(theta, w)),
                            None)
     closure_ok = closure_witness is None
     i_unit = imaginary_unit(lev)
@@ -274,26 +277,27 @@ def cartan_decomposition(desc, N):
 
 
 def verify_cartan(dec):
-    """The three bracket inclusions plus compactness of k + i*m, exact.
-    [k,k] and [m,m] take pairs i < j: [b,a] = -[a,b], [a,a] = 0, and theta and
-    theta_c are real-linear, so in_k(-w) holds iff in_k(w) does."""
+    """The three bracket inclusions plus compactness of k + i*m, exact, each
+    a ``fixes`` test: w in k when theta and theta_c fix it, in m when theta
+    fixes it and theta_c(w) = -w.  [k,k] and [m,m] take pairs i < j:
+    [b,a] = -[a,b], [a,a] = 0, and theta and theta_c are real-linear, so
+    in_k(-w) holds iff in_k(w) does."""
     desc = dec.form
     theta = desc.conjugation
     theta_c = dec.theta_c
     i_unit = imaginary_unit(_slice_level(theta.source))
 
     def in_k(w):
-        return apply(theta, w) == w and apply(theta_c, w) == w
+        return fixes(theta, w) and fixes(theta_c, w)
 
     def in_m(w):
-        return apply(theta, w) == w and apply(theta_c, w) == -1 * w
+        return fixes(theta, w) and fixes(theta_c, w, -1)
 
     kk = all(in_k(loop_bracket(a, b)) for a, b in combinations(dec.k_basis, 2))
     km = all(in_m(loop_bracket(a, b)) for a in dec.k_basis for b in dec.m_basis)
     mm = all(in_k(loop_bracket(a, b)) for a, b in combinations(dec.m_basis, 2))
-    compact_cond = all(apply(theta_c, b) == b for b in dec.k_basis)
-    compact_cond = compact_cond and all(
-        apply(theta_c, b * i_unit) == b * i_unit for b in dec.m_basis)
+    compact_cond = (all(fixes(theta_c, b) for b in dec.k_basis)
+                    and all(fixes(theta_c, b * i_unit) for b in dec.m_basis))
     return {
         "form": desc.label,
         "N": dec.N,

@@ -17,7 +17,15 @@ eigenvalues on the grid, so ``apply`` reads their exponent shifts unchecked.
 ``apply`` costs one integer-row product per term k: the base matrix times
 zeta^(k*shift/D) (its conjugate for an antilinear base, which acts on
 conj(x)) as ``element.IntRows``, cached on the map per k modulo the
-denominator of shift/D, so at most that many kernels.
+denominator of shift/D, so at most that many kernels.  An antilinear map
+passes its flag to ``IntRows.apply``, which conjugates x inside the product.
+
+``fixes(phi, u, sign)`` is the test apply(phi, u) == sign * u.  For a
+constant curve it builds no image: it checks that the support of u is
+closed under k -> eps*k, then compares each term's product, taken from the
+same kernel as ``apply``'s (``IntRows.product``), with sign times u's term
+at eps*k, cross-multiplied at a common level, and stops at the first
+mismatch.  For an exp curve it compares the image.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .element import IntRows, bracket
+from .element import IntRows, _lift_block, bracket
 from .errors import (
     CurveCompositionError,
     IncompatibleDenominatorError,
@@ -162,11 +170,12 @@ def apply(phi, u):
     if u.context != phi.source:
         raise TwistMismatchError("loop element is not in the source context")
     D = phi.source.D
-    eps_exp = phi.epsilon * (-1 if phi.antilinear else 1)
+    antilinear = phi.antilinear
+    eps_exp = -phi.epsilon if antilinear else phi.epsilon
     exp = phi.exp
     out = {}
     for k, x in u.terms:
-        y = _kernel(phi, k).apply(x.conj() if phi.antilinear else x)
+        y = _kernel(phi, k).apply(x, antilinear)
         if exp is None:
             out[eps_exp * k] = y
             continue
@@ -174,6 +183,35 @@ def apply(phi, u):
             k2 = eps_exp * k + int(q * D)
             out[k2] = out[k2] + comp if k2 in out else comp
     return LoopElement._trusted(phi.target, out)
+
+
+def fixes(phi, u, sign=1):
+    """True exactly when apply(phi, u) == sign * u, for sign 1 or -1, with
+    no image built for a constant curve (see the module docstring)."""
+    if phi.exp is not None:
+        return apply(phi, u) == sign * u
+    if u.context != phi.source:
+        raise TwistMismatchError("loop element is not in the source context")
+    if phi.target != phi.source:
+        return False  # the image lives in another context
+    antilinear = phi.antilinear
+    eps_exp = -phi.epsilon if antilinear else phi.epsilon
+    terms = u.terms_dict()
+    if eps_exp == -1 and any(-k not in terms for k in terms):
+        return False
+    dim = u.context.algebra.dim
+    for k, x in u.terms:
+        level, nums, den = _kernel(phi, k).product(x, antilinear)
+        z = x if eps_exp == 1 else terms[-k]
+        znums = z.nums
+        if level != z.level:
+            top = math.lcm(level, z.level)
+            nums = _lift_block(nums, len(nums) // dim, level, top)
+            znums = _lift_block(znums, len(znums) // dim, z.level, top)
+        zden, sden = z.den, sign * den
+        if [a * zden for a in nums] != [b * sden for b in znums]:
+            return False
+    return True
 
 
 def compose(a, b):

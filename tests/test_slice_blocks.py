@@ -42,7 +42,7 @@ from kmforge.realforms import (
     fixed_point_basis,
     verify_real_form,
 )
-from kmforge.standard import apply, conjugate, pointwise, reflection, rotation
+from kmforge.standard import apply, conjugate, fixes, pointwise, reflection, rotation
 from kmforge.verify import _exp_conjugator
 
 # -- verbatim copies of the slice-wide code -----------------------------------
@@ -219,9 +219,10 @@ def test_block_membership_of_rational_combinations(data):
 def test_the_2N_call_applies_theta_to_no_generator_up_to_N(monkeypatch, algebra, N):
     """verify_real_form builds no 2N slice: before its closure check theta
     sees nothing above degree N, and the closure check, which replaced the
-    2N call, applies theta to no generator up to N again: only to nonzero
-    brackets of the basis, at most once a pair.  A 2N basis built on its
-    own still matches the slice-wide solve."""
+    2N call, applies theta to no generator up to N again: it only tests
+    whether theta fixes the nonzero brackets of the basis (``fixes``), at
+    most once a pair.  A 2N basis built on its own still matches the
+    slice-wide solve."""
     merged = realforms._merged
     for desc in enumerate_real_forms(algebra):
         basis = fixed_point_basis(desc, N)
@@ -232,8 +233,12 @@ def test_the_2N_call_applies_theta_to_no_generator_up_to_N(monkeypatch, algebra,
         seen, built = [], []
 
         def counting_apply(phi, u):
-            seen.append(u)
+            seen.append(("apply", u))
             return apply(phi, u)
+
+        def counting_fixes(phi, u, sign=1):
+            seen.append(("fixes", u))
+            return fixes(phi, u, sign)
 
         def marking_merged(blocks):
             built.append(len(seen))
@@ -241,13 +246,17 @@ def test_the_2N_call_applies_theta_to_no_generator_up_to_N(monkeypatch, algebra,
 
         with monkeypatch.context() as m:
             m.setattr(realforms, "apply", counting_apply)
+            m.setattr(realforms, "fixes", counting_fixes)
             m.setattr(realforms, "_merged", marking_merged)
             assert verify_real_form(desc, N)["passed"]
         assert len(built) == 1, desc.label
-        closure = list(map(repr, key(seen[built[0]:])))
+        before, closure = seen[:built[0]], seen[built[0]:]
+        assert {name for name, _ in before} <= {"apply"}, desc.label
+        assert {name for name, _ in closure} <= {"fixes"}, desc.label
+        closure = list(map(repr, key(u for _, u in closure)))
         assert set(closure) <= brackets, desc.label
         assert len(closure) <= len(basis) * (len(basis) - 1) // 2
-        assert all(u.degree() <= N for u in seen[:built[0]]), desc.label
+        assert all(u.degree() <= N for _, u in before), desc.label
 
 
 @pytest.mark.parametrize("algebra,N", [("sl2C", 4), ("sl3C", 1)])
@@ -262,15 +271,24 @@ def test_verify_real_form_applies_theta_to_the_N_generators_and_the_brackets(
 
         def recording_apply(phi, u):
             assert phi is theta
-            seen.append(u)
+            seen.append(("apply", u))
             return apply(phi, u)
+
+        def recording_fixes(phi, u, sign=1):
+            assert phi is theta and sign == 1
+            seen.append(("fixes", u))
+            return fixes(phi, u, sign)
 
         with monkeypatch.context() as m:
             m.setattr(realforms, "apply", recording_apply)
+            m.setattr(realforms, "fixes", recording_fixes)
             assert verify_real_form(desc, N)["passed"]
-        # each generator of degree <= N once, then each nonzero bracket once
-        expected = generators(theta.source, N) + brackets
-        assert sorted(map(repr, key(seen))) == sorted(map(repr, key(expected))), desc.label
+        # each generator of degree <= N once through apply, then each nonzero
+        # bracket once through fixes
+        expected = ([("apply", g) for g in generators(theta.source, N)]
+                    + [("fixes", w) for w in brackets])
+        assert (sorted((name, repr(key([u]))) for name, u in seen)
+                == sorted((name, repr(key([u]))) for name, u in expected)), desc.label
 
 
 # -- the target twist of an entry map -----------------------------------------------
